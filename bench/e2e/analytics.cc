@@ -87,7 +87,7 @@ void RunAnalytics(const Options &options, Report *report) {
   report->Knob("warmup_cycles", 1);
   report->Knob("wal", "off");
 
-  auto world = RepeatSetup<AnalyticsWorld>(options.setup_reps, report, [&] {
+  auto world = RepeatSetup<AnalyticsWorld>(options, report, [&] {
     trace::Span span("setup.load");
     auto w = std::make_unique<AnalyticsWorld>();
     catalog::Catalog *catalog = &w->engine.catalog;

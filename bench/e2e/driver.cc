@@ -4,7 +4,7 @@
 // the benchmark's result; run it by hand as
 //
 //   e2e_driver --workload oltp|ingest|analytics|htap [--seed N] [--seconds S]
-//              [--setup-reps R] [--wal-dir DIR] [--trace-out FILE] [--smoke]
+//              [--wal-dir DIR] [--trace-out FILE] [--smoke]
 //
 // Exit status: 0 when every correctness gate held, 1 when one failed, 2 on
 // bad usage or a build that is not Release.
@@ -25,7 +25,7 @@ namespace {
 void Usage() {
   std::fprintf(stderr,
                "usage: e2e_driver --workload oltp|ingest|analytics|htap [--seed N] "
-               "[--seconds S] [--setup-reps R] [--wal-dir DIR] [--trace-out FILE] [--smoke]\n");
+               "[--seconds S] [--wal-dir DIR] [--trace-out FILE] [--smoke]\n");
 }
 
 std::string Compiler() {
@@ -54,8 +54,6 @@ int main(int argc, char **argv) {
       options.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--seconds" && has_value) {
       options.seconds = std::atof(argv[++i]);
-    } else if (arg == "--setup-reps" && has_value) {
-      options.setup_reps = std::atoi(argv[++i]);
     } else if (arg == "--wal-dir" && has_value) {
       options.wal_dir = argv[++i];
     } else if (arg == "--trace-out" && has_value) {
@@ -65,7 +63,7 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
-  if (options.seconds <= 0 || options.setup_reps < 0) {
+  if (options.seconds <= 0) {
     Usage();
     return 2;
   }

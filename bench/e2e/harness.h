@@ -37,9 +37,6 @@ struct Options {
   double seconds = 10;
   /// Tiny scale for CI smoke runs.
   bool smoke = false;
-  /// Times the set-up is repeated (0: adaptively, see RepeatSetup); setup_s
-  /// reports the median.
-  int setup_reps = 0;
   /// Directory for the write-ahead log (empty: the workload runs without one).
   std::string wal_dir;
   /// Where spans are written at exit; tracing is off when empty.
@@ -245,28 +242,24 @@ double CpuSeconds();
 /// Peak resident set size of this process, in MiB.
 double PeakRssMb();
 
-/// Run `setup` repeatedly, keeping the last result, and report the median
-/// wall time as setup_s. `reps` > 0 fixes the count; otherwise it repeats at
-/// least 3 times and, while the set-ups total under 2 s, up to 9 times, so a
-/// short set-up's median rests on more samples. Earlier results are
+constexpr int kSetupReps = 3;
+
+/// Run `setup` kSetupReps times (once in a smoke run), keeping the last
+/// result, and report the median wall time as setup_s. Earlier results are
 /// destroyed before the next repetition starts, untimed.
 template <typename World, typename Setup>
-std::unique_ptr<World> RepeatSetup(int reps, Report *report, Setup &&setup) {
+std::unique_ptr<World> RepeatSetup(const Options &options, Report *report, Setup &&setup) {
+  const int reps = options.smoke ? 1 : kSetupReps;
   Samples seconds;
-  double total_s = 0;
   std::unique_ptr<World> world;
-  for (int r = 0;; r++) {
-    const bool done = reps > 0 ? r >= reps : r >= 3 && (total_s >= 2.0 || r >= 9);
-    if (done) break;
+  for (int r = 0; r < reps; r++) {
     world.reset();
     const int64_t start = NowNs();
     world = setup();
-    const double elapsed_s = static_cast<double>(NowNs() - start) / 1e9;
-    seconds.Add(elapsed_s);
-    total_s += elapsed_s;
+    seconds.Add(static_cast<double>(NowNs() - start) / 1e9);
   }
   report->EndToEnd("setup_s", seconds.Median(), "s", seconds.Count());
-  report->Knob("setup_reps", static_cast<double>(seconds.Count()));
+  report->Knob("setup_reps", reps);
   return world;
 }
 

@@ -71,7 +71,7 @@ void RunIngest(const Options &options, Report *report) {
   report->Knob("warmup_txns_per_client", static_cast<double>(warmup_per_client));
   report->Knob("wal", "on, engine group commit unchanged; clients wait for each ack");
 
-  auto world = RepeatSetup<IngestWorld>(options.setup_reps, report, [&] {
+  auto world = RepeatSetup<IngestWorld>(options, report, [&] {
     trace::Span span("setup.load");
     auto w = std::make_unique<IngestWorld>(log_path);
     w->lineitem =

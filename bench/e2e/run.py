@@ -43,7 +43,8 @@ import tempfile
 import time
 from pathlib import Path
 
-import trace_report  # beside this script, so on sys.path when it runs
+sys.dont_write_bytecode = True  # leave no __pycache__ beside the sources
+import trace_report  # noqa: E402  (beside this script, so on sys.path when it runs)
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
@@ -153,7 +154,7 @@ def run_driver(driver, workload, seed, seconds, trace_path=None, smoke=False):
     if trace_path is not None:
         command += ["--trace-out", str(trace_path)]
     if smoke:
-        command += ["--smoke", "--setup-reps", "1"]
+        command.append("--smoke")
     try:
         wal_fs = filesystem_of(wal_dir)
         try:

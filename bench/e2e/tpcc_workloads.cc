@@ -478,7 +478,7 @@ void RunOltp(const Options &options, Report *report) {
   report->Knob("warmup_txns_per_terminal", static_cast<double>(work.warmup));
   report->Knob("wal", "on, engine group commit unchanged");
 
-  auto world = RepeatSetup<OltpWorld>(options.setup_reps, report, [&] {
+  auto world = RepeatSetup<OltpWorld>(options, report, [&] {
     trace::Span span("setup.load");
     auto w = std::make_unique<OltpWorld>(log_path, config);
     w->db.Load(&w->engine.txn_manager, kTerminals);
@@ -535,7 +535,7 @@ void RunHtap(const Options &options, Report *report) {
   report->Knob("warmup_txns_per_terminal", static_cast<double>(work.warmup));
   report->Knob("wal", "on, engine group commit unchanged");
 
-  auto world = RepeatSetup<HtapWorld>(options.setup_reps, report, [&] {
+  auto world = RepeatSetup<HtapWorld>(options, report, [&] {
     trace::Span span("setup.load");
     auto w = std::make_unique<HtapWorld>(log_path, config);
     transaction::TransactionManager *tm = &w->engine.txn_manager;
