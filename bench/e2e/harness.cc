@@ -488,8 +488,8 @@ void ReportOps(Report *report, std::vector<OpSample> *samples, const Window &win
   report->EndToEnd("ops_per_s", throughput.Median(), "1/s", n);
   report->EndToEnd("op_p50_us", p50.Median(), "us", n);
   report->EndToEnd("op_p90_us", p90.Median(), "us", n);
-  report->EndToEnd("cpu_us_per_op", cpu_us.Median(), "us", n);
   report->EndToEnd("peak_rss_mb", window.peak_rss_mb, "MiB", 1);
+  report->Layer("process.cpu_us_per_op", cpu_us.Median(), "us", n);
   report->Knob("segments", static_cast<double>(segments));
   report->Knob("window_s", static_cast<double>(window.end_ns - window.start_ns) / 1e9);
   report->Knob("measured_s", static_cast<double>(window.cutoff_ns - window.start_ns) / 1e9);

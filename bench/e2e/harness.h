@@ -314,7 +314,8 @@ Window CloseWindow(int64_t start_ns, int64_t cutoff_ns);
 /// operation, so a transient stall of the host moves one segment rather
 /// than the result. p90 is the tail every workload's segments support
 /// (analytics has about 20 queries per segment). peak_rss_mb is read when
-/// the window closed.
+/// the window closed. CPU time per operation is a per-layer metric
+/// (process.cpu_us_per_op): it spread too far between runs to bound.
 void ReportOps(Report *report, std::vector<OpSample> *samples, const Window &window,
                const CpuSampler &cpu);
 
