@@ -78,7 +78,7 @@ int main() {
     catalog::SqlTable *table = nullptr;
     uint64_t frozen_blocks = 0;
     auto engine = BuildLineItem(rows, txn_rows, frozen_pct, &table, &frozen_blocks);
-    workload::QueryRunner runner(&engine->txn_manager);
+    workload::QueryRunner runner(&engine->txn_manager, /*num_threads=*/1);
 
     // Correctness gate: the engines must agree bit-exactly before timing.
     const auto q1_vec = runner.RunQ1(table);
@@ -105,18 +105,16 @@ int main() {
     double q6_one_thread = 0;
     for (const uint32_t threads : thread_list) {
       runner.SetNumThreads(threads);
-      const auto q1_par = runner.RunQ1(table, {}, ExecMode::kParallel);
-      const auto q6_par = runner.RunQ6(table, {}, ExecMode::kParallel);
+      const auto q1_par = runner.RunQ1(table);
+      const auto q6_par = runner.RunQ6(table);
       if (!(q1_par.rows == q1_scalar.rows) || q6_par.revenue != q6_scalar.revenue) {
         std::printf("PARALLEL RESULT MISMATCH at %u%% frozen, %u threads\n", frozen_pct,
                     threads);
         all_match = false;
         continue;
       }
-      const double q1p =
-          MRowsPerSecond(rows, reps, [&] { runner.RunQ1(table, {}, ExecMode::kParallel); });
-      const double q6p =
-          MRowsPerSecond(rows, reps, [&] { runner.RunQ6(table, {}, ExecMode::kParallel); });
+      const double q1p = MRowsPerSecond(rows, reps, [&] { runner.RunQ1(table); });
+      const double q6p = MRowsPerSecond(rows, reps, [&] { runner.RunQ6(table); });
       // Baseline = the first entry that actually produced a timing (a gated
       // failure above leaves it unset).
       if (q6_one_thread == 0) q6_one_thread = q6p;

@@ -82,7 +82,7 @@ int main() {
     uint64_t frozen_blocks = 0;
     auto engine = BuildTables(rows, num_orders, txn_rows, frozen_pct, &lineitem, &orders,
                               &frozen_blocks);
-    workload::QueryRunner runner(&engine->txn_manager);
+    workload::QueryRunner runner(&engine->txn_manager, /*num_threads=*/1);
 
     // Correctness gate: the engines must agree exactly before timing.
     const auto vec = runner.RunQ12(orders, lineitem);
@@ -104,15 +104,14 @@ int main() {
     double one_thread = 0;
     for (const uint32_t threads : thread_list) {
       runner.SetNumThreads(threads);
-      const auto par = runner.RunQ12(orders, lineitem, {}, ExecMode::kParallel);
+      const auto par = runner.RunQ12(orders, lineitem);
       if (!(par.rows == scalar.rows)) {
         std::printf("PARALLEL RESULT MISMATCH at %u%% frozen, %u threads\n", frozen_pct,
                     threads);
         all_match = false;
         continue;
       }
-      const double p = MRowsPerSecond(
-          rows, reps, [&] { runner.RunQ12(orders, lineitem, {}, ExecMode::kParallel); });
+      const double p = MRowsPerSecond(rows, reps, [&] { runner.RunQ12(orders, lineitem); });
       if (one_thread == 0) one_thread = p;
       char line[160];
       std::snprintf(line, sizeof(line), "%-9u %8u %10.1f %20.2fx", frozen_pct, threads, p,

@@ -81,7 +81,7 @@ int main() {
   catalog::SqlTable *lineitem = nullptr;
   auto engine = BuildFrozenTables(rows, num_orders, num_customers, txn_rows, &customer,
                                   &orders, &lineitem);
-  workload::QueryRunner runner(&engine->txn_manager);
+  workload::QueryRunner runner(&engine->txn_manager, /*num_threads=*/1);
 
   std::printf("== Figure 19: TPC-H Q3 three-way join + top-k, 100%% frozen "
               "(M scanned rows/s, best of %" PRId64 "), LINEITEM %" PRIu64
@@ -115,15 +115,14 @@ int main() {
   std::printf("%-8s %10s\n", "threads", "q3-par");
   for (const uint32_t threads : thread_list) {
     runner.SetNumThreads(threads);
-    const auto par = runner.RunQ3(customer, orders, lineitem, {}, ExecMode::kParallel);
+    const auto par = runner.RunQ3(customer, orders, lineitem);
     if (!(par.rows == scalar_ref.rows)) {
       std::printf("PARALLEL RESULT MISMATCH at %u threads\n", threads);
       all_match = false;
       continue;
     }
-    const double p = MRowsPerSecond(scanned, reps, [&] {
-      runner.RunQ3(customer, orders, lineitem, {}, ExecMode::kParallel);
-    });
+    const double p =
+        MRowsPerSecond(scanned, reps, [&] { runner.RunQ3(customer, orders, lineitem); });
     std::printf("%-8u %10.1f\n", threads, p);
   }
 
@@ -131,6 +130,7 @@ int main() {
   // profiled Q3 three-pipeline plan, for run_benches.sh to fold into
   // BENCH_*.json (and scripts/validate_metrics_json.py to gate in CI).
   {
+    runner.SetNumThreads(1);
     runner.SetProfiling(true);
     runner.RunQ3(customer, orders, lineitem);
     std::printf("METRICS_JSON {\"engine\":%s,\"profiles\":{\"q3\":%s}}\n",

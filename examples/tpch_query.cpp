@@ -51,26 +51,29 @@ int64_t EnvInt(const char *name, int64_t def) {
   return value == nullptr ? def : std::atoll(value);
 }
 
-/// Run Q1 + Q6 + Q12 + Q14 + Q3 on all three engines, print the result
-/// rows, and verify the engines agree bit-exactly.
+/// Run Q1 + Q6 + Q12 + Q14 + Q3 as inline plans, as `parallel`'s
+/// multi-threaded plans, and on the scalar reference; print the result rows,
+/// and verify the engines agree bit-exactly.
+/// \param runner a one-thread runner: its plans run inline
 /// \return true if every aggregate matched.
-bool RunAndCheck(QueryRunner *runner, catalog::SqlTable *table, catalog::SqlTable *orders,
-                 catalog::SqlTable *part, catalog::SqlTable *customer, const char *label) {
+bool RunAndCheck(QueryRunner *runner, QueryRunner *parallel, catalog::SqlTable *table,
+                 catalog::SqlTable *orders, catalog::SqlTable *part,
+                 catalog::SqlTable *customer, const char *label) {
   const auto q1 = runner->RunQ1(table);
   const auto q1_ref = runner->RunQ1(table, {}, ExecMode::kScalar);
-  const auto q1_par = runner->RunQ1(table, {}, ExecMode::kParallel);
+  const auto q1_par = parallel->RunQ1(table);
   const auto q6 = runner->RunQ6(table);
   const auto q6_ref = runner->RunQ6(table, {}, ExecMode::kScalar);
-  const auto q6_par = runner->RunQ6(table, {}, ExecMode::kParallel);
+  const auto q6_par = parallel->RunQ6(table);
   const auto q12 = runner->RunQ12(orders, table);
   const auto q12_ref = runner->RunQ12(orders, table, {}, ExecMode::kScalar);
-  const auto q12_par = runner->RunQ12(orders, table, {}, ExecMode::kParallel);
+  const auto q12_par = parallel->RunQ12(orders, table);
   const auto q14 = runner->RunQ14(table, part);
   const auto q14_ref = runner->RunQ14(table, part, {}, ExecMode::kScalar);
-  const auto q14_par = runner->RunQ14(table, part, {}, ExecMode::kParallel);
+  const auto q14_par = parallel->RunQ14(table, part);
   const auto q3 = runner->RunQ3(customer, orders, table);
   const auto q3_ref = runner->RunQ3(customer, orders, table, {}, ExecMode::kScalar);
-  const auto q3_par = runner->RunQ3(customer, orders, table, {}, ExecMode::kParallel);
+  const auto q3_par = parallel->RunQ3(customer, orders, table);
 
   std::printf("\n-- %s: %llu rows, %llu blocks zero-copy, %llu blocks materialized --\n",
               label, static_cast<unsigned long long>(q1.stats.rows),
@@ -107,8 +110,8 @@ bool RunAndCheck(QueryRunner *runner, catalog::SqlTable *table, catalog::SqlTabl
                   q14.promo_revenue == q14_ref.promo_revenue &&
                   q14_par.promo_revenue == q14_ref.promo_revenue &&
                   q3.rows == q3_ref.rows && q3_par.rows == q3_ref.rows;
-  std::printf("engines agree bit-exactly (vectorized + %u-thread parallel vs scalar): %s\n",
-              runner->NumThreads(), ok ? "yes" : "NO — MISMATCH");
+  std::printf("engines agree bit-exactly (inline + %u-thread plans vs scalar): %s\n",
+              parallel->NumThreads(), ok ? "yes" : "NO — MISMATCH");
   return ok;
 }
 
@@ -158,9 +161,10 @@ int main(int argc, char **argv) {
       &catalog, &txn_manager, num_customers, /*seed=*/17, txn_rows);
   gc.FullGC();
 
-  QueryRunner runner(&txn_manager,
-                     static_cast<uint32_t>(EnvInt("MAINLINE_TPCH_THREADS", 0)));
-  bool ok = RunAndCheck(&runner, lineitem, orders, part, customer,
+  QueryRunner runner(&txn_manager, /*num_threads=*/1);
+  QueryRunner parallel(&txn_manager,
+                       static_cast<uint32_t>(EnvInt("MAINLINE_TPCH_THREADS", 0)));
+  bool ok = RunAndCheck(&runner, &parallel, lineitem, orders, part, customer,
                         "hot tables (100% materialized)");
 
   // The tables go cold; the transformation pipeline freezes them into
@@ -179,7 +183,7 @@ int main(int argc, char **argv) {
                   part->UnderlyingTable().NumBlocks() +
                   customer->UnderlyingTable().NumBlocks());
 
-  ok = RunAndCheck(&runner, lineitem, orders, part, customer,
+  ok = RunAndCheck(&runner, &parallel, lineitem, orders, part, customer,
                    "frozen tables (in-situ, zero-copy)") &&
        ok;
 
@@ -187,11 +191,11 @@ int main(int argc, char **argv) {
     // EXPLAIN ANALYZE: rerun Q3 over the frozen tables with per-operator
     // profiling on. The answer is bit-identical to the unprofiled runs
     // above; the extra output is the plan's per-operator record.
-    runner.SetProfiling(true);
-    const auto profiled = runner.RunQ3(customer, orders, lineitem, {}, ExecMode::kParallel);
-    runner.SetProfiling(false);
-    std::printf("\n-- EXPLAIN ANALYZE: Q3, frozen tables, %u-thread parallel --\n%s",
-                runner.NumThreads(), runner.LastProfile().ToString().c_str());
+    parallel.SetProfiling(true);
+    const auto profiled = parallel.RunQ3(customer, orders, lineitem);
+    parallel.SetProfiling(false);
+    std::printf("\n-- EXPLAIN ANALYZE: Q3, frozen tables, %u-thread plan --\n%s",
+                parallel.NumThreads(), parallel.LastProfile().ToString().c_str());
     if (profiled.rows.empty()) {
       std::printf("EXPLAIN ANALYZE run returned no rows\n");
       ok = false;

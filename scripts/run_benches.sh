@@ -13,11 +13,10 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${REPO_ROOT}/build-bench"
 OUT_DIR="${1:-${REPO_ROOT}}"
 
-# figure16/17/18/19's morsel-parallel threads sweeps: make the defaults
+# figure16/17/19's morsel-parallel threads sweeps: make the defaults
 # explicit so the sweeps are always recorded in the BENCH_*.json snapshots.
 export MAINLINE_F16_THREADS="${MAINLINE_F16_THREADS:-1,2,4,8}"
 export MAINLINE_F17_THREADS="${MAINLINE_F17_THREADS:-1,2,4,8}"
-export MAINLINE_F18_THREADS="${MAINLINE_F18_THREADS:-1,2,4,8}"
 export MAINLINE_F19_THREADS="${MAINLINE_F19_THREADS:-1,2,4,8}"
 
 # figure20's HTAP windows: record the shape explicitly so the snapshot is

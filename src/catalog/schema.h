@@ -92,7 +92,7 @@ class Schema {
   }
 
   /// Resolve column names to schema positions, sorted ascending — the shape
-  /// scan projections (execution::TableScanner, ProjectedRowInitializer)
+  /// scan projections (execution::ScanBlock, ProjectedRowInitializer)
   /// expect. An unknown name aborts in every build: silently narrowing a
   /// projection would make queries return wrong answers with no diagnostic.
   std::vector<uint16_t> ResolveColumns(const std::vector<std::string> &names) const {

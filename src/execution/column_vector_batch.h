@@ -21,7 +21,7 @@ enum class AccessPath : uint8_t {
 };
 
 /// A uniform columnar view of one block's visible tuples, produced by
-/// TableScanner: column `i` is the `i`-th column of the scan projection,
+/// ScanBlock: column `i` is the `i`-th column of the scan projection,
 /// exposed as an arrowlite array regardless of which path produced it
 /// (dictionary-encoded varlens included — Array::GetString resolves codes).
 ///

@@ -1,7 +1,5 @@
 #include "execution/hash_join.h"
 
-#include "execution/parallel_scanner.h"
-
 namespace mainline::execution {
 
 void JoinHashTable::Partition::BuildFrom(const std::vector<JoinEntry> &entries) {
@@ -19,22 +17,6 @@ void JoinHashTable::Partition::BuildFrom(const std::vector<JoinEntry> &entries) 
     slots[i] = entry;
     used[i] = 1;
   }
-}
-
-JoinHashTable JoinHashTable::Build(catalog::SqlTable *table,
-                                   transaction::TransactionContext *txn,
-                                   const std::vector<uint16_t> &projection,
-                                   const BuildEmitFn &emit, common::WorkerPool *pool,
-                                   ScanStats *stats) {
-  // Step 1 — scan: one entry vector per block ordinal; workers write
-  // disjoint slots, so no synchronization beyond the scan itself.
-  ParallelTableScanner scanner(table, txn, projection);
-  std::vector<std::vector<JoinEntry>> per_block(scanner.NumBlocks());
-  scanner.Scan(pool, [&](size_t ordinal, ColumnVectorBatch *batch) {
-    emit(*batch, &per_block[ordinal]);
-  });
-  if (stats != nullptr) stats->Add(scanner.Stats());
-  return FromOrdinalLists(per_block, pool);
 }
 
 JoinHashTable JoinHashTable::FromOrdinalLists(

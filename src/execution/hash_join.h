@@ -2,17 +2,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "arrowlite/array.h"
 #include "common/macros.h"
 #include "common/selection_vector.h"
 #include "common/worker_pool.h"
-#include "execution/column_vector_batch.h"
-#include "execution/table_scanner.h"
-#include "catalog/sql_table.h"
-#include "transaction/transaction_context.h"
 
 namespace mainline::execution {
 
@@ -25,23 +20,16 @@ struct JoinEntry {
   uint64_t payload;
 };
 
-/// Emit the (key, payload) pairs of one build-side batch into `out`, in batch
-/// row order. Runs on scan worker threads; must only touch the batch and
-/// `out`. Invisible rows never reach this callback, and a null key should
-/// simply not be emitted (SQL join semantics: null never matches).
-using BuildEmitFn = std::function<void(const ColumnVectorBatch &batch,
-                                       std::vector<JoinEntry> *out)>;
-
 /// The build side of a morsel-parallel hash join (Section 4.1's dual access
 /// path underneath, morsel-driven on top): a partitioned open-addressing hash
 /// table over int64 join keys.
 ///
-/// Build runs in three steps, none of which takes a lock:
+/// The build runs in three steps, none of which takes a lock:
 ///
-///  1. **Scan**: a ParallelTableScanner hands block-granular morsels to the
-///     worker pool; each worker emits its blocks' (key, payload) pairs into a
-///     per-block-ordinal slot (disjoint writes, like the query engines'
-///     per-block partials).
+///  1. **Scan**: op::HashJoinBuildOp's pipeline hands block-granular morsels
+///     to the worker pool; each worker emits its blocks' (key, payload) pairs
+///     into a per-block-ordinal slot (disjoint writes, like the query
+///     engines' per-block partials).
 ///  2. **Scatter**: one sequential pass distributes the entries into
 ///     kNumPartitions partition buckets by hash prefix, walking ordinals in
 ///     block order — so partition contents (and therefore duplicate-match
@@ -66,21 +54,11 @@ class JoinHashTable {
   JoinHashTable(JoinHashTable &&) noexcept = default;
   JoinHashTable &operator=(JoinHashTable &&) noexcept = default;
 
-  /// Build the table by scanning `table` (both frozen zero-copy and hot
-  /// materialized blocks) with `projection`, emitting build entries through
-  /// `emit`. A null/zero-worker/shut-down pool degrades to an inline build on
-  /// the calling thread. `txn` must stay read-only while the build runs
-  /// (scan workers share it).
-  /// \param stats accumulates the build scan's counters (may be nullptr)
-  static JoinHashTable Build(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                             const std::vector<uint16_t> &projection, const BuildEmitFn &emit,
-                             common::WorkerPool *pool, ScanStats *stats = nullptr);
-
-  /// Steps 2-3 of the build, for callers that produced the per-block-ordinal
-  /// entry lists themselves (e.g. op::HashJoinBuildOp, whose pipeline filters
-  /// and scans on its own): scatter the lists into partitions in ordinal
-  /// order — preserving the worker-count-independent determinism above — and
-  /// build the partitions, one pool task each (inline without a pool).
+  /// Steps 2-3 of the build, over the per-block-ordinal entry lists step 1
+  /// produced: scatter the lists into partitions in ordinal order —
+  /// preserving the worker-count-independent determinism above — and build
+  /// the partitions, one pool task each. A null/zero-worker/shut-down pool
+  /// degrades to an inline build on the calling thread.
   static JoinHashTable FromOrdinalLists(const std::vector<std::vector<JoinEntry>> &per_block,
                                         common::WorkerPool *pool);
 

@@ -67,13 +67,14 @@ struct PayloadSpec {
   bool Matches(std::string_view value) const;
 };
 
-/// Pipeline-breaking sink that builds a JoinHashTable: Push collects each
-/// selected row's (key, payload) into a per-block-ordinal entry list, and
-/// Finish scatters the lists in block order into the partitioned table
-/// (parallel over the run's pool when one is available) — the same
-/// three-step lock-free build as JoinHashTable::Build, so partition contents
-/// and duplicate-match order stay deterministic at any worker count. Rows
-/// with a null key or null payload column are dropped (SQL join semantics).
+/// Pipeline-breaking sink that builds a JoinHashTable — the only way one is
+/// built: Push collects each selected row's (key, payload) into a
+/// per-block-ordinal entry list, and Finish hands the lists to
+/// JoinHashTable::FromOrdinalLists, which scatters them in block order into
+/// the partitioned table (parallel over the run's pool when one is
+/// available), so partition contents and duplicate-match order stay
+/// deterministic at any worker count. Rows with a null key or null payload
+/// column are dropped (SQL join semantics).
 ///
 /// A build downstream of a probe consumes the chunk's match list instead of
 /// its selection vector — one entry per match, so join multiplicity carries

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "execution/table_scanner.h"
+#include "execution/scan_block.h"
 #include "metrics/metrics_registry.h"
 
 namespace mainline::execution::op {

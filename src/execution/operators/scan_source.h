@@ -7,14 +7,14 @@
 #include "common/macros.h"
 #include "common/worker_pool.h"
 #include "execution/operators/operator.h"
-#include "execution/table_scanner.h"
+#include "execution/scan_block.h"
 #include "catalog/sql_table.h"
 #include "transaction/transaction_context.h"
 
 namespace mainline::execution::op {
 
 /// The source of a pipeline: wraps the dual hot/frozen access path of
-/// TableScanner/ParallelTableScanner and streams one Chunk per non-empty
+/// ParallelTableScanner and streams one Chunk per non-empty
 /// block into an operator chain — inline on the calling thread when no pool
 /// is given, morsel-parallel over the pool's workers otherwise. Either way
 /// the chunks carry block ordinals from the same snapshot, so sinks that

@@ -74,7 +74,7 @@ void ParallelTableScanner::WorkerLoop(size_t worker_index, const ConsumeFn &cons
     // contents are synchronized by the storage layer, not by this counter.
     const size_t ordinal = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (ordinal >= blocks_.size()) break;
-    if (TableScanner::ScanBlock(table_, txn_, projection_, blocks_[ordinal], &batch, &stats)) {
+    if (ScanBlock(table_, txn_, projection_, blocks_[ordinal], &batch, &stats)) {
       consume(ordinal, &batch);
       batch.Release();
     }

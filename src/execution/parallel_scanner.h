@@ -10,7 +10,7 @@
 #include "common/thread_annotations.h"
 #include "common/worker_pool.h"
 #include "execution/column_vector_batch.h"
-#include "execution/table_scanner.h"
+#include "execution/scan_block.h"
 #include "catalog/sql_table.h"
 #include "storage/raw_block.h"
 #include "transaction/transaction_context.h"

@@ -1,4 +1,4 @@
-#include "execution/table_scanner.h"
+#include "execution/scan_block.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -11,21 +11,6 @@
 
 namespace mainline::execution {
 
-TableScanner::TableScanner(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                           std::vector<uint16_t> projection)
-    : table_(table),
-      txn_(txn),
-      projection_(std::move(projection)),
-      blocks_(table->UnderlyingTable().Blocks()) {
-  MAINLINE_ASSERT(!projection_.empty(), "scan projection must name at least one column");
-  MAINLINE_ASSERT(std::is_sorted(projection_.begin(), projection_.end()) &&
-                      std::adjacent_find(projection_.begin(), projection_.end()) ==
-                          projection_.end(),
-                  "scan projection must be sorted ascending and duplicate-free");
-  MAINLINE_ASSERT(projection_.back() < table->GetSchema().NumColumns(),
-                  "scan projection column out of range");
-}
-
 uint16_t ProjectionIndexOf(const std::vector<uint16_t> &projection, uint16_t schema_pos) {
   const auto it = std::lower_bound(projection.begin(), projection.end(), schema_pos);
   if (it == projection.end() || *it != schema_pos) {
@@ -36,13 +21,9 @@ uint16_t ProjectionIndexOf(const std::vector<uint16_t> &projection, uint16_t sch
   return static_cast<uint16_t>(it - projection.begin());
 }
 
-uint16_t TableScanner::BatchIndex(uint16_t schema_pos) const {
-  return ProjectionIndexOf(projection_, schema_pos);
-}
-
-bool TableScanner::ScanBlock(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                             const std::vector<uint16_t> &projection, storage::RawBlock *block,
-                             ColumnVectorBatch *out, ScanStats *stats) {
+bool ScanBlock(catalog::SqlTable *table, transaction::TransactionContext *txn,
+               const std::vector<uint16_t> &projection, storage::RawBlock *block,
+               ColumnVectorBatch *out, ScanStats *stats) {
   storage::DataTable &data_table = table->UnderlyingTable();
   const catalog::Schema &schema = table->GetSchema();
 
@@ -75,15 +56,6 @@ bool TableScanner::ScanBlock(catalog::SqlTable *table, transaction::TransactionC
   stats->rows += static_cast<uint64_t>(batch->num_rows());
   out->Reset(std::move(batch), AccessPath::kHotMaterialized, nullptr);
   return true;
-}
-
-bool TableScanner::Next(ColumnVectorBatch *out) {
-  while (next_block_ < blocks_.size()) {
-    if (ScanBlock(table_, txn_, projection_, blocks_[next_block_++], out, &stats_)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace mainline::execution

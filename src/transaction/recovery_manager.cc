@@ -59,86 +59,100 @@ class LogFileReader {
   std::ifstream in_;
 };
 
+using TxnMap = std::unordered_map<transaction::timestamp_t, ParsedTxn>;
+
+/// Parse the record at the reader's position into its transaction's entry in
+/// `txns`. The log's durable prefix ends at the first record that cannot be
+/// parsed: a torn tail (the crash cut a record short) or an unknown type byte
+/// (nothing after it can be framed).
+/// \return false at the end of the durable prefix.
+bool ParseRecord(LogFileReader *reader,
+                 const std::unordered_map<catalog::table_oid_t, storage::DataTable *> &tables,
+                 TxnMap *txns) {
+  uint8_t type_byte;
+  transaction::timestamp_t txn_begin;
+  if (!reader->Read(&type_byte) || !reader->Read(&txn_begin)) return false;
+  const auto type = static_cast<logging::LogRecordType>(type_byte);
+  switch (type) {
+    case logging::LogRecordType::kRedo: {
+      ParsedRecord record;
+      record.type = type;
+      uint32_t oid;
+      uint64_t slot_bytes;
+      uint8_t is_insert;
+      uint16_t num_cols;
+      if (!reader->Read(&oid) || !reader->Read(&slot_bytes) || !reader->Read(&is_insert) ||
+          !reader->Read(&num_cols)) {
+        return false;
+      }
+      record.table_oid = catalog::table_oid_t(oid);
+      record.slot = storage::TupleSlot::FromRawBytes(slot_bytes);
+      record.is_insert = is_insert != 0;
+      const storage::BlockLayout &layout = tables.at(record.table_oid)->GetLayout();
+      record.col_ids.resize(num_cols);
+      for (auto &col : record.col_ids) {
+        uint16_t raw;
+        if (!reader->Read(&raw)) return false;
+        col = storage::col_id_t(raw);
+      }
+      record.nulls.resize(num_cols);
+      record.values.resize(num_cols);
+      for (uint16_t i = 0; i < num_cols; i++) {
+        uint8_t not_null;
+        if (!reader->Read(&not_null)) return false;
+        record.nulls[i] = not_null == 0;
+        if (record.nulls[i]) continue;
+        uint64_t size;
+        if (layout.IsVarlen(record.col_ids[i])) {
+          uint32_t varlen_size;
+          if (!reader->Read(&varlen_size)) return false;
+          size = varlen_size;
+        } else {
+          size = layout.AttrSize(record.col_ids[i]);
+        }
+        record.values[i].resize(size);
+        if (size > 0 && !reader->ReadBytes(record.values[i].data(), size)) return false;
+      }
+      (*txns)[txn_begin].records.push_back(std::move(record));
+      return true;
+    }
+    case logging::LogRecordType::kDelete: {
+      ParsedRecord record;
+      record.type = type;
+      uint32_t oid;
+      uint64_t slot_bytes;
+      if (!reader->Read(&oid) || !reader->Read(&slot_bytes)) return false;
+      record.table_oid = catalog::table_oid_t(oid);
+      record.slot = storage::TupleSlot::FromRawBytes(slot_bytes);
+      (*txns)[txn_begin].records.push_back(std::move(record));
+      return true;
+    }
+    case logging::LogRecordType::kCommit: {
+      transaction::timestamp_t commit_ts;
+      if (!reader->Read(&commit_ts)) return false;
+      ParsedTxn &txn = (*txns)[txn_begin];
+      txn.commit_ts = commit_ts;
+      txn.committed = true;
+      return true;
+    }
+    case logging::LogRecordType::kAbort:
+      (*txns)[txn_begin].records.clear();
+      return true;
+  }
+  return false;  // unknown type byte
+}
+
 }  // namespace
 
 uint64_t RecoveryManager::Recover(const std::string &log_file_path) {
   LogFileReader reader(log_file_path);
   if (!reader.Good()) return 0;
 
-  // Phase 1: parse the whole log, grouping records by transaction.
-  std::unordered_map<transaction::timestamp_t, ParsedTxn> txns;
-  while (true) {
-    uint8_t type_byte;
-    if (!reader.Read(&type_byte)) break;
-    transaction::timestamp_t txn_begin;
-    if (!reader.Read(&txn_begin)) break;
-    ParsedTxn &txn = txns[txn_begin];
-    const auto type = static_cast<logging::LogRecordType>(type_byte);
-    switch (type) {
-      case logging::LogRecordType::kRedo: {
-        ParsedRecord record;
-        record.type = type;
-        uint32_t oid;
-        uint64_t slot_bytes;
-        uint8_t is_insert;
-        uint16_t num_cols;
-        if (!reader.Read(&oid) || !reader.Read(&slot_bytes) || !reader.Read(&is_insert) ||
-            !reader.Read(&num_cols)) {
-          return 0;  // truncated log tail: ignore incomplete record
-        }
-        record.table_oid = catalog::table_oid_t(oid);
-        record.slot = storage::TupleSlot::FromRawBytes(slot_bytes);
-        record.is_insert = is_insert != 0;
-        const storage::DataTable *table = tables_.at(record.table_oid);
-        const storage::BlockLayout &layout = table->GetLayout();
-        record.col_ids.resize(num_cols);
-        for (auto &col : record.col_ids) {
-          uint16_t raw;
-          if (!reader.Read(&raw)) return 0;
-          col = storage::col_id_t(raw);
-        }
-        record.nulls.resize(num_cols);
-        record.values.resize(num_cols);
-        for (uint16_t i = 0; i < num_cols; i++) {
-          uint8_t not_null;
-          if (!reader.Read(&not_null)) return 0;
-          record.nulls[i] = not_null == 0;
-          if (record.nulls[i]) continue;
-          uint64_t size;
-          if (layout.IsVarlen(record.col_ids[i])) {
-            uint32_t varlen_size;
-            if (!reader.Read(&varlen_size)) return 0;
-            size = varlen_size;
-          } else {
-            size = layout.AttrSize(record.col_ids[i]);
-          }
-          record.values[i].resize(size);
-          if (size > 0 && !reader.ReadBytes(record.values[i].data(), size)) return 0;
-        }
-        txn.records.push_back(std::move(record));
-        break;
-      }
-      case logging::LogRecordType::kDelete: {
-        ParsedRecord record;
-        record.type = type;
-        uint32_t oid;
-        uint64_t slot_bytes;
-        if (!reader.Read(&oid) || !reader.Read(&slot_bytes)) return 0;
-        record.table_oid = catalog::table_oid_t(oid);
-        record.slot = storage::TupleSlot::FromRawBytes(slot_bytes);
-        txn.records.push_back(std::move(record));
-        break;
-      }
-      case logging::LogRecordType::kCommit: {
-        if (!reader.Read(&txn.commit_ts)) return 0;
-        txn.committed = true;
-        break;
-      }
-      case logging::LogRecordType::kAbort:
-        txn.records.clear();
-        break;
-    }
-  }
+  // Phase 1: parse the log's durable prefix, grouping records by
+  // transaction. A transaction whose commit record lies past the prefix is
+  // dropped like one that never committed.
+  TxnMap txns;
+  while (ParseRecord(&reader, tables_, &txns)) continue;
 
   // Phase 2: replay committed transactions in commit-timestamp order.
   std::map<transaction::timestamp_t, ParsedTxn *> commit_order;

@@ -20,9 +20,10 @@ class TransactionManager;
 ///
 /// The log contains no log sequence numbers: records are ordered implicitly
 /// by their transaction's commit timestamp. Recovery therefore reads the
-/// whole log, groups records by transaction, discards transactions without a
-/// commit record (aborted or in-flight at the crash), and replays committed
-/// transactions in commit-timestamp order.
+/// log's durable prefix — everything up to the first torn record or unknown
+/// type byte — groups records by transaction, discards transactions without
+/// a complete commit record in that prefix (aborted or in-flight at the
+/// crash), and replays committed transactions in commit-timestamp order.
 ///
 /// TupleSlots in the log are physical addresses from the previous process
 /// lifetime; the recovery manager remaps them to freshly inserted slots as it

@@ -8,7 +8,7 @@
 #include "common/macros.h"
 #include "common/worker_pool.h"
 #include "execution/operators/plan_profile.h"
-#include "execution/table_scanner.h"
+#include "execution/scan_block.h"
 #include "transaction/transaction_context.h"
 #include "workload/tpch/tpch_queries.h"
 #include "catalog/sql_table.h"
@@ -19,12 +19,11 @@ namespace mainline::workload {
 using execution::ScanStats;
 namespace op = execution::op;
 
-/// Which engine answers a query: the operator-pipeline plan run inline, the
-/// same plan run morsel-parallel, or the tuple-at-a-time scalar reference
-/// both are benchmarked (and verified) against. All three return
-/// bit-identical results (see tpch_queries.h on the canonical per-block
-/// accumulation order).
-enum class ExecMode : uint8_t { kVectorized = 0, kScalar, kParallel };
+/// Which engine answers a query: the operator-pipeline plan, or the
+/// tuple-at-a-time scalar reference it is benchmarked (and verified)
+/// against. Both return bit-identical results at any thread count (see
+/// tpch_queries.h on the canonical per-block accumulation order).
+enum class ExecMode : uint8_t { kPlan = 0, kScalar };
 
 /// Facade over the execution layer: begins a snapshot transaction, runs the
 /// query plan through the chosen engine, commits, and reports scan
@@ -33,9 +32,11 @@ enum class ExecMode : uint8_t { kVectorized = 0, kScalar, kParallel };
 /// methods are thin wrappers around one Execute helper, so adding a query
 /// costs a plan composition (tpch_queries.cc) plus a few lines here.
 ///
-/// The runner owns the worker pool ExecMode::kParallel plans run over; it is
-/// created lazily on the first parallel query and sized by the `num_threads`
-/// knob (constructor argument or SetNumThreads; 0 = hardware concurrency).
+/// The `num_threads` knob (constructor argument or SetNumThreads; 0 =
+/// hardware concurrency) decides how a plan runs: with one thread it runs
+/// inline on the calling thread and no pool is ever built; with more, it
+/// runs morsel-parallel over a worker pool the runner owns, created lazily
+/// on the first plan query.
 class QueryRunner {
  public:
   explicit QueryRunner(transaction::TransactionManager *txn_manager, uint32_t num_threads = 0)
@@ -43,12 +44,12 @@ class QueryRunner {
 
   DISALLOW_COPY_AND_MOVE(QueryRunner)
 
-  /// \return worker count parallel queries will use.
+  /// \return thread count plan queries will use.
   uint32_t NumThreads() const { return num_threads_; }
 
-  /// Resize the parallel worker pool (0 = hardware concurrency). The old
-  /// pool, if any, is drained and joined; the next parallel query builds a
-  /// fresh one.
+  /// Resize the plan worker pool (0 = hardware concurrency). The old pool,
+  /// if any, is drained and joined; the next multi-threaded plan query
+  /// builds a fresh one.
   void SetNumThreads(uint32_t num_threads) {
     num_threads_ = ResolveThreads(num_threads);
     pool_.reset();
@@ -96,7 +97,7 @@ class QueryRunner {
   };
 
   Q1Result RunQ1(catalog::SqlTable *table, const tpch::Q1Params &params = {},
-                 ExecMode mode = ExecMode::kVectorized) {
+                 ExecMode mode = ExecMode::kPlan) {
     return Execute<Q1Result>(mode, [&](auto *txn, auto *pool, Q1Result *result) {
       result->rows = mode == ExecMode::kScalar
                          ? tpch::RunQ1Scalar(table, txn, params, &result->stats)
@@ -106,7 +107,7 @@ class QueryRunner {
   }
 
   Q6Result RunQ6(catalog::SqlTable *table, const tpch::Q6Params &params = {},
-                 ExecMode mode = ExecMode::kVectorized) {
+                 ExecMode mode = ExecMode::kPlan) {
     return Execute<Q6Result>(mode, [&](auto *txn, auto *pool, Q6Result *result) {
       result->revenue = mode == ExecMode::kScalar
                             ? tpch::RunQ6Scalar(table, txn, params, &result->stats)
@@ -116,7 +117,7 @@ class QueryRunner {
   }
 
   Q12Result RunQ12(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
-                   const tpch::Q12Params &params = {}, ExecMode mode = ExecMode::kVectorized) {
+                   const tpch::Q12Params &params = {}, ExecMode mode = ExecMode::kPlan) {
     return Execute<Q12Result>(mode, [&](auto *txn, auto *pool, Q12Result *result) {
       result->rows =
           mode == ExecMode::kScalar
@@ -127,7 +128,7 @@ class QueryRunner {
   }
 
   Q14Result RunQ14(catalog::SqlTable *lineitem, catalog::SqlTable *part,
-                   const tpch::Q14Params &params = {}, ExecMode mode = ExecMode::kVectorized) {
+                   const tpch::Q14Params &params = {}, ExecMode mode = ExecMode::kPlan) {
     return Execute<Q14Result>(mode, [&](auto *txn, auto *pool, Q14Result *result) {
       result->promo_revenue =
           mode == ExecMode::kScalar
@@ -139,7 +140,7 @@ class QueryRunner {
 
   Q3Result RunQ3(catalog::SqlTable *customer, catalog::SqlTable *orders,
                  catalog::SqlTable *lineitem, const tpch::Q3Params &params = {},
-                 ExecMode mode = ExecMode::kVectorized) {
+                 ExecMode mode = ExecMode::kPlan) {
     return Execute<Q3Result>(mode, [&](auto *txn, auto *pool, Q3Result *result) {
       result->rows =
           mode == ExecMode::kScalar
@@ -151,10 +152,10 @@ class QueryRunner {
 
  private:
   /// The txn/dispatch/stats/commit plumbing every query shares: begin a
-  /// snapshot transaction, hand the query the worker pool its mode calls for
-  /// (the lazily built pool for kParallel, none otherwise — a null pool runs
-  /// a plan inline), commit, return. `query(txn, pool, &result)` fills the
-  /// result in between.
+  /// snapshot transaction, hand the query the worker pool its plan runs over
+  /// (none for kScalar or a single thread — a null pool runs a plan inline),
+  /// commit, return. `query(txn, pool, &result)` fills the result in
+  /// between.
   template <typename Result, typename Query>
   Result Execute(ExecMode mode, Query &&query) {
     // A profiled run replaces the record wholesale; a profiled scalar run
@@ -162,7 +163,7 @@ class QueryRunner {
     if (profiling_) last_profile_ = op::PlanProfile{};
     Result result;
     transaction::TransactionContext *txn = txn_manager_->BeginTransaction();
-    query(txn, mode == ExecMode::kParallel ? Pool() : nullptr, &result);
+    query(txn, mode == ExecMode::kPlan && num_threads_ > 1 ? Pool() : nullptr, &result);
     txn_manager_->Commit(txn);
     return result;
   }

@@ -107,6 +107,17 @@ double FinalizeQ14(double total_revenue, double promo_revenue) {
   return total_revenue == 0 ? 0.0 : 100.0 * promo_revenue / total_revenue;
 }
 
+/// Run `plan` inline (null pool) or morsel-parallel, recording its
+/// per-operator profile into `profile` when one is asked for.
+void RunPlan(op::PhysicalPlan *plan, transaction::TransactionContext *txn,
+             common::WorkerPool *pool, ScanStats *stats, op::PlanProfile *profile) {
+  if (profile != nullptr) plan->SetProfiling(true);
+  plan->Run(txn, pool, stats);
+  if (profile != nullptr) *profile = plan->Profile();
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Plan compositions. Each query is wired from the operator building blocks;
 // a null pool runs the plan inline, a pool runs every pipeline
@@ -114,9 +125,10 @@ double FinalizeQ14(double total_revenue, double promo_revenue) {
 // result identical either way (see the header).
 // ---------------------------------------------------------------------------
 
-std::vector<Q1Row> RunQ1Plan(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                             const Q1Params &params, common::WorkerPool *pool,
-                             ScanStats *stats, op::PlanProfile *profile) {
+std::vector<Q1Row> RunQ1Parallel(catalog::SqlTable *table,
+                                 transaction::TransactionContext *txn, const Q1Params &params,
+                                 common::WorkerPool *pool, ScanStats *stats,
+                                 op::PlanProfile *profile) {
   const uint16_t qty = ProjectionIndexOf(kQ1Projection, L_QUANTITY);
   const uint16_t price = ProjectionIndexOf(kQ1Projection, L_EXTENDEDPRICE);
   const uint16_t disc = ProjectionIndexOf(kQ1Projection, L_DISCOUNT);
@@ -139,9 +151,7 @@ std::vector<Q1Row> RunQ1Plan(catalog::SqlTable *table, transaction::TransactionC
            op::ColumnRef::Batch(price), op::ColumnRef::Batch(disc), op::ColumnRef::Batch(tax))),
        op::AggSpec::Sum(op::Expr::Column(op::ColumnRef::Batch(disc))),
        op::AggSpec::Count()});
-  if (profile != nullptr) plan.SetProfiling(true);
-  plan.Run(txn, pool, stats);
-  if (profile != nullptr) *profile = plan.Profile();
+  RunPlan(&plan, txn, pool, stats, profile);
 
   std::vector<Q1Row> rows;
   rows.reserve(agg->Result().size());
@@ -154,9 +164,9 @@ std::vector<Q1Row> RunQ1Plan(catalog::SqlTable *table, transaction::TransactionC
   return rows;
 }
 
-double RunQ6Plan(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                 const Q6Params &params, common::WorkerPool *pool, ScanStats *stats,
-                 op::PlanProfile *profile) {
+double RunQ6Parallel(catalog::SqlTable *table, transaction::TransactionContext *txn,
+                     const Q6Params &params, common::WorkerPool *pool, ScanStats *stats,
+                     op::PlanProfile *profile) {
   const uint16_t qty = ProjectionIndexOf(kQ6Projection, L_QUANTITY);
   const uint16_t price = ProjectionIndexOf(kQ6Projection, L_EXTENDEDPRICE);
   const uint16_t disc = ProjectionIndexOf(kQ6Projection, L_DISCOUNT);
@@ -171,16 +181,14 @@ double RunQ6Plan(catalog::SqlTable *table, transaction::TransactionContext *txn,
   op::AggregateOp *agg = builder.Aggregate(
       {}, {op::AggSpec::Sum(
               op::Expr::Mul(op::ColumnRef::Batch(price), op::ColumnRef::Batch(disc)))});
-  if (profile != nullptr) plan.SetProfiling(true);
-  plan.Run(txn, pool, stats);
-  if (profile != nullptr) *profile = plan.Profile();
+  RunPlan(&plan, txn, pool, stats, profile);
   return agg->Result().front().values[0].f64;
 }
 
-std::vector<Q12Row> RunQ12Plan(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
-                               transaction::TransactionContext *txn, const Q12Params &params,
-                               common::WorkerPool *pool, ScanStats *stats,
-                               op::PlanProfile *profile) {
+std::vector<Q12Row> RunQ12Parallel(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
+                                   transaction::TransactionContext *txn,
+                                   const Q12Params &params, common::WorkerPool *pool,
+                                   ScanStats *stats, op::PlanProfile *profile) {
   const uint16_t okey = ProjectionIndexOf(kQ12OrdersProjection, O_ORDERKEY);
   const uint16_t prio = ProjectionIndexOf(kQ12OrdersProjection, O_ORDERPRIORITY);
   const uint16_t lkey = ProjectionIndexOf(kQ12LineitemProjection, L_ORDERKEY);
@@ -203,9 +211,7 @@ std::vector<Q12Row> RunQ12Plan(catalog::SqlTable *orders, catalog::SqlTable *lin
       .JoinProbe(lkey, build);
   op::AggregateOp *agg =
       builder.Aggregate({mode}, {op::AggSpec::SumPayload(), op::AggSpec::Count()});
-  if (profile != nullptr) plan.SetProfiling(true);
-  plan.Run(txn, pool, stats);
-  if (profile != nullptr) *profile = plan.Profile();
+  RunPlan(&plan, txn, pool, stats, profile);
 
   std::vector<Q12Row> rows;
   rows.reserve(agg->Result().size());
@@ -220,9 +226,9 @@ std::vector<Q12Row> RunQ12Plan(catalog::SqlTable *orders, catalog::SqlTable *lin
   return rows;
 }
 
-double RunQ14Plan(catalog::SqlTable *lineitem, catalog::SqlTable *part,
-                  transaction::TransactionContext *txn, const Q14Params &params,
-                  common::WorkerPool *pool, ScanStats *stats, op::PlanProfile *profile) {
+double RunQ14Parallel(catalog::SqlTable *lineitem, catalog::SqlTable *part,
+                      transaction::TransactionContext *txn, const Q14Params &params,
+                      common::WorkerPool *pool, ScanStats *stats, op::PlanProfile *profile) {
   const uint16_t pkey = ProjectionIndexOf(kQ14PartProjection, P_PARTKEY);
   const uint16_t ptype = ProjectionIndexOf(kQ14PartProjection, P_TYPE);
   const uint16_t lkey = ProjectionIndexOf(kQ14LineitemProjection, L_PARTKEY);
@@ -244,19 +250,17 @@ double RunQ14Plan(catalog::SqlTable *lineitem, catalog::SqlTable *part,
       {}, {op::AggSpec::Sum(op::Expr::Column(op::ColumnRef::Computed(0))),
            op::AggSpec::Sum(op::Expr::Column(op::ColumnRef::Computed(0)),
                             /*payload_gate=*/true)});
-  if (profile != nullptr) plan.SetProfiling(true);
-  plan.Run(txn, pool, stats);
-  if (profile != nullptr) *profile = plan.Profile();
+  RunPlan(&plan, txn, pool, stats, profile);
 
   return FinalizeQ14(agg->Result().front().values[0].f64,
                      agg->Result().front().values[1].f64);
 }
 
-std::vector<Q3Row> RunQ3Plan(catalog::SqlTable *customer, catalog::SqlTable *orders,
-                             catalog::SqlTable *lineitem,
-                             transaction::TransactionContext *txn, const Q3Params &params,
-                             common::WorkerPool *pool, ScanStats *stats,
-                             op::PlanProfile *profile) {
+std::vector<Q3Row> RunQ3Parallel(catalog::SqlTable *customer, catalog::SqlTable *orders,
+                                 catalog::SqlTable *lineitem,
+                                 transaction::TransactionContext *txn, const Q3Params &params,
+                                 common::WorkerPool *pool, ScanStats *stats,
+                                 op::PlanProfile *profile) {
   const uint16_t ckey = ProjectionIndexOf(kQ3CustomerProjection, C_CUSTKEY);
   const uint16_t cseg = ProjectionIndexOf(kQ3CustomerProjection, C_MKTSEGMENT);
   const uint16_t lkey = ProjectionIndexOf(kQ3LineitemProjection, L_ORDERKEY);
@@ -291,9 +295,7 @@ std::vector<Q3Row> RunQ3Plan(catalog::SqlTable *customer, catalog::SqlTable *ord
       {op::SortKey::MatchPayloadF64(/*descending=*/true), op::SortKey::U32Column(odate)},
       {op::OutputCol::Int64Column(okey), op::OutputCol::MatchPayloadF64(),
        op::OutputCol::U32Column(odate), op::OutputCol::Int32Column(oprio)});
-  if (profile != nullptr) plan.SetProfiling(true);
-  plan.Run(txn, pool, stats);
-  if (profile != nullptr) *profile = plan.Profile();
+  RunPlan(&plan, txn, pool, stats, profile);
 
   std::vector<Q3Row> rows;
   rows.reserve(topk->Result().size());
@@ -306,70 +308,6 @@ std::vector<Q3Row> RunQ3Plan(catalog::SqlTable *customer, catalog::SqlTable *ord
     rows.push_back(row);
   }
   return rows;
-}
-
-}  // namespace
-
-std::vector<Q1Row> RunQ1(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                         const Q1Params &params, ScanStats *stats, op::PlanProfile *profile) {
-  return RunQ1Plan(table, txn, params, nullptr, stats, profile);
-}
-
-std::vector<Q1Row> RunQ1Parallel(catalog::SqlTable *table,
-                                 transaction::TransactionContext *txn, const Q1Params &params,
-                                 common::WorkerPool *pool, ScanStats *stats,
-                                 op::PlanProfile *profile) {
-  return RunQ1Plan(table, txn, params, pool, stats, profile);
-}
-
-double RunQ6(catalog::SqlTable *table, transaction::TransactionContext *txn,
-             const Q6Params &params, ScanStats *stats, op::PlanProfile *profile) {
-  return RunQ6Plan(table, txn, params, nullptr, stats, profile);
-}
-
-double RunQ6Parallel(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                     const Q6Params &params, common::WorkerPool *pool, ScanStats *stats,
-                     op::PlanProfile *profile) {
-  return RunQ6Plan(table, txn, params, pool, stats, profile);
-}
-
-std::vector<Q12Row> RunQ12(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
-                           transaction::TransactionContext *txn, const Q12Params &params,
-                           ScanStats *stats, op::PlanProfile *profile) {
-  return RunQ12Plan(orders, lineitem, txn, params, nullptr, stats, profile);
-}
-
-std::vector<Q12Row> RunQ12Parallel(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
-                                   transaction::TransactionContext *txn,
-                                   const Q12Params &params, common::WorkerPool *pool,
-                                   ScanStats *stats, op::PlanProfile *profile) {
-  return RunQ12Plan(orders, lineitem, txn, params, pool, stats, profile);
-}
-
-double RunQ14(catalog::SqlTable *lineitem, catalog::SqlTable *part,
-              transaction::TransactionContext *txn, const Q14Params &params,
-              ScanStats *stats, op::PlanProfile *profile) {
-  return RunQ14Plan(lineitem, part, txn, params, nullptr, stats, profile);
-}
-
-double RunQ14Parallel(catalog::SqlTable *lineitem, catalog::SqlTable *part,
-                      transaction::TransactionContext *txn, const Q14Params &params,
-                      common::WorkerPool *pool, ScanStats *stats, op::PlanProfile *profile) {
-  return RunQ14Plan(lineitem, part, txn, params, pool, stats, profile);
-}
-
-std::vector<Q3Row> RunQ3(catalog::SqlTable *customer, catalog::SqlTable *orders,
-                         catalog::SqlTable *lineitem, transaction::TransactionContext *txn,
-                         const Q3Params &params, ScanStats *stats, op::PlanProfile *profile) {
-  return RunQ3Plan(customer, orders, lineitem, txn, params, nullptr, stats, profile);
-}
-
-std::vector<Q3Row> RunQ3Parallel(catalog::SqlTable *customer, catalog::SqlTable *orders,
-                                 catalog::SqlTable *lineitem,
-                                 transaction::TransactionContext *txn, const Q3Params &params,
-                                 common::WorkerPool *pool, ScanStats *stats,
-                                 op::PlanProfile *profile) {
-  return RunQ3Plan(customer, orders, lineitem, txn, params, pool, stats, profile);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 
 #include "common/worker_pool.h"
 #include "execution/operators/plan_profile.h"
-#include "execution/table_scanner.h"
+#include "execution/scan_block.h"
 #include "catalog/sql_table.h"
 #include "transaction/transaction_context.h"
 
@@ -20,12 +20,16 @@ using execution::ScanStats;
 namespace op = execution::op;
 
 /// The TPC-H queries below are compositions over the push-based operator
-/// pipeline API (execution/operators/): each Run* function wires a
+/// pipeline API (execution/operators/): each RunQxParallel function wires a
 /// PhysicalPlan out of ScanSource / FilterOp / ProjectOp / hash-join /
-/// AggregateOp building blocks and runs it — inline, or morsel-parallel over
-/// a worker pool for the *Parallel variants. There is no per-query kernel
-/// code anymore; the tuple-at-a-time scalar references remain as the
-/// bit-exact oracles the plans are verified against.
+/// AggregateOp building blocks and runs it morsel-parallel over `pool`'s
+/// workers, or inline on the calling thread when `pool` is null. There is
+/// no per-query kernel code; the tuple-at-a-time RunQxScalar references
+/// remain as the bit-exact oracles the plans are verified against.
+///
+/// Every plan shares `txn` across its workers, so `txn` must stay read-only
+/// while the plan runs. A non-null `stats` accumulates scan counters; a
+/// non-null `profile` receives the plan's per-operator profile.
 ///
 /// All engines share one canonical accumulation order: floating-point
 /// aggregates are built as PER-BLOCK partials — each accumulated
@@ -71,28 +75,16 @@ struct Q6Params {
 };
 
 /// Q1 as an operator plan (scan -> filter -> grouped aggregate on
-/// (l_returnflag, l_linestatus)), run inline. Results are sorted by
-/// (returnflag, linestatus), as the query specifies.
-/// \param stats accumulates scan counters (may be nullptr)
-std::vector<Q1Row> RunQ1(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                         const Q1Params &params, ScanStats *stats = nullptr,
-                         op::PlanProfile *profile = nullptr);
-
-/// Q6 as an operator plan (scan -> three filters -> ungrouped
-/// sum(l_extendedprice * l_discount)), run inline.
-double RunQ6(catalog::SqlTable *table, transaction::TransactionContext *txn,
-             const Q6Params &params, ScanStats *stats = nullptr,
-             op::PlanProfile *profile = nullptr);
-
-/// The same Q1 plan run morsel-parallel over `pool`'s workers. Bit-exact
-/// with RunQ1 and RunQ1Scalar for any worker count. `txn` must stay
-/// read-only while the plan runs (workers share it).
+/// (l_returnflag, l_linestatus)). Results are sorted by (returnflag,
+/// linestatus), as the query specifies. Bit-exact with RunQ1Scalar for any
+/// worker count, inline included.
 std::vector<Q1Row> RunQ1Parallel(catalog::SqlTable *table,
                                  transaction::TransactionContext *txn, const Q1Params &params,
                                  common::WorkerPool *pool, ScanStats *stats = nullptr,
                                  op::PlanProfile *profile = nullptr);
 
-/// The same Q6 plan run morsel-parallel; same contract as RunQ1Parallel.
+/// Q6 as an operator plan (scan -> three filters -> ungrouped
+/// sum(l_extendedprice * l_discount)); same contract as RunQ1Parallel.
 double RunQ6Parallel(catalog::SqlTable *table, transaction::TransactionContext *txn,
                      const Q6Params &params, common::WorkerPool *pool,
                      ScanStats *stats = nullptr, op::PlanProfile *profile = nullptr);
@@ -124,15 +116,9 @@ struct Q12Row {
 /// Q12 as a two-pipeline plan: hash-join build over ORDERS (key o_orderkey,
 /// payload = "is urgent/high" bit), then a probe pipeline streaming LINEITEM
 /// through the date/shipmode filters into a grouped aggregate on l_shipmode.
-/// Run inline. `orders` and `lineitem` must use OrdersSchema()/
-/// LineItemSchema() column positions.
-std::vector<Q12Row> RunQ12(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
-                           transaction::TransactionContext *txn, const Q12Params &params,
-                           ScanStats *stats = nullptr, op::PlanProfile *profile = nullptr);
-
-/// The same Q12 plan run morsel-parallel (build scan, partition build, and
-/// probe scan all over `pool`). Bit-exact with RunQ12 and RunQ12Scalar for
-/// any worker count. `txn` must stay read-only while the plan runs.
+/// With a pool, the build scan, partition build, and probe scan all run
+/// over it. Bit-exact with RunQ12Scalar for any worker count. `orders` and
+/// `lineitem` must use OrdersSchema()/LineItemSchema() column positions.
 std::vector<Q12Row> RunQ12Parallel(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
                                    transaction::TransactionContext *txn,
                                    const Q12Params &params, common::WorkerPool *pool,
@@ -162,16 +148,9 @@ struct Q14Params {
 /// pipeline 2 streams LINEITEM through the shipdate filter, projects
 /// l_extendedprice * (1 - l_discount) once, probes, and sums the projected
 /// column twice — unconditionally and gated on the payload bit. The result
-/// is 100 * promo_revenue / total_revenue (0 when nothing matched). Run
-/// inline. `lineitem`/`part` must use LineItemSchema()/PartSchema() column
-/// positions.
-double RunQ14(catalog::SqlTable *lineitem, catalog::SqlTable *part,
-              transaction::TransactionContext *txn, const Q14Params &params,
-              ScanStats *stats = nullptr, op::PlanProfile *profile = nullptr);
-
-/// The same Q14 plan run morsel-parallel. Bit-exact with RunQ14 and
-/// RunQ14Scalar for any worker count. `txn` must stay read-only while the
-/// plan runs.
+/// is 100 * promo_revenue / total_revenue (0 when nothing matched).
+/// Bit-exact with RunQ14Scalar for any worker count. `lineitem`/`part` must
+/// use LineItemSchema()/PartSchema() column positions.
 double RunQ14Parallel(catalog::SqlTable *lineitem, catalog::SqlTable *part,
                       transaction::TransactionContext *txn, const Q14Params &params,
                       common::WorkerPool *pool, ScanStats *stats = nullptr,
@@ -195,7 +174,7 @@ struct Q3Params {
 
 /// One Q3 result row: an order still open at the cutoff, its pending revenue
 /// summed over the qualifying lineitems. Revenue accumulates in lineitem
-/// scan order (see RunQ3), so equality between engines is bit-exact.
+/// scan order (see RunQ3Parallel), so equality between engines is bit-exact.
 struct Q3Row {
   int64_t orderkey = 0;
   double revenue = 0;
@@ -216,17 +195,9 @@ struct Q3Row {
 /// (added in the table's deterministic match order), and feeds a Top-K sink
 /// ordered by (revenue DESC, o_orderdate). Ties beyond the sort keys break
 /// on scan position, so the LIMIT boundary is one deterministic answer —
-/// bit-exact against RunQ3Scalar at any worker count, order included. Run
-/// inline. The tables must use CustomerSchema()/OrdersSchema()/
-/// LineItemSchema() column positions.
-std::vector<Q3Row> RunQ3(catalog::SqlTable *customer, catalog::SqlTable *orders,
-                         catalog::SqlTable *lineitem, transaction::TransactionContext *txn,
-                         const Q3Params &params, ScanStats *stats = nullptr,
-                         op::PlanProfile *profile = nullptr);
-
-/// The same Q3 plan run morsel-parallel (all three pipelines over `pool`).
-/// Bit-exact with RunQ3 and RunQ3Scalar for any worker count. `txn` must
-/// stay read-only while the plan runs.
+/// bit-exact against RunQ3Scalar at any worker count, order included. The
+/// tables must use CustomerSchema()/OrdersSchema()/LineItemSchema() column
+/// positions.
 std::vector<Q3Row> RunQ3Parallel(catalog::SqlTable *customer, catalog::SqlTable *orders,
                                  catalog::SqlTable *lineitem,
                                  transaction::TransactionContext *txn, const Q3Params &params,

@@ -12,7 +12,8 @@
 #include "common/rand_util.h"
 #include "common/selection_vector.h"
 #include "workload/tpch/query_runner.h"
-#include "execution/table_scanner.h"
+#include "execution/parallel_scanner.h"
+#include "execution/scan_block.h"
 #include "workload/tpch/tpch_queries.h"
 #include "execution/vector_ops.h"
 #include "gc/garbage_collector.h"
@@ -30,15 +31,15 @@ using execution::AccessPath;
 using execution::ColumnVectorBatch;
 using workload::ExecMode;
 using workload::QueryRunner;
+using execution::ParallelTableScanner;
 using execution::ScanStats;
-using execution::TableScanner;
 using storage::BlockState;
 using storage::ProjectedRow;
 using transform::GatherMode;
 namespace q = workload::tpch;
 
-/// End-to-end coverage of the in-situ execution layer: the dual-path
-/// TableScanner and the vectorized Q1/Q6 must agree bit-exactly with the
+/// End-to-end coverage of the in-situ execution layer: the dual-path block
+/// scan and the Q1/Q6 plans must agree bit-exactly with the
 /// scalar tuple-at-a-time reference on hot, mixed, and fully frozen tables,
 /// and stay MVCC-consistent while writers and the transformation pipeline
 /// churn underneath.
@@ -77,7 +78,7 @@ class ExecutionTest : public ::testing::TestWithParam<GatherMode> {
   /// Both queries, both engines, same snapshot semantics: results must be
   /// bit-identical (floating-point == on every aggregate).
   void ExpectEnginesAgree(catalog::SqlTable *table, ScanStats *q6_stats_out = nullptr) {
-    QueryRunner runner(&txn_manager_);
+    QueryRunner runner(&txn_manager_, /*num_threads=*/1);
     const auto q1_vec = runner.RunQ1(table);
     const auto q1_scalar = runner.RunQ1(table, {}, ExecMode::kScalar);
     ASSERT_EQ(q1_vec.rows.size(), q1_scalar.rows.size());
@@ -118,22 +119,20 @@ TEST_P(ExecutionTest, ProjectionResolutionAndScannerView) {
 
   // A hot-table scan surfaces every row through the materialized path.
   auto *txn = txn_manager_.BeginTransaction();
-  TableScanner scanner(table, txn, cols);
+  ParallelTableScanner scanner(table, txn, cols);
   EXPECT_EQ(scanner.BatchIndex(workload::tpch::L_SHIPDATE), 3);
-  ColumnVectorBatch batch;
   uint64_t rows = 0;
-  while (scanner.Next(&batch)) {
-    EXPECT_EQ(batch.Path(), AccessPath::kHotMaterialized);
-    EXPECT_EQ(batch.Batch()->num_columns(), 4);
-    const arrowlite::Array &qty = batch.Column(0);
-    for (int64_t i = 0; i < batch.NumRows(); i++) {
+  scanner.Scan(/*pool=*/nullptr, [&](size_t, ColumnVectorBatch *batch) {
+    EXPECT_EQ(batch->Path(), AccessPath::kHotMaterialized);
+    EXPECT_EQ(batch->Batch()->num_columns(), 4);
+    const arrowlite::Array &qty = batch->Column(0);
+    for (int64_t i = 0; i < batch->NumRows(); i++) {
       const double v = qty.Value<double>(i);
       EXPECT_GE(v, 1.0);
       EXPECT_LE(v, 50.0);
     }
-    rows += static_cast<uint64_t>(batch.NumRows());
-    batch.Release();
-  }
+    rows += static_cast<uint64_t>(batch->NumRows());
+  });
   txn_manager_.Commit(txn);
   EXPECT_EQ(rows, 2000u);
   EXPECT_EQ(scanner.Stats().rows, 2000u);
@@ -213,29 +212,27 @@ TEST_P(ExecutionTest, VectorOpsPrimitivesMatchScalarReference) {
 
     // Vectorized: FilterStringEq + AccumulateSum/Count/AccumulateMinMax.
     auto *txn = txn_manager_.BeginTransaction();
-    TableScanner scanner(table, txn,
-                         {workload::tpch::L_QUANTITY, workload::tpch::L_RETURNFLAG,
-                          workload::tpch::L_SHIPDATE});
+    ParallelTableScanner scanner(table, txn,
+                                 {workload::tpch::L_QUANTITY, workload::tpch::L_RETURNFLAG,
+                                  workload::tpch::L_SHIPDATE});
     double sum_qty = 0;
     uint64_t count = 0, none_count = 0;
     uint32_t min_ship = ~0u, max_ship = 0;
     common::SelectionVector sel;
-    ColumnVectorBatch batch;
-    while (scanner.Next(&batch)) {
-      sel.InitFull(static_cast<uint32_t>(batch.NumRows()));
-      ops::FilterStringEq(batch.Column(1), &sel, "R");
-      ops::AccumulateSum<double>(batch.Column(0), sel, &sum_qty);
+    scanner.Scan(/*pool=*/nullptr, [&](size_t, ColumnVectorBatch *batch) {
+      sel.InitFull(static_cast<uint32_t>(batch->NumRows()));
+      ops::FilterStringEq(batch->Column(1), &sel, "R");
+      ops::AccumulateSum<double>(batch->Column(0), sel, &sum_qty);
       count += ops::Count(sel);
       if (!sel.Empty()) {
-        ops::AccumulateMinMax<uint32_t>(batch.Column(2), sel, &min_ship, &max_ship);
+        ops::AccumulateMinMax<uint32_t>(batch->Column(2), sel, &min_ship, &max_ship);
       }
       // A flag value that exists in no row: the filter must empty the
       // selection (on the dictionary path: probe miss).
-      sel.InitFull(static_cast<uint32_t>(batch.NumRows()));
-      ops::FilterStringEq(batch.Column(1), &sel, "Z");
+      sel.InitFull(static_cast<uint32_t>(batch->NumRows()));
+      ops::FilterStringEq(batch->Column(1), &sel, "Z");
       none_count += ops::Count(sel);
-      batch.Release();
-    }
+    });
     txn_manager_.Commit(txn);
 
     EXPECT_EQ(sum_qty, expected_sum_qty) << label;
@@ -258,7 +255,7 @@ TEST_P(ExecutionTest, VectorOpsPrimitivesMatchScalarReference) {
 
 TEST_P(ExecutionTest, Q1AggregatesAreInternallyConsistent) {
   catalog::SqlTable *table = Generate(5000);
-  QueryRunner runner(&txn_manager_);
+  QueryRunner runner(&txn_manager_, /*num_threads=*/1);
 
   // With the cutoff above the generator's date range, Q1 groups partition
   // every row.
@@ -372,7 +369,7 @@ TEST_P(ExecutionTest, Q6StaysConsistentUnderConcurrentWritesAndTransform) {
           std::chrono::steady_clock::now() < deadline)) {
     auto *txn = txn_manager_.BeginTransaction();
     ScanStats stats;
-    const double vectorized = q::RunQ6(table, txn, {}, &stats);
+    const double vectorized = q::RunQ6Parallel(table, txn, {}, /*pool=*/nullptr, &stats);
     const double scalar = q::RunQ6Scalar(table, txn, {}, nullptr);
     EXPECT_EQ(vectorized, scalar)
         << "vectorized Q6 diverged from the scalar reference in the same snapshot "

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,6 +11,8 @@
 #include "common/rand_util.h"
 #include "common/worker_pool.h"
 #include "execution/hash_join.h"
+#include "execution/operators/hash_join_op.h"
+#include "execution/operators/pipeline.h"
 #include "workload/tpch/query_runner.h"
 #include "workload/tpch/tpch_queries.h"
 #include "gc/garbage_collector.h"
@@ -23,7 +26,6 @@
 
 namespace mainline {
 
-using execution::ColumnVectorBatch;
 using workload::ExecMode;
 using execution::JoinEntry;
 using execution::JoinHashTable;
@@ -32,13 +34,14 @@ using execution::ScanStats;
 using storage::BlockState;
 using storage::ProjectedRow;
 using transform::GatherMode;
+namespace op = execution::op;
 namespace q = workload::tpch;
 namespace tpch = workload::tpch;
 
 /// Coverage of the morsel-parallel hash join: the JoinHashTable operator
 /// itself (duplicates, empty sides, parallel build == inline build) and
-/// TPC-H Q12 on top of it — parallel == vectorized == scalar BIT-EXACTLY at
-/// every worker count, over hot, mixed, and frozen tables, and under
+/// TPC-H Q12 on top of it — plan == scalar BIT-EXACTLY at every worker
+/// count, inline included, over hot, mixed, and frozen tables, and under
 /// concurrent writers with the transformation pipeline re-freezing blocks.
 class HashJoinTest : public ::testing::TestWithParam<GatherMode> {
  protected:
@@ -92,34 +95,38 @@ class HashJoinTest : public ::testing::TestWithParam<GatherMode> {
     return table;
   }
 
-  /// Build a JoinHashTable from a (key, payload) table over `pool`.
-  JoinHashTable Build(catalog::SqlTable *table, common::WorkerPool *pool,
-                      ScanStats *stats = nullptr) {
+  /// A JoinHashTable built over a (key, payload) table by a one-pipeline
+  /// plan: scan -> HashJoinBuildOp. The plan owns the table.
+  struct BuiltTable {
+    op::PhysicalPlan plan;
+    op::HashJoinBuildOp *build = nullptr;
+
+    const JoinHashTable &Table() const { return build->Table(); }
+  };
+
+  /// Build a JoinHashTable from a (key, payload) table over `pool` (inline
+  /// when null).
+  std::unique_ptr<BuiltTable> Build(catalog::SqlTable *table, common::WorkerPool *pool) {
+    auto built = std::make_unique<BuiltTable>();
+    op::PipelineBuilder builder(&built->plan);
+    builder.Scan(table, {0, 1});
+    built->build = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
     auto *txn = txn_manager_.BeginTransaction();
-    JoinHashTable result = JoinHashTable::Build(
-        table, txn, {0, 1},
-        [](const ColumnVectorBatch &batch, std::vector<JoinEntry> *out) {
-          const int64_t *keys = batch.Column(0).buffer(0)->data_as<int64_t>();
-          const int64_t *payloads = batch.Column(1).buffer(0)->data_as<int64_t>();
-          for (int64_t row = 0; row < batch.NumRows(); row++) {
-            out->push_back({keys[row], static_cast<uint64_t>(payloads[row])});
-          }
-        },
-        pool, stats);
+    built->plan.Run(txn, pool);
     txn_manager_.Commit(txn);
-    return result;
+    return built;
   }
 
-  /// Q12 at `num_threads` against the scalar reference and the sequential
-  /// vectorized engine, all inside ONE transaction so every engine answers
-  /// from the same snapshot.
+  /// Q12 at `num_threads` against the scalar reference and the inline plan,
+  /// all inside ONE transaction so every engine answers from the same
+  /// snapshot.
   void ExpectQ12Agrees(uint32_t num_threads, ScanStats *stats_out = nullptr) {
     common::WorkerPool pool(num_threads);
     auto *txn = txn_manager_.BeginTransaction();
     ScanStats par_stats;
     const auto par = q::RunQ12Parallel(orders_, lineitem_, txn, {}, &pool, &par_stats);
     const auto scalar = q::RunQ12Scalar(orders_, lineitem_, txn, {}, nullptr);
-    const auto vec = q::RunQ12(orders_, lineitem_, txn, {}, nullptr);
+    const auto vec = q::RunQ12Parallel(orders_, lineitem_, txn, {}, /*pool=*/nullptr);
     txn_manager_.Commit(txn);
 
     ASSERT_EQ(par.size(), scalar.size()) << num_threads << " threads";
@@ -128,7 +135,7 @@ class HashJoinTest : public ::testing::TestWithParam<GatherMode> {
           << "parallel Q12 group " << par[i].shipmode
           << " diverged from the scalar reference at " << num_threads << " threads";
       EXPECT_TRUE(par[i] == vec[i])
-          << "parallel Q12 diverged from the sequential vectorized engine at " << num_threads
+          << "parallel Q12 diverged from the inline plan at " << num_threads
           << " threads";
     }
     if (stats_out != nullptr) *stats_out = par_stats;
@@ -158,8 +165,10 @@ TEST_P(HashJoinTest, BuildSideDuplicateKeysAllMatch) {
   catalog::SqlTable *table = MakeBuildTable("dups", entries);
 
   common::WorkerPool pool(4);
-  const JoinHashTable inline_build = Build(table, nullptr);
-  const JoinHashTable parallel_build = Build(table, &pool);
+  const auto inline_built = Build(table, nullptr);
+  const auto parallel_built = Build(table, &pool);
+  const JoinHashTable &inline_build = inline_built->Table();
+  const JoinHashTable &parallel_build = parallel_built->Table();
   EXPECT_EQ(inline_build.NumEntries(), entries.size());
   EXPECT_EQ(parallel_build.NumEntries(), entries.size());
 
@@ -185,7 +194,8 @@ TEST_P(HashJoinTest, EmptyBuildAndProbeSides) {
   // Operator level: an empty build table.
   catalog::SqlTable *empty = MakeBuildTable("empty", {});
   common::WorkerPool pool(2);
-  const JoinHashTable table = Build(empty, &pool);
+  const auto built = Build(empty, &pool);
+  const JoinHashTable &table = built->Table();
   EXPECT_TRUE(table.Empty());
   table.ForEachMatch(0, [](uint64_t) { FAIL() << "empty table produced a match"; });
 
@@ -193,19 +203,24 @@ TEST_P(HashJoinTest, EmptyBuildAndProbeSides) {
   lineitem_ = tpch::GenerateLineItem(&catalog_, &txn_manager_, 2000, /*seed=*/7, 0);
   orders_ = tpch::GenerateOrders(&catalog_, &txn_manager_, 0);
   gc_.FullGC();
-  QueryRunner runner(&txn_manager_, 2);
-  for (const ExecMode mode : {ExecMode::kVectorized, ExecMode::kScalar, ExecMode::kParallel}) {
-    EXPECT_TRUE(runner.RunQ12(orders_, lineitem_, {}, mode).rows.empty());
-  }
+  const auto each_engine = [&](const auto &check) {
+    for (const uint32_t threads : {1u, 2u}) {
+      QueryRunner runner(&txn_manager_, threads);
+      for (const ExecMode mode : {ExecMode::kPlan, ExecMode::kScalar}) check(&runner, mode);
+    }
+  };
+  each_engine([&](QueryRunner *runner, ExecMode mode) {
+    EXPECT_TRUE(runner->RunQ12(orders_, lineitem_, {}, mode).rows.empty());
+  });
 
   catalog::SqlTable *no_lines =
       catalog_.GetTable(catalog_.CreateTable("lineitem_empty", tpch::LineItemSchema()));
   catalog::SqlTable *some_orders =
       tpch::GenerateOrders(&catalog_, &txn_manager_, 500, 11, 0, "orders_filled");
   gc_.FullGC();
-  for (const ExecMode mode : {ExecMode::kVectorized, ExecMode::kScalar, ExecMode::kParallel}) {
-    EXPECT_TRUE(runner.RunQ12(some_orders, no_lines, {}, mode).rows.empty());
-  }
+  each_engine([&](QueryRunner *runner, ExecMode mode) {
+    EXPECT_TRUE(runner->RunQ12(some_orders, no_lines, {}, mode).rows.empty());
+  });
   gc_.FullGC();
 }
 
@@ -239,8 +254,8 @@ TEST_P(HashJoinTest, DuplicateOrdersDoubleTheCounts) {
   gc_.FullGC();
 
   QueryRunner runner(&txn_manager_, 4);
-  const auto once = runner.RunQ12(orders_, lineitem_, {}, ExecMode::kParallel);
-  const auto twice = runner.RunQ12(doubled, lineitem_, {}, ExecMode::kParallel);
+  const auto once = runner.RunQ12(orders_, lineitem_);
+  const auto twice = runner.RunQ12(doubled, lineitem_);
   const auto twice_scalar = runner.RunQ12(doubled, lineitem_, {}, ExecMode::kScalar);
   ASSERT_FALSE(once.rows.empty());
   ASSERT_EQ(once.rows.size(), twice.rows.size());
@@ -300,16 +315,18 @@ TEST_P(HashJoinTest, MatchesScalarAcrossFreezeStatesAndThreadCounts) {
   gc_.FullGC();
 }
 
-/// QueryRunner wiring: all three ExecModes agree and stats cover both scans.
+/// QueryRunner wiring: the plan inline and on two threads agrees with the
+/// scalar mode, and stats cover both scans.
 TEST_P(HashJoinTest, QueryRunnerRunsQ12InAllModes) {
   Generate(RowsForBlocks(1));
   pipeline_.EnqueueTable(&lineitem_->UnderlyingTable());
   pipeline_.RunOnce();
 
-  QueryRunner runner(&txn_manager_, /*num_threads=*/2);
+  QueryRunner runner(&txn_manager_, /*num_threads=*/1);
+  QueryRunner parallel(&txn_manager_, /*num_threads=*/2);
   const auto vec = runner.RunQ12(orders_, lineitem_);
   const auto scalar = runner.RunQ12(orders_, lineitem_, {}, ExecMode::kScalar);
-  const auto par = runner.RunQ12(orders_, lineitem_, {}, ExecMode::kParallel);
+  const auto par = parallel.RunQ12(orders_, lineitem_);
   ASSERT_FALSE(vec.rows.empty());
   EXPECT_TRUE(vec.rows == scalar.rows);
   EXPECT_TRUE(par.rows == scalar.rows);

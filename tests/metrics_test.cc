@@ -22,7 +22,6 @@
 
 namespace mainline {
 
-using workload::ExecMode;
 using workload::QueryRunner;
 using metrics::Counter;
 using metrics::Gauge;
@@ -357,13 +356,13 @@ class MetricsProfilingTest : public ::testing::Test {
     QueryRunner runner(&txn_manager_, num_threads);
 
     runner.SetProfiling(false);
-    const auto q6_plain = runner.RunQ6(lineitem_, {}, ExecMode::kParallel);
-    const auto q12_plain = runner.RunQ12(orders_, lineitem_, {}, ExecMode::kParallel);
+    const auto q6_plain = runner.RunQ6(lineitem_);
+    const auto q12_plain = runner.RunQ12(orders_, lineitem_);
     EXPECT_TRUE(runner.LastProfile().pipelines.empty());
 
     runner.SetProfiling(true);
     EXPECT_TRUE(runner.Profiling());
-    const auto q6_prof = runner.RunQ6(lineitem_, {}, ExecMode::kParallel);
+    const auto q6_prof = runner.RunQ6(lineitem_);
     EXPECT_EQ(q6_prof.revenue, q6_plain.revenue)
         << "profiling changed Q6's answer at " << num_threads << " threads";
     EXPECT_EQ(q6_prof.stats.rows, q6_plain.stats.rows);
@@ -384,7 +383,7 @@ class MetricsProfilingTest : public ::testing::Test {
     EXPECT_EQ(q6_pipe.operators[1].rows_out, 0u);  // sink
     EXPECT_GT(q6_pipe.operators[0].chunks, 0u);
 
-    const auto q12_prof = runner.RunQ12(orders_, lineitem_, {}, ExecMode::kParallel);
+    const auto q12_prof = runner.RunQ12(orders_, lineitem_);
     ASSERT_EQ(q12_prof.rows.size(), q12_plain.rows.size())
         << "profiling changed Q12's answer at " << num_threads << " threads";
     for (size_t i = 0; i < q12_prof.rows.size(); i++) {
@@ -405,7 +404,7 @@ class MetricsProfilingTest : public ::testing::Test {
 
     // Toggling back off both stops recording and clears the stale record.
     runner.SetProfiling(false);
-    const auto q6_again = runner.RunQ6(lineitem_, {}, ExecMode::kParallel);
+    const auto q6_again = runner.RunQ6(lineitem_);
     EXPECT_EQ(q6_again.revenue, q6_plain.revenue);
   }
 
@@ -441,9 +440,9 @@ TEST_F(MetricsProfilingTest, ExplainReportsQ3Operators) {
   runner.SetProfiling(true);
   const auto plain = [&] {
     QueryRunner reference(&txn_manager_, 2);
-    return reference.RunQ3(customer_, orders_, lineitem_, {}, ExecMode::kParallel);
+    return reference.RunQ3(customer_, orders_, lineitem_);
   }();
-  const auto profiled = runner.RunQ3(customer_, orders_, lineitem_, {}, ExecMode::kParallel);
+  const auto profiled = runner.RunQ3(customer_, orders_, lineitem_);
   ASSERT_EQ(profiled.rows.size(), plain.rows.size());
   for (size_t i = 0; i < profiled.rows.size(); i++) {
     EXPECT_TRUE(profiled.rows[i] == plain.rows[i]) << "Q3 row " << i << " diverged";
@@ -486,7 +485,7 @@ TEST_F(MetricsProfilingTest, EngineCountersAdvanceAcrossAQuery) {
 
   const MetricsSnapshot before = registry.Snapshot();
   QueryRunner runner(&txn_manager_, 2);
-  const auto q6 = runner.RunQ6(lineitem_, {}, ExecMode::kParallel);
+  const auto q6 = runner.RunQ6(lineitem_);
   const MetricsSnapshot delta = registry.Snapshot().Delta(before);
 
   EXPECT_EQ(delta.counters.at("scan.rows"), q6.stats.rows);

@@ -138,7 +138,7 @@ class OperatorPipelineTest : public ::testing::TestWithParam<GatherMode> {
 
     const auto q1_par = q::RunQ1Parallel(lineitem_, txn, {}, &pool, &stats);
     const auto q1_scalar = q::RunQ1Scalar(lineitem_, txn, {}, nullptr);
-    const auto q1_inline = q::RunQ1(lineitem_, txn, {}, nullptr);
+    const auto q1_inline = q::RunQ1Parallel(lineitem_, txn, {}, /*pool=*/nullptr);
     ASSERT_EQ(q1_par.size(), q1_scalar.size()) << num_threads << " threads";
     for (size_t i = 0; i < q1_par.size(); i++) {
       EXPECT_TRUE(q1_par[i] == q1_scalar[i])
@@ -150,18 +150,18 @@ class OperatorPipelineTest : public ::testing::TestWithParam<GatherMode> {
     const double q6_par = q::RunQ6Parallel(lineitem_, txn, {}, &pool, &stats);
     EXPECT_EQ(q6_par, q::RunQ6Scalar(lineitem_, txn, {}, nullptr))
         << "parallel Q6 plan diverged at " << num_threads << " threads";
-    EXPECT_EQ(q6_par, q::RunQ6(lineitem_, txn, {}, nullptr));
+    EXPECT_EQ(q6_par, q::RunQ6Parallel(lineitem_, txn, {}, /*pool=*/nullptr));
 
     const auto q12_par = q::RunQ12Parallel(orders_, lineitem_, txn, {}, &pool, &stats);
     const auto q12_scalar = q::RunQ12Scalar(orders_, lineitem_, txn, {}, nullptr);
     EXPECT_TRUE(q12_par == q12_scalar)
         << "parallel Q12 plan diverged at " << num_threads << " threads";
-    EXPECT_TRUE(q::RunQ12(orders_, lineitem_, txn, {}) == q12_scalar);
+    EXPECT_TRUE(q::RunQ12Parallel(orders_, lineitem_, txn, {}, /*pool=*/nullptr) == q12_scalar);
 
     const double q14_par = q::RunQ14Parallel(lineitem_, part_, txn, {}, &pool, &stats);
     EXPECT_EQ(q14_par, q::RunQ14Scalar(lineitem_, part_, txn, {}, nullptr))
         << "parallel Q14 plan diverged at " << num_threads << " threads";
-    EXPECT_EQ(q14_par, q::RunQ14(lineitem_, part_, txn, {}, nullptr));
+    EXPECT_EQ(q14_par, q::RunQ14Parallel(lineitem_, part_, txn, {}, /*pool=*/nullptr));
 
     txn_manager_.Commit(txn);
     if (stats_out != nullptr) *stats_out = stats;
@@ -620,18 +620,19 @@ TEST_P(OperatorPipelineTest, PlansMatchScalarAcrossFreezeStatesAndThreadCounts) 
   gc_.FullGC();
 }
 
-/// QueryRunner wiring for the new query: all three ExecModes agree, the
-/// answer is nontrivial, and the stats span the PART build scan and the
-/// LINEITEM probe scan.
+/// QueryRunner wiring for the new query: the plan inline and on two threads
+/// agrees with the scalar mode, the answer is nontrivial, and the stats span
+/// the PART build scan and the LINEITEM probe scan.
 TEST_P(OperatorPipelineTest, QueryRunnerRunsQ14InAllModes) {
   GenerateTpch(RowsForBlocks(1));
   pipeline_.EnqueueTable(&lineitem_->UnderlyingTable());
   pipeline_.RunOnce();
 
-  QueryRunner runner(&txn_manager_, /*num_threads=*/2);
+  QueryRunner runner(&txn_manager_, /*num_threads=*/1);
+  QueryRunner parallel(&txn_manager_, /*num_threads=*/2);
   const auto vec = runner.RunQ14(lineitem_, part_);
   const auto scalar = runner.RunQ14(lineitem_, part_, {}, ExecMode::kScalar);
-  const auto par = runner.RunQ14(lineitem_, part_, {}, ExecMode::kParallel);
+  const auto par = parallel.RunQ14(lineitem_, part_);
   EXPECT_EQ(vec.promo_revenue, scalar.promo_revenue);
   EXPECT_EQ(par.promo_revenue, scalar.promo_revenue);
   EXPECT_GT(vec.promo_revenue, 0.0) << "the generated workload should join and find promos";
@@ -663,10 +664,12 @@ TEST_P(OperatorPipelineTest, Q14EmptySidesYieldZero) {
   catalog::SqlTable *some_parts = tpch::GeneratePart(&catalog_, &txn_manager_, 500, 13, 0);
   gc_.FullGC();
 
-  QueryRunner runner(&txn_manager_, 2);
-  for (const ExecMode mode : {ExecMode::kVectorized, ExecMode::kScalar, ExecMode::kParallel}) {
-    EXPECT_EQ(runner.RunQ14(lineitem_, no_parts, {}, mode).promo_revenue, 0.0);
-    EXPECT_EQ(runner.RunQ14(no_lines, some_parts, {}, mode).promo_revenue, 0.0);
+  for (const uint32_t threads : {1u, 2u}) {
+    QueryRunner runner(&txn_manager_, threads);
+    for (const ExecMode mode : {ExecMode::kPlan, ExecMode::kScalar}) {
+      EXPECT_EQ(runner.RunQ14(lineitem_, no_parts, {}, mode).promo_revenue, 0.0);
+      EXPECT_EQ(runner.RunQ14(no_lines, some_parts, {}, mode).promo_revenue, 0.0);
+    }
   }
   gc_.FullGC();
 }

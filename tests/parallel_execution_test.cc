@@ -79,7 +79,7 @@ class ParallelExecutionTest : public ::testing::TestWithParam<GatherMode> {
     ScanStats par_stats;
     const auto q1_par = q::RunQ1Parallel(table, txn, {}, &pool, &par_stats);
     const auto q1_scalar = q::RunQ1Scalar(table, txn, {}, nullptr);
-    const auto q1_vec = q::RunQ1(table, txn, {}, nullptr);
+    const auto q1_vec = q::RunQ1Parallel(table, txn, {}, /*pool=*/nullptr);
     ASSERT_EQ(q1_par.size(), q1_scalar.size()) << num_threads << " threads";
     for (size_t i = 0; i < q1_par.size(); i++) {
       EXPECT_TRUE(q1_par[i] == q1_scalar[i])
@@ -93,7 +93,7 @@ class ParallelExecutionTest : public ::testing::TestWithParam<GatherMode> {
     ScanStats q6_stats;
     const double q6_par = q::RunQ6Parallel(table, txn, {}, &pool, &q6_stats);
     const double q6_scalar = q::RunQ6Scalar(table, txn, {}, nullptr);
-    const double q6_vec = q::RunQ6(table, txn, {}, nullptr);
+    const double q6_vec = q::RunQ6Parallel(table, txn, {}, /*pool=*/nullptr);
     EXPECT_EQ(q6_par, q6_scalar) << num_threads << " threads";
     EXPECT_EQ(q6_par, q6_vec) << num_threads << " threads";
 
@@ -264,20 +264,23 @@ TEST_P(ParallelExecutionTest, QueryRunnerParallelModeAgreesAndResizes) {
 
   QueryRunner runner(&txn_manager_, /*num_threads=*/2);
   EXPECT_EQ(runner.NumThreads(), 2u);
-  const auto q1_par = runner.RunQ1(table, {}, ExecMode::kParallel);
+  const auto q1_par = runner.RunQ1(table);
   const auto q1_ref = runner.RunQ1(table, {}, ExecMode::kScalar);
   EXPECT_TRUE(q1_par.rows == q1_ref.rows);
   EXPECT_EQ(q1_par.stats.rows, q1_ref.stats.rows);
 
   runner.SetNumThreads(4);
   EXPECT_EQ(runner.NumThreads(), 4u);
-  const auto q6_par = runner.RunQ6(table, {}, ExecMode::kParallel);
+  const auto q6_par = runner.RunQ6(table);
   const auto q6_ref = runner.RunQ6(table, {}, ExecMode::kScalar);
   EXPECT_EQ(q6_par.revenue, q6_ref.revenue);
 
   runner.SetNumThreads(0);  // hardware concurrency, still exact
-  const auto q6_hw = runner.RunQ6(table, {}, ExecMode::kParallel);
+  const auto q6_hw = runner.RunQ6(table);
   EXPECT_EQ(q6_hw.revenue, q6_ref.revenue);
+
+  runner.SetNumThreads(1);  // inline, no pool, still exact
+  EXPECT_EQ(runner.RunQ6(table).revenue, q6_ref.revenue);
   gc_.FullGC();
 }
 

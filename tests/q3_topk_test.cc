@@ -190,7 +190,8 @@ class Q3TopKTest : public ::testing::TestWithParam<GatherMode> {
     ScanStats stats;
     const auto par = q::RunQ3Parallel(customer_, orders_, lineitem_, txn, {}, &pool, &stats);
     const auto scalar = q::RunQ3Scalar(customer_, orders_, lineitem_, txn, {}, nullptr);
-    const auto inline_rows = q::RunQ3(customer_, orders_, lineitem_, txn, {}, nullptr);
+    const auto inline_rows =
+        q::RunQ3Parallel(customer_, orders_, lineitem_, txn, {}, /*pool=*/nullptr);
     txn_manager_.Commit(txn);
 
     ASSERT_EQ(par.size(), scalar.size()) << num_threads << " threads";
@@ -545,25 +546,26 @@ TEST_P(Q3TopKTest, Q3HandComputedMicroCase) {
   };
 
   const auto check = [&](const char *label) {
-    QueryRunner runner(&txn_manager_, /*num_threads=*/4);
-    for (const ExecMode mode :
-         {ExecMode::kVectorized, ExecMode::kScalar, ExecMode::kParallel}) {
-      const auto result = runner.RunQ3(customer_, orders_, lineitem_, {}, mode);
-      EXPECT_TRUE(result.rows == expected)
-          << label << " mode " << static_cast<int>(mode) << ": got " << result.rows.size()
-          << " rows";
+    for (const uint32_t threads : {1u, 4u}) {
+      QueryRunner runner(&txn_manager_, threads);
+      for (const ExecMode mode : {ExecMode::kPlan, ExecMode::kScalar}) {
+        const auto result = runner.RunQ3(customer_, orders_, lineitem_, {}, mode);
+        EXPECT_TRUE(result.rows == expected)
+            << label << " mode " << static_cast<int>(mode) << " at " << threads
+            << " threads: got " << result.rows.size() << " rows";
 
-      q::Q3Params limited;
-      limited.limit = 2;
-      const auto top2 = runner.RunQ3(customer_, orders_, lineitem_, limited, mode);
-      EXPECT_TRUE(top2.rows ==
-                  std::vector<q::Q3Row>(expected.begin(), expected.begin() + 2))
-          << label << " limit 2";
+        q::Q3Params limited;
+        limited.limit = 2;
+        const auto top2 = runner.RunQ3(customer_, orders_, lineitem_, limited, mode);
+        EXPECT_TRUE(top2.rows ==
+                    std::vector<q::Q3Row>(expected.begin(), expected.begin() + 2))
+            << label << " limit 2";
 
-      q::Q3Params none;
-      none.limit = 0;
-      EXPECT_TRUE(runner.RunQ3(customer_, orders_, lineitem_, none, mode).rows.empty())
-          << label << " limit 0";
+        q::Q3Params none;
+        none.limit = 0;
+        EXPECT_TRUE(runner.RunQ3(customer_, orders_, lineitem_, none, mode).rows.empty())
+            << label << " limit 0";
+      }
     }
   };
 
@@ -586,14 +588,15 @@ TEST_P(Q3TopKTest, Q3EmptyTablesYieldNothing) {
   catalog::SqlTable *lines = MakeLineitem("lineitem_some", {{10, 100.0, 0.0, 9600}});
   gc_.FullGC();
 
-  QueryRunner runner(&txn_manager_, 2);
-  for (const ExecMode mode :
-       {ExecMode::kVectorized, ExecMode::kScalar, ExecMode::kParallel}) {
-    EXPECT_TRUE(runner.RunQ3(no_customers, orders, lines, {}, mode).rows.empty());
-    EXPECT_TRUE(runner.RunQ3(customers, no_orders, lines, {}, mode).rows.empty());
-    EXPECT_TRUE(runner.RunQ3(customers, orders, no_lines, {}, mode).rows.empty());
-    // Sanity: the non-empty combination does produce the row.
-    EXPECT_EQ(runner.RunQ3(customers, orders, lines, {}, mode).rows.size(), 1u);
+  for (const uint32_t threads : {1u, 2u}) {
+    QueryRunner runner(&txn_manager_, threads);
+    for (const ExecMode mode : {ExecMode::kPlan, ExecMode::kScalar}) {
+      EXPECT_TRUE(runner.RunQ3(no_customers, orders, lines, {}, mode).rows.empty());
+      EXPECT_TRUE(runner.RunQ3(customers, no_orders, lines, {}, mode).rows.empty());
+      EXPECT_TRUE(runner.RunQ3(customers, orders, no_lines, {}, mode).rows.empty());
+      // Sanity: the non-empty combination does produce the row.
+      EXPECT_EQ(runner.RunQ3(customers, orders, lines, {}, mode).rows.size(), 1u);
+    }
   }
   gc_.FullGC();
 }
