@@ -7,6 +7,10 @@
 // toward the vectorized protocol as the hot fraction grows; the PostgreSQL
 // row protocol is slowest and insensitive to the frozen fraction (the
 // serialization step dominates either way).
+//
+// Correctness gate: exits 1 if the client of any exporter receives a row
+// count other than the table's — counted over the batches the client parsed
+// or landed, or for RDMA (no client-side parse) the rows written.
 
 #include "bench_util.h"
 #include "common/rand_util.h"
@@ -76,9 +80,12 @@ int main() {
   std::printf("%-9s %10s %14s %18s %18s\n", "%frozen", "rdma", "arrow-flight",
               "vectorized-wire", "postgres-wire");
 
+  int bad_exports = 0;
   for (const uint32_t frozen : {0u, 1u, 5u, 10u, 20u, 40u, 60u, 80u, 100u}) {
     mainline::catalog::SqlTable *table = nullptr;
     auto engine = BuildOrderLineTable(num_blocks, frozen, &table);
+    const uint64_t table_rows =
+        uint64_t{num_blocks} * table->UnderlyingTable().GetLayout().NumSlots();
     // Generous client buffer: raw data is ~1 MB/block; text encodings bloat.
     ClientBuffer client(static_cast<uint64_t>(num_blocks + 4) * (4u << 20));
 
@@ -92,8 +99,26 @@ int main() {
     exporters[1] = &flight;
     exporters[2] = &vectorized;
     exporters[3] = &pg;
+    const auto rows_of = [](const std::shared_ptr<mainline::arrowlite::RecordBatch> &batch) {
+      return batch == nullptr ? uint64_t{0} : static_cast<uint64_t>(batch->num_rows());
+    };
     for (int i = 0; i < 4; i++) {
       const ExportResult result = exporters[i]->Export(table, &engine->txn_manager);
+      uint64_t client_rows = result.rows;
+      if (exporters[i] == &flight) {
+        client_rows = 0;
+        for (const auto &batch : flight.ClientBatches()) client_rows += rows_of(batch);
+      } else if (exporters[i] == &vectorized) {
+        client_rows = rows_of(vectorized.ClientBatch());
+      } else if (exporters[i] == &pg) {
+        client_rows = rows_of(pg.ClientBatch());
+      }
+      if (client_rows != table_rows) {
+        std::fprintf(stderr, "FAIL: %s client received %llu of %llu rows at %u%% frozen\n",
+                     exporters[i]->Name(), static_cast<unsigned long long>(client_rows),
+                     static_cast<unsigned long long>(table_rows), frozen);
+        bad_exports++;
+      }
       // Throughput in terms of payload delivered to the client.
       mbps[i] = static_cast<double>(result.wire_bytes) / (1 << 20) /
                 (static_cast<double>(result.micros) / 1e6);
@@ -102,5 +127,5 @@ int main() {
     std::printf("%-9u %10.1f %14.1f %18.1f %18.1f\n", frozen, mbps[0], mbps[1], mbps[2],
                 mbps[3]);
   }
-  return 0;
+  return bad_exports == 0 ? 0 : 1;
 }

@@ -21,20 +21,6 @@ class ByteSink {
   }
 };
 
-/// Abstract byte source.
-class ByteSource {
- public:
-  virtual ~ByteSource() = default;
-  /// Read exactly `size` bytes.
-  /// \return true on success, false on end of stream.
-  virtual bool Read(byte *out, uint64_t size) = 0;
-
-  template <typename T>
-  bool ReadValue(T *out) {
-    return Read(reinterpret_cast<byte *>(out), sizeof(T));
-  }
-};
-
 /// Sink collecting bytes into a growable vector.
 class VectorSink final : public ByteSink {
  public:
@@ -48,17 +34,38 @@ class VectorSink final : public ByteSink {
   std::vector<byte> data_;
 };
 
-/// Source reading from a byte span.
-class SpanSource final : public ByteSource {
+/// Source reading from a byte span. Besides copying bytes out it can lend
+/// them in place, which is how IpcStreamReader lands buffers without a copy.
+class SpanSource {
  public:
   SpanSource(const byte *data, uint64_t size) : data_(data), size_(size) {}
 
-  bool Read(byte *out, uint64_t size) override {
-    if (pos_ + size > size_) return false;
+  /// Read exactly `size` bytes.
+  /// \return true on success, false (reading nothing) if fewer remain.
+  bool Read(byte *out, uint64_t size) {
+    if (size > size_ - pos_) return false;
     std::memcpy(out, data_ + pos_, size);
     pos_ += size;
     return true;
   }
+
+  template <typename T>
+  bool ReadValue(T *out) {
+    return Read(reinterpret_cast<byte *>(out), sizeof(T));
+  }
+
+  /// Lend the next `size` bytes in place and advance past them. They stay
+  /// valid as long as the span's memory does.
+  /// \return the bytes, or nullptr (advancing nothing) if fewer remain.
+  const byte *Lend(uint64_t size) {
+    if (size > size_ - pos_) return nullptr;
+    const byte *lent = data_ + pos_;
+    pos_ += size;
+    return lent;
+  }
+
+  /// \return the offset of the next unread byte from the start of the span.
+  uint64_t pos() const { return pos_; }
 
  private:
   const byte *data_;

@@ -7,19 +7,34 @@
 
 namespace mainline::arrowlite {
 
+/// Every buffer body starts at a multiple of this many bytes from the start
+/// of the stream — the Arrow IPC alignment rule, which lets a reader use the
+/// bytes in place as typed arrays.
+inline constexpr uint64_t kBufferAlignment = 8;
+
+/// Zero bytes that bring stream offset `offset` up to kBufferAlignment.
+constexpr uint64_t PaddingAt(uint64_t offset) {
+  return (kBufferAlignment - offset % kBufferAlignment) % kBufferAlignment;
+}
+
 /// Streaming IPC format, modeled on the Arrow IPC stream: a schema message
 /// followed by record-batch messages, each of which is a flat sequence of
 /// raw buffers with a tiny header. Buffer contents go onto the wire verbatim
 /// (no per-value encoding), which is what gives Arrow-native export its
-/// zero-serialization property; the substitution of this framing for Arrow's
-/// flatbuffer metadata is documented in DESIGN.md.
+/// zero-serialization property. This byte framing stands in for Arrow's
+/// flatbuffer message metadata: it carries the same schema, lengths, null
+/// counts and buffers, and keeps Arrow's 8-byte body alignment, but is not
+/// wire-compatible with Arrow readers.
 ///
-/// Message grammar:
+/// Message grammar (integers little-endian, as in memory):
 ///   stream  := schema batch* end
 ///   schema  := 'S' u32 num_fields { u16 name_len, name, u8 type, u8 nullable }
 ///   batch   := 'B' u64 num_rows column*
-///   column  := u8 type, u8 has_validity [u64 size, bytes]  (validity)
-///              buffers (type dependent), dictionary (dictionary type)
+///   column  := u8 type, i64 null_count, u8 has_validity [buffer]  (validity)
+///              buffer* (type dependent), i64 length + column (dictionary type)
+///   buffer  := u64 size [pad, bytes]   (pad and bytes only when size > 0)
+///   pad     := 0-7 zero bytes, so `bytes` starts at a multiple of 8 from the
+///              start of the stream
 ///   end     := 'E'
 class IpcStreamWriter {
  public:
@@ -33,19 +48,29 @@ class IpcStreamWriter {
   void Close();
 
  private:
+  /// Write to the sink, tracking the stream offset the padding depends on.
+  void Put(const byte *data, uint64_t size);
+  template <typename T>
+  void PutValue(const T &value) {
+    Put(reinterpret_cast<const byte *>(&value), sizeof(T));
+  }
   void WriteBuffer(const Buffer *buffer);
   void WriteArray(const Array &array);
 
   ByteSink *sink_;
+  uint64_t offset_ = 0;
   bool closed_ = false;
 };
 
-/// Reads a stream produced by IpcStreamWriter. Buffers are landed in freshly
-/// allocated (64-byte aligned) memory and wrapped without any per-value
-/// parsing — the client-side analogue of zero-deserialization interchange.
+/// Reads a stream produced by IpcStreamWriter without any per-value parsing —
+/// the client-side analogue of zero-deserialization interchange. Every
+/// buffer lands as a non-owning view of the source's bytes (no allocation,
+/// no copy), 8-byte aligned when the span is, so the batches are valid only
+/// as long as the span's memory. A stream cut short ends at its last whole
+/// batch.
 class IpcStreamReader {
  public:
-  explicit IpcStreamReader(ByteSource *source);
+  explicit IpcStreamReader(SpanSource *source);
 
   /// \return the stream's schema (valid after construction).
   const std::shared_ptr<Schema> &schema() const { return schema_; }
@@ -55,10 +80,15 @@ class IpcStreamReader {
   std::shared_ptr<RecordBatch> ReadNext();
 
  private:
+  /// Read one value; a read past the end of the span ends the stream.
+  template <typename T>
+  void GetValue(T *out) {
+    if (!source_->ReadValue(out)) done_ = true;
+  }
   std::shared_ptr<Buffer> ReadBuffer();
   std::shared_ptr<Array> ReadArray(int64_t num_rows);
 
-  ByteSource *source_;
+  SpanSource *source_;
   std::shared_ptr<Schema> schema_;
   bool done_ = false;
 };

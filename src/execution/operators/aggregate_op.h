@@ -75,17 +75,21 @@ struct ResultRow {
 
 /// Grouped or ungrouped aggregation sink — the canonical per-block-ordinal
 /// reduction of tpch_queries.h as an operator: Push accumulates one block's
-/// partial (groups discovered in row/match order, each accumulator advanced
-/// row-at-a-time), and Finish folds the partials into the final result in
-/// block order, one addition per aggregate per (block, group). That fixed
-/// reduction-tree shape is what makes a plan's floating-point result
+/// partial, and Finish folds the partials into the final result in block
+/// order, one addition per aggregate per (block, group). A grouped Push runs
+/// in two passes: pass 1 resolves every selected row or join match to a
+/// group index (groups discovered in row/match order), pass 2 runs one tight
+/// loop per aggregate over a flat per-group accumulator array. Each
+/// accumulator still takes its inputs in row/match order, so the fixed
+/// reduction-tree shape — what makes a plan's floating-point result
 /// bit-identical to the scalar tuple-at-a-time reference at any worker
-/// count.
+/// count — is unchanged.
 ///
 /// Group-by columns are batch indices of string columns (at most two —
 /// enough for every TPC-H shape shipped so far). Dictionary-encoded batches
 /// resolve groups by code (pair-coded for two columns) without touching the
-/// strings in the loop. Group values must be non-null. An ungrouped
+/// strings in the loop; plain keys of at most 7 bytes resolve as packed
+/// words through a small cache. Group values must be non-null. An ungrouped
 /// aggregate always produces exactly one result row even when nothing
 /// qualified — sums and counts at zero, kMin/kMax at their identities
 /// (+inf/-inf; pair them with a kCount to distinguish "empty" from data). A
@@ -121,8 +125,6 @@ class AggregateOp final : public Operator {
   class Resolver;
 
   GroupAcc NewGroup(std::vector<std::string> keys) const;
-  void AccumulateRow(GroupAcc *acc, const std::vector<BoundExpr> &bound, uint32_t row,
-                     uint64_t payload) const;
   void UngroupedPush(Chunk *chunk, const std::vector<BoundExpr> &bound);
 
   static uint32_t FindOrAddGroup(Partial *partial, const std::vector<std::string> &keys,

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "arrowlite/io.h"
@@ -40,14 +42,17 @@ class Exporter {
 };
 
 /// Simulated client memory region for one-sided transfers (the RDMA path)
-/// and a landing zone for the other protocols' wire bytes.
+/// and a landing zone for the other protocols' wire bytes. The constructor's
+/// capacity is an initial reservation: a Write past it grows the region
+/// (moving the bytes written so far), so take pointers into data() only once
+/// the writing is done.
 class ClientBuffer final : public arrowlite::ByteSink {
  public:
   explicit ClientBuffer(uint64_t capacity)
       : data_(std::make_unique<byte[]>(capacity)), capacity_(capacity) {}
 
   void Write(const byte *data, uint64_t size) override {
-    MAINLINE_ASSERT(size_ + size <= capacity_, "client buffer overflow");
+    if (UNLIKELY(size > capacity_ - size_)) Grow(size_ + size);
     std::memcpy(data_.get() + size_, data, size);
     size_ += size;
   }
@@ -57,6 +62,16 @@ class ClientBuffer final : public arrowlite::ByteSink {
   uint64_t size() const { return size_; }
 
  private:
+  /// Reallocate to at least `needed` bytes (at least double the capacity),
+  /// keeping the bytes written so far.
+  void Grow(uint64_t needed) {
+    const uint64_t capacity = std::max(needed, 2 * capacity_);
+    auto data = std::make_unique_for_overwrite<byte[]>(capacity);
+    std::memcpy(data.get(), data_.get(), size_);
+    data_ = std::move(data);
+    capacity_ = capacity;
+  }
+
   std::unique_ptr<byte[]> data_;
   uint64_t capacity_;
   uint64_t size_ = 0;

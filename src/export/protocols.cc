@@ -479,7 +479,9 @@ ExportResult ArrowFlightExporter::Export(catalog::SqlTable *table,
       }
     }
     writer.Close();
-    // Client side: land the stream (no per-value parsing).
+    // Client side: land the stream in place — no per-value parsing, and no
+    // allocation or copy either: SpanSource lends the wire bytes, so every
+    // client buffer is a view into the ClientBuffer.
     arrowlite::SpanSource source(client_->data(), client_->size());
     arrowlite::IpcStreamReader reader(&source);
     while (auto batch = reader.ReadNext()) client_batches_.push_back(std::move(batch));

@@ -52,8 +52,9 @@ class VectorizedWireExporter final : public Exporter {
 
 /// Arrow-native RPC in the style of Arrow Flight: frozen blocks' buffers go
 /// onto the wire verbatim through the IPC stream writer (no per-value
-/// encoding), and the client lands them without parsing. Hot blocks are
-/// transactionally materialized first.
+/// encoding), and the client lands them in place: every client buffer is a
+/// view into the ClientBuffer's wire bytes, with no allocation, copy or
+/// parse. Hot blocks are transactionally materialized first.
 class ArrowFlightExporter final : public Exporter {
  public:
   explicit ArrowFlightExporter(ClientBuffer *client) : client_(client) {}
@@ -62,7 +63,9 @@ class ArrowFlightExporter final : public Exporter {
                       transaction::TransactionManager *txn_manager) override;
   const char *Name() const override { return "arrow-flight"; }
 
-  /// Batches the client received (zero-parse).
+  /// Batches the client received, as views into the ClientBuffer: valid
+  /// until that buffer is next Reset — by the next Export of this or any
+  /// other exporter sharing it.
   const std::vector<std::shared_ptr<arrowlite::RecordBatch>> &ClientBatches() const {
     return client_batches_;
   }
@@ -72,10 +75,10 @@ class ArrowFlightExporter final : public Exporter {
   std::vector<std::shared_ptr<arrowlite::RecordBatch>> client_batches_;
 };
 
-/// Simulated client-side RDMA (see DESIGN.md substitution note): the server
-/// writes block buffers straight into the client's registered memory with no
-/// framing and no serialization; hot blocks are materialized first. The
-/// hardware NIC is replaced by memcpy, preserving the protocol cost
+/// Simulated client-side RDMA: the server writes block buffers straight into
+/// the client's registered memory with no framing and no serialization; hot
+/// blocks are materialized first. A memcpy into the ClientBuffer substitutes
+/// for the RDMA NIC and its one-sided writes, preserving the protocol cost
 /// structure Figure 15 isolates (zero serialization, no CPU-side encode).
 class RdmaExporter final : public Exporter {
  public:

@@ -14,9 +14,10 @@ namespace mainline::index {
 
 /// A concurrent B+-tree with reader-writer latch crabbing.
 ///
-/// Substitutes for the paper's OpenBw-Tree (see DESIGN.md): the experiments
-/// exercise indexes only as a per-operation constant cost, which any correct
-/// concurrent ordered index preserves.
+/// Substitutes for the paper's OpenBw-Tree, a latch-free Bw-Tree: a latched
+/// B+-tree is far less code, and the experiments exercise indexes only as a
+/// per-operation constant cost, which any correct concurrent ordered index
+/// preserves.
 ///
 /// Concurrency protocol:
 ///  - Readers descend with shared-latch crabbing (latch child, release

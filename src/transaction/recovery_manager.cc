@@ -63,8 +63,9 @@ using TxnMap = std::unordered_map<transaction::timestamp_t, ParsedTxn>;
 
 /// Parse the record at the reader's position into its transaction's entry in
 /// `txns`. The log's durable prefix ends at the first record that cannot be
-/// parsed: a torn tail (the crash cut a record short) or an unknown type byte
-/// (nothing after it can be framed).
+/// parsed: a torn tail (the crash cut a record short), an unknown type byte,
+/// or a table oid or column id the engine does not have (nothing after
+/// either can be framed, nor can the record be applied).
 /// \return false at the end of the durable prefix.
 bool ParseRecord(LogFileReader *reader,
                  const std::unordered_map<catalog::table_oid_t, storage::DataTable *> &tables,
@@ -88,11 +89,13 @@ bool ParseRecord(LogFileReader *reader,
       record.table_oid = catalog::table_oid_t(oid);
       record.slot = storage::TupleSlot::FromRawBytes(slot_bytes);
       record.is_insert = is_insert != 0;
-      const storage::BlockLayout &layout = tables.at(record.table_oid)->GetLayout();
+      const auto table = tables.find(record.table_oid);
+      if (table == tables.end()) return false;
+      const storage::BlockLayout &layout = table->second->GetLayout();
       record.col_ids.resize(num_cols);
       for (auto &col : record.col_ids) {
         uint16_t raw;
-        if (!reader->Read(&raw)) return false;
+        if (!reader->Read(&raw) || raw >= layout.NumColumns()) return false;
         col = storage::col_id_t(raw);
       }
       record.nulls.resize(num_cols);
@@ -123,6 +126,7 @@ bool ParseRecord(LogFileReader *reader,
       uint64_t slot_bytes;
       if (!reader->Read(&oid) || !reader->Read(&slot_bytes)) return false;
       record.table_oid = catalog::table_oid_t(oid);
+      if (tables.count(record.table_oid) == 0) return false;
       record.slot = storage::TupleSlot::FromRawBytes(slot_bytes);
       (*txns)[txn_begin].records.push_back(std::move(record));
       return true;

@@ -20,17 +20,23 @@ class TransactionManager;
 ///
 /// The log contains no log sequence numbers: records are ordered implicitly
 /// by their transaction's commit timestamp. Recovery therefore reads the
-/// log's durable prefix — everything up to the first torn record or unknown
-/// type byte — groups records by transaction, discards transactions without
-/// a complete commit record in that prefix (aborted or in-flight at the
+/// log's durable prefix — everything up to the first torn record, unknown
+/// type byte, table oid missing from `tables`, or column id past its table's
+/// layout — groups records by transaction, discards transactions without a
+/// complete commit record in that prefix (aborted or in-flight at the
 /// crash), and replays committed transactions in commit-timestamp order.
+/// So a table left out of `tables` ends the replay at its first record, with
+/// no error: that transaction and every one whose commit record follows are
+/// lost, for all tables. Register every table the log names.
 ///
 /// TupleSlots in the log are physical addresses from the previous process
 /// lifetime; the recovery manager remaps them to freshly inserted slots as it
 /// replays.
 class RecoveryManager {
  public:
-  /// \param tables map from table oid to the (empty) table to replay into
+  /// \param tables map from table oid to the (empty) table to replay into;
+  ///        must hold every table the log names, since a record naming a
+  ///        missing oid ends the replay
   /// \param txn_manager transaction manager of the recovering instance (must
   ///        have logging disabled to avoid re-logging the replay)
   RecoveryManager(std::unordered_map<catalog::table_oid_t, storage::DataTable *> tables,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "arrowlite/builder.h"
@@ -32,6 +33,32 @@ std::shared_ptr<RecordBatch> SampleBatch() {
       {"name", Type::kString, true}});
   std::vector<std::shared_ptr<Array>> columns{ids.Finish(), scores.Finish(), names.Finish()};
   return std::make_shared<RecordBatch>(schema, 100, std::move(columns));
+}
+
+/// Call `f` on every non-null buffer of `array`, its dictionary's included.
+template <typename F>
+void ForEachBuffer(const Array &array, F f) {
+  if (array.validity() != nullptr) f(*array.validity());
+  f(*array.buffer(0));
+  if (array.type() == Type::kString) f(*array.buffer(1));
+  if (array.type() == Type::kDictionary) ForEachBuffer(*array.dictionary(), f);
+}
+
+/// Columns under odd-length field names (1, 3 and 5 bytes), so the buffer
+/// bodies only land 8-byte aligned if the writer pads them: a fixed column
+/// with nulls, a string column and a dictionary column.
+std::shared_ptr<RecordBatch> OddNamedBatch() {
+  auto sample = SampleBatch();
+  StringBuilder dict_builder;
+  for (const char *word : {"alpha", "beta", "gamma"}) dict_builder.Append(word);
+  FixedBuilder<int32_t> codes(Type::kInt32);
+  for (int32_t i = 0; i < 100; i++) codes.Append(i % 3);
+  auto words = Array::MakeDictionary(100, codes.Finish()->buffer(0), dict_builder.Finish());
+  auto schema = std::make_shared<Schema>(std::vector<Field>{
+      {"s", Type::kFloat64, true}, {"nam", Type::kString, true}, {"words", Type::kDictionary}});
+  return std::make_shared<RecordBatch>(
+      schema, 100, std::vector<std::shared_ptr<Array>>{sample->column(1), sample->column(2),
+                                                       std::move(words)});
 }
 
 }  // namespace
@@ -73,6 +100,73 @@ TEST(ArrowliteTest, IpcRoundTrip) {
     batches++;
   }
   EXPECT_EQ(batches, 2);
+}
+
+/// Landing from a span lends every buffer in place: each one is a
+/// non-owning view inside the span (no allocation, no copy), 8-byte aligned
+/// because the writer padded its body to an 8-byte stream offset.
+TEST(ArrowliteTest, IpcLandsBuffersInPlaceAligned) {
+  for (const auto &batch : {SampleBatch(), OddNamedBatch()}) {
+    VectorSink sink;
+    IpcStreamWriter writer(&sink, *batch->schema());
+    writer.WriteBatch(*batch);
+    writer.WriteBatch(*batch);
+    writer.Close();
+
+    const byte *begin = sink.data().data();
+    const byte *end = begin + sink.data().size();
+    SpanSource source(begin, sink.data().size());
+    IpcStreamReader reader(&source);
+    ASSERT_TRUE(reader.schema()->Equals(*batch->schema()));
+    int expected_buffers = 0;
+    for (int c = 0; c < batch->num_columns(); c++) {
+      ForEachBuffer(*batch->column(c), [&](const Buffer &) { expected_buffers++; });
+    }
+    int batches = 0, buffers = 0;
+    while (auto read = reader.ReadNext()) {
+      EXPECT_TRUE(read->Equals(*batch));
+      for (int c = 0; c < read->num_columns(); c++) {
+        ForEachBuffer(*read->column(c), [&](const Buffer &buffer) {
+          buffers++;
+          EXPECT_FALSE(buffer.owned()) << "column " << c;
+          EXPECT_GE(buffer.data(), begin) << "column " << c;
+          EXPECT_LE(buffer.data() + buffer.size(), end) << "column " << c;
+          EXPECT_EQ(reinterpret_cast<uintptr_t>(buffer.data()) % kBufferAlignment, 0u)
+              << "column " << c;
+        });
+      }
+      batches++;
+    }
+    EXPECT_EQ(batches, 2);
+    EXPECT_EQ(buffers, 2 * expected_buffers);
+  }
+}
+
+/// A stream cut at any byte ends at its last whole batch: the reader never
+/// lends past the span or hands out a batch with a missing buffer.
+TEST(ArrowliteTest, IpcEndsACutStreamAtItsLastWholeBatch) {
+  auto batch = OddNamedBatch();
+  VectorSink sink;
+  IpcStreamWriter writer(&sink, *batch->schema());
+  std::vector<uint64_t> batch_ends;
+  for (int i = 0; i < 2; i++) {
+    writer.WriteBatch(*batch);
+    batch_ends.push_back(sink.data().size());
+  }
+  writer.Close();
+
+  for (uint64_t cut = 0; cut <= sink.data().size(); cut++) {
+    SpanSource source(sink.data().data(), cut);
+    IpcStreamReader reader(&source);
+    int batches = 0;
+    while (auto read = reader.ReadNext()) {
+      EXPECT_TRUE(read->Equals(*batch)) << "cut at " << cut;
+      batches++;
+    }
+    int whole = 0;
+    for (const uint64_t end : batch_ends) whole += end <= cut ? 1 : 0;
+    EXPECT_EQ(batches, whole) << "cut at " << cut;
+  }
 }
 
 TEST(ArrowliteTest, IpcDictionaryRoundTrip) {

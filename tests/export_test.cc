@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "catalog/catalog.h"
 #include "export/protocols.h"
 #include "gc/garbage_collector.h"
@@ -117,6 +119,79 @@ TEST_P(ExportTest, FlightDeliversSameDataAsRdmaPathAndWire) {
   // RDMA ships strictly raw buffers: it can never put more on the wire than
   // the framed IPC stream.
   EXPECT_LE(rdma_result.wire_bytes, flight_result.wire_bytes);
+  gc_.FullGC();
+}
+
+/// The Flight client lands the stream in place: every buffer of every client
+/// batch is a non-owning, 8-byte aligned view into the ClientBuffer's wire
+/// bytes, with nothing allocated or copied on the client side.
+TEST_P(ExportTest, FlightClientBuffersPointIntoClientBuffer) {
+  exporter::ClientBuffer client(64ull << 20);
+  exporter::ArrowFlightExporter flight(&client);
+  EXPECT_EQ(flight.Export(table_, &txn_manager_).rows, 2000u);
+  ASSERT_FALSE(flight.ClientBatches().empty());
+
+  const byte *begin = client.data();
+  const byte *end = begin + client.size();
+  uint64_t buffers = 0;
+  const auto check = [&](const arrowlite::Buffer *buffer) {
+    if (buffer == nullptr) return;
+    buffers++;
+    EXPECT_FALSE(buffer->owned());
+    EXPECT_GE(buffer->data(), begin);
+    EXPECT_LE(buffer->data() + buffer->size(), end);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(buffer->data()) % 8, 0u);
+  };
+  for (const auto &batch : flight.ClientBatches()) {
+    for (int c = 0; c < batch->num_columns(); c++) {
+      const arrowlite::Array &array = *batch->column(c);
+      check(array.validity().get());
+      check(array.buffer(0).get());
+      if (array.type() == arrowlite::Type::kString) check(array.buffer(1).get());
+    }
+  }
+  EXPECT_GT(buffers, 0u);
+  gc_.FullGC();
+}
+
+/// The ClientBuffer's capacity is only a reservation: every exporter writing
+/// far past it grows the buffer and delivers every row intact.
+TEST_P(ExportTest, ExportsGrowPastTheClientBufferReservation) {
+  constexpr uint64_t kReservation = 64;
+  {
+    exporter::ClientBuffer client(kReservation);
+    exporter::ArrowFlightExporter flight(&client);
+    const auto result = flight.Export(table_, &txn_manager_);
+    EXPECT_EQ(result.rows, 2000u);
+    EXPECT_GT(result.wire_bytes, kReservation);
+    int64_t i = 0;
+    for (const auto &batch : flight.ClientBatches()) {
+      for (int64_t r = 0; r < batch->num_rows(); r++, i++) {
+        EXPECT_EQ(batch->column(0)->Value<int64_t>(r), i);
+      }
+    }
+    EXPECT_EQ(i, 2000);
+  }
+  {
+    exporter::ClientBuffer client(kReservation);
+    exporter::VectorizedWireExporter vectorized(&client);
+    EXPECT_EQ(vectorized.Export(table_, &txn_manager_).rows, 2000u);
+    EXPECT_EQ(vectorized.ClientBatch()->num_rows(), 2000);
+  }
+  {
+    exporter::ClientBuffer client(kReservation);
+    exporter::PostgresWireExporter pg(&client);
+    EXPECT_EQ(pg.Export(table_, &txn_manager_).rows, 2000u);
+    EXPECT_EQ(pg.ClientBatch()->num_rows(), 2000);
+  }
+  {
+    exporter::ClientBuffer client(kReservation);
+    exporter::RdmaExporter rdma(&client);
+    const auto result = rdma.Export(table_, &txn_manager_);
+    EXPECT_EQ(result.rows, 2000u);
+    EXPECT_EQ(client.size(), result.wire_bytes);
+    EXPECT_GT(client.size(), kReservation);
+  }
   gc_.FullGC();
 }
 

@@ -326,4 +326,63 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownRecordType) {
   std::remove(kLogPath);
 }
 
+/// A record naming a table or column the recovering engine does not have can
+/// be neither applied nor framed (a record's size depends on its columns), so
+/// it ends the durable prefix like an unknown type byte: the valid prefix is
+/// replayed, the commit record after it is not. The same records naming a
+/// known table and column replay, which shows they are otherwise well formed.
+TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
+  WriteWorkloadLog();
+  const std::string log = ReadFile(kLogPath);
+  const std::vector<RecordEnd> ends = RecordEnds(log, TestSchema().ToBlockLayout());
+  ASSERT_FALSE(ends.empty());
+  // The log's first record: a redo insert of one full row. Its byte offsets:
+  constexpr size_t kBegin = 1, kOid = 9, kSlot = 13, kFirstColId = 24;
+  ASSERT_EQ(log[0], static_cast<char>(logging::LogRecordType::kRedo));
+  const std::string first = log.substr(0, ends[0].offset);
+
+  // All appended records belong to one new transaction that then commits.
+  const transaction::timestamp_t begin = uint64_t{1} << 40;
+  const transaction::timestamp_t commit_ts = begin + 1;
+  const auto patch = [](std::string record, size_t offset, auto value) {
+    std::memcpy(record.data() + offset, &value, sizeof(value));
+    return record;
+  };
+  const std::string redo = patch(first, kBegin, begin);
+  uint32_t oid;
+  std::memcpy(&oid, first.data() + kOid, sizeof(oid));
+  const auto del = [&](uint32_t table_oid) {
+    std::string record(1, static_cast<char>(logging::LogRecordType::kDelete));
+    record.append(sizeof(begin) + sizeof(table_oid), '\0');
+    record.append(first, kSlot, sizeof(uint64_t));
+    return patch(patch(record, kBegin, begin), kOid, table_oid);
+  };
+  std::string commit(1, static_cast<char>(logging::LogRecordType::kCommit));
+  commit.append(sizeof(begin) + sizeof(commit_ts), '\0');
+  commit = patch(patch(commit, kBegin, begin), kBegin + sizeof(begin), commit_ts);
+
+  const uint32_t unknown_oid = oid + 1000;
+  const uint16_t past_last_column = TestSchema().ToBlockLayout().NumColumns();
+  const struct {
+    const char *what;
+    std::string record;
+    uint64_t replayed, visible;
+  } cases[] = {
+      {"redo, known table", redo, 4, 46},
+      {"delete, known table", del(oid), 4, 44},
+      {"redo, unknown table", patch(redo, kOid, unknown_oid), 3, 45},
+      {"delete, unknown table", del(unknown_oid), 3, 45},
+      {"redo, column id past the layout", patch(redo, kFirstColId, past_last_column), 3, 45},
+      {"redo, column id far past the layout", patch(redo, kFirstColId, uint16_t{0xffff}), 3,
+       45},
+  };
+  for (const auto &c : cases) {
+    WriteFile(kLogPath, log + c.record + commit);
+    const auto [replayed, visible] = RecoverFresh(kLogPath);
+    EXPECT_EQ(replayed, c.replayed) << c.what;
+    EXPECT_EQ(visible, c.visible) << c.what;
+  }
+  std::remove(kLogPath);
+}
+
 }  // namespace mainline

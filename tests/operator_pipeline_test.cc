@@ -577,6 +577,186 @@ TEST_P(OperatorPipelineTest, AggregateGroupedAndUngrouped) {
   gc_.FullGC();
 }
 
+/// Grouped aggregation, bit-exact against a row-at-a-time reference built
+/// here, over the cases the two-pass resolver must get right: group keys
+/// longer than 7 bytes (two differing only after byte 7), an empty key, more
+/// than 64 distinct groups (collisions in the packed-key cache), nulls in the
+/// aggregate inputs, one and two group columns, and a probed input with a
+/// payload-gated sum. Hot, then frozen in the parameter's gather mode. Each
+/// table fits one block, so the block partial IS the final accumulation.
+TEST_P(OperatorPipelineTest, GroupedAggregateMatchesRowAtATimeReference) {
+  constexpr int64_t kRows = 2000;
+  constexpr int64_t kBuildKeys = 1000;
+  static const std::vector<std::string> kSpecialKeys = {
+      "", "A", "seven77", "exactly8", "prefix__one", "prefix__two", "a-much-longer-group-key"};
+  const auto key_of = [](int64_t i) {
+    const auto k = static_cast<size_t>(i % 97);  // 7 special + 90 short keys
+    return k < kSpecialKeys.size() ? kSpecialKeys[k] : "k" + std::to_string(k);
+  };
+  const auto key2_of = [](int64_t i) {
+    static const char *kKeys2[] = {"Z", "", "second-column-key"};
+    return std::string(kKeys2[i % 3]);
+  };
+  const auto val_is_null = [](int64_t i) { return i % 7 == 0; };
+  const auto val_of = [](int64_t i) { return static_cast<double>(i % 100) / 7.0; };
+  const auto val2_of = [](int64_t i) { return static_cast<double>(i % 11) / 100.0; };
+  const auto fk_of = [](int64_t i) { return i % 1500; };  // a third dangle
+
+  const catalog::Schema schema({{"id", catalog::TypeId::kBigInt},
+                                {"val", catalog::TypeId::kDecimal, true},
+                                {"val2", catalog::TypeId::kDecimal},
+                                {"key", catalog::TypeId::kVarchar},
+                                {"key2", catalog::TypeId::kVarchar},
+                                {"fk", catalog::TypeId::kBigInt}});
+  catalog::SqlTable *table = catalog_.GetTable(catalog_.CreateTable("grouped", schema));
+  // Build side: unique keys 0..kBuildKeys-1, payload key % 3 (a third zero).
+  const catalog::Schema build_schema(
+      {{"key", catalog::TypeId::kBigInt}, {"pay", catalog::TypeId::kBigInt}});
+  catalog::SqlTable *build_table =
+      catalog_.GetTable(catalog_.CreateTable("grouped_build", build_schema));
+  {
+    auto *txn = txn_manager_.BeginTransaction();
+    const auto init = table->FullInitializer();
+    std::vector<byte> buffer(init.ProjectedRowSize() + 8);
+    for (int64_t i = 0; i < kRows; i++) {
+      ProjectedRow *row = init.InitializeRow(buffer.data());
+      workload::Set<int64_t>(row, 0, i);
+      if (val_is_null(i)) {
+        row->SetNull(1);
+      } else {
+        workload::Set<double>(row, 1, val_of(i));
+      }
+      workload::Set<double>(row, 2, val2_of(i));
+      workload::SetVarchar(row, 3, key_of(i));
+      workload::SetVarchar(row, 4, key2_of(i));
+      workload::Set<int64_t>(row, 5, fk_of(i));
+      table->Insert(txn, *row);
+    }
+    const auto build_init = build_table->FullInitializer();
+    std::vector<byte> build_buffer(build_init.ProjectedRowSize() + 8);
+    for (int64_t k = 0; k < kBuildKeys; k++) {
+      ProjectedRow *row = build_init.InitializeRow(build_buffer.data());
+      workload::Set<int64_t>(row, 0, k);
+      workload::Set<int64_t>(row, 1, k % 3);
+      build_table->Insert(txn, *row);
+    }
+    txn_manager_.Commit(txn);
+    gc_.FullGC();
+  }
+  ASSERT_EQ(table->UnderlyingTable().NumBlocks(), 1u) << "the table must stay one block";
+
+  // The row-at-a-time reference: every accumulator advanced in row order.
+  struct Reference {
+    double sum = 0, product = 0, discounted = 0, gated = 0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+    uint64_t count = 0, payload = 0;
+  };
+  using Groups = std::map<std::vector<std::string>, Reference>;
+  const auto reference = [&](size_t num_group_cols, bool probed) {
+    Groups groups;
+    for (int64_t i = 0; i < kRows; i++) {
+      uint64_t payload = 0;
+      if (probed) {
+        if (fk_of(i) >= kBuildKeys) continue;
+        payload = static_cast<uint64_t>(fk_of(i) % 3);
+      }
+      std::vector<std::string> keys = {key_of(i), key2_of(i)};
+      keys.resize(num_group_cols);
+      Reference *ref = &groups[keys];
+      ref->count++;
+      ref->payload += payload;
+      if (val_is_null(i)) continue;
+      const double v = val_of(i), v2 = val2_of(i);
+      ref->sum += v;
+      ref->product += v * v2;
+      ref->discounted += v * (1.0 - v2);
+      if (payload != 0) ref->gated += v;
+      if (v < ref->min) ref->min = v;
+      if (v > ref->max) ref->max = v;
+    }
+    return groups;
+  };
+
+  const op::ColumnRef val = op::ColumnRef::Batch(1), val2 = op::ColumnRef::Batch(2);
+  const std::vector<op::AggSpec> scan_aggs = {
+      op::AggSpec::Sum(op::Expr::Column(val)),
+      op::AggSpec::Sum(op::Expr::Mul(val, val2)),
+      op::AggSpec::Sum(op::Expr::Discounted(val, val2)),
+      op::AggSpec::Count(),
+      op::AggSpec::Min(op::Expr::Column(val)),
+      op::AggSpec::Max(op::Expr::Column(val))};
+  const std::vector<op::AggSpec> probe_aggs = {
+      op::AggSpec::SumPayload(), op::AggSpec::Count(),
+      op::AggSpec::Sum(op::Expr::Column(val), /*payload_gate=*/true),
+      op::AggSpec::Sum(op::Expr::Column(val))};
+
+  const auto run = [&](std::vector<uint16_t> group_cols, bool probed, common::WorkerPool *pool) {
+    auto *txn = txn_manager_.BeginTransaction();
+    op::PhysicalPlan plan;
+    op::AggregateOp *agg;
+    if (probed) {
+      op::PipelineBuilder builder(&plan);
+      builder.Scan(build_table, {0, 1});
+      op::HashJoinBuildOp *build = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
+      op::Pipeline *probe = plan.AddPipeline(table, {0, 1, 2, 3, 4, 5});
+      probe->Add<op::HashJoinProbeOp>(/*key_col=*/5, build);
+      agg = probe->Add<op::AggregateOp>(std::move(group_cols), probe_aggs);
+    } else {
+      op::PipelineBuilder builder(&plan);
+      builder.Scan(table, {0, 1, 2, 3, 4, 5});
+      agg = builder.Aggregate(std::move(group_cols), scan_aggs);
+    }
+    plan.Run(txn, pool, nullptr);
+    txn_manager_.Commit(txn);
+    return agg->Result();
+  };
+
+  const auto check = [&](const char *label) {
+    common::WorkerPool pool(2);
+    for (common::WorkerPool *p : {static_cast<common::WorkerPool *>(nullptr), &pool}) {
+      for (const size_t num_group_cols : {size_t{1}, size_t{2}}) {
+        for (const bool probed : {false, true}) {
+          std::vector<uint16_t> group_cols = {3, 4};
+          group_cols.resize(num_group_cols);
+          const Groups expected = reference(num_group_cols, probed);
+          const std::vector<op::ResultRow> result = run(group_cols, probed, p);
+          const std::string where = std::string(label) + (p == nullptr ? " inline" : " pooled") +
+                                    (probed ? " probed " : " scanned ") +
+                                    std::to_string(num_group_cols) + " group column(s)";
+          ASSERT_EQ(result.size(), expected.size()) << where;
+          ASSERT_GT(expected.size(), 64u) << where;
+          size_t r = 0;
+          for (const auto &[keys, ref] : expected) {  // std::map order == Result order
+            const op::ResultRow &row = result[r++];
+            ASSERT_EQ(row.keys, keys) << where;
+            const std::string group = where + ", group '" + keys[0] + "'";
+            if (probed) {
+              EXPECT_EQ(row.values[0].u64, ref.payload) << group;
+              EXPECT_EQ(row.values[1].u64, ref.count) << group;
+              EXPECT_EQ(row.values[2].f64, ref.gated) << group;
+              EXPECT_EQ(row.values[3].f64, ref.sum) << group;
+            } else {
+              EXPECT_EQ(row.values[0].f64, ref.sum) << group;
+              EXPECT_EQ(row.values[1].f64, ref.product) << group;
+              EXPECT_EQ(row.values[2].f64, ref.discounted) << group;
+              EXPECT_EQ(row.values[3].u64, ref.count) << group;
+              EXPECT_EQ(row.values[4].f64, ref.min) << group;
+              EXPECT_EQ(row.values[5].f64, ref.max) << group;
+            }
+          }
+        }
+      }
+    }
+  };
+
+  check("hot");
+  Freeze(table);
+  Freeze(build_table);
+  check("frozen");
+  gc_.FullGC();
+}
+
 /// The headline agreement matrix: Q1/Q6/Q12/Q14 as plans vs the scalar
 /// references, at 1/2/4/8 workers, over hot, ~50% frozen, and fully frozen
 /// tables — bit-exact everywhere, both access paths exercised where the
