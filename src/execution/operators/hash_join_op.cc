@@ -3,6 +3,7 @@
 #include "execution/operators/hash_join_op.h"
 
 #include <bit>
+#include <vector>
 
 namespace mainline::execution::op {
 
@@ -18,8 +19,12 @@ bool PayloadSpec::Matches(std::string_view value) const {
 void HashJoinBuildOp::Push(Chunk *chunk) {
   const arrowlite::Array &keys = chunk->batch->Column(key_col_);
   const int64_t *key_values = keys.buffer(0)->data_as<int64_t>();
-  std::vector<JoinEntry> *out = &per_block_[chunk->block_ordinal];
-  out->reserve(out->size() + (chunk->probed ? chunk->matches.size() : chunk->sel.Size()));
+  // The block's entries gather here in row order, then Assign groups them
+  // by partition into the block's slot. Per worker thread, so the scratch
+  // is reused across blocks and never holds more than one block.
+  thread_local std::vector<JoinEntry> rows;
+  rows.clear();
+  rows.reserve(chunk->probed ? chunk->matches.size() : chunk->sel.Size());
 
   // One entry per input — a selected row, or a join match when this build
   // consumes an already probed stream (multiplicity carries through).
@@ -29,7 +34,7 @@ void HashJoinBuildOp::Push(Chunk *chunk) {
     const bool has_nulls = keys.null_count() != 0 || payload_nulls;
     const auto body = [&](uint32_t row) {
       if (has_nulls && (keys.IsNull(row) || payload_is_null(row))) return;
-      out->push_back({key_values[row], payload_of_row(row)});
+      rows.push_back({key_values[row], payload_of_row(row)});
     };
     if (chunk->probed) {
       for (const JoinMatch &match : chunk->matches) body(match.row);
@@ -88,10 +93,31 @@ void HashJoinBuildOp::Push(Chunk *chunk) {
       break;
     }
   }
+  per_block_[chunk->block_ordinal].Assign(rows);
+  // Like Chunk's buffers: a skewed block must not pin a worst-case scratch
+  // in every worker thread for the rest of the process.
+  if (rows.capacity() > Chunk::kMaxRetainedMatches) std::vector<JoinEntry>().swap(rows);
 }
 
 void HashJoinProbeOp::Push(Chunk *chunk) {
   const JoinHashTable &table = build_->Table();
+  if (emit_ == ProbeEmit::kSemi) {
+    const arrowlite::Array &keys = chunk->batch->Column(key_col_);
+    const int64_t *values = keys.buffer(0)->data_as<int64_t>();
+    const bool has_nulls = keys.null_count() != 0;
+    const auto hit = [&](uint32_t row) {
+      return !(has_nulls && keys.IsNull(row)) && table.Contains(values[row]);
+    };
+    if (chunk->probed) {
+      std::erase_if(chunk->matches, [&](const JoinMatch &match) { return !hit(match.row); });
+      if (chunk->matches.empty()) return;
+    } else {
+      chunk->sel.Refine(hit);
+      if (chunk->sel.Empty()) return;
+    }
+    PushNext(chunk);
+    return;
+  }
   if (!chunk->probed) {
     chunk->probed = true;
     if (chunk->sel.Empty() || table.Empty()) return;

@@ -68,18 +68,19 @@ struct PayloadSpec {
 };
 
 /// Pipeline-breaking sink that builds a JoinHashTable — the only way one is
-/// built: Push collects each selected row's (key, payload) into a
-/// per-block-ordinal entry list, and Finish hands the lists to
-/// JoinHashTable::FromOrdinalLists, which scatters them in block order into
-/// the partitioned table (parallel over the run's pool when one is
-/// available), so partition contents and duplicate-match order stay
+/// built: Push collects each selected row's (key, payload) into its block
+/// ordinal's JoinHashTable::BlockEntries, grouped by hash prefix, and Finish
+/// hands them to JoinHashTable::Build, which builds each partition from its
+/// share of every block in block order (parallel over the run's pool when
+/// one is available), so partition contents and duplicate-match order stay
 /// deterministic at any worker count. Rows with a null key or null payload
 /// column are dropped (SQL join semantics).
 ///
 /// A build downstream of a probe consumes the chunk's match list instead of
 /// its selection vector — one entry per match, so join multiplicity carries
 /// into the new table (the bushy-plan shape: build a table from an already
-/// joined stream).
+/// joined stream). A build downstream of a ProbeEmit::kSemi probe consumes
+/// the selection vector that probe refined.
 ///
 /// The build pipeline must Run before any pipeline probing this table;
 /// PhysicalPlan runs pipelines in insertion order, which PipelineBuilder
@@ -99,7 +100,7 @@ class HashJoinBuildOp final : public Operator {
   std::string Label() const override { return "HashJoinBuild"; }
 
   void Finish(common::WorkerPool *pool) override {
-    table_ = JoinHashTable::FromOrdinalLists(per_block_, pool);
+    table_ = JoinHashTable::Build(per_block_, pool);
     per_block_.clear();
   }
 
@@ -109,7 +110,7 @@ class HashJoinBuildOp final : public Operator {
  private:
   uint16_t key_col_;
   PayloadSpec payload_;
-  std::vector<std::vector<JoinEntry>> per_block_;
+  std::vector<JoinHashTable::BlockEntries> per_block_;
   JoinHashTable table_;
 };
 
@@ -128,18 +129,26 @@ enum class ProbeEmit : uint8_t {
   /// each order's lineitem revenues during the probe, so the revenue is
   /// complete the moment the chunk reaches the Top-K sink.
   kSumPayloadF64,
+  /// A semi-join: keep each input whose key has at least one build entry,
+  /// once, however many entries share the key. Null keys are dropped. On an
+  /// unprobed chunk this refines the selection vector in place and leaves
+  /// the chunk unprobed, so a downstream build or probe consumes `sel`; on a
+  /// probed chunk it filters the match list, keeping each surviving match
+  /// as it was. Q12 uses it to shrink the ORDERS build to the orders some
+  /// qualifying lineitem can reach.
+  kSemi,
 };
 
 /// Probe a HashJoinBuildOp's table with an int64 key column. On a chunk's
-/// first probe the selection is turned into the chunk's match list; on a
-/// chunk that was already probed (multi-way joins) the existing match list
-/// is consumed instead, each prior match re-probed by its row's key with the
-/// prior payload carried along — so N-way joins chain N probe operators in
-/// one pipeline. Match order stays deterministic either way: inputs in
-/// selection/prior order, duplicates in the table's insertion order. Only
-/// chunks with at least one resulting match flow on. Null keys match
-/// nothing. The probe is read-only on the shared table, so any number of
-/// workers push concurrently.
+/// first probe the selection is turned into the chunk's match list (a
+/// ProbeEmit::kSemi probe only refines it); on a chunk that was already
+/// probed (multi-way joins) the existing match list is consumed instead, each
+/// prior match re-probed by its row's key with the prior payload carried
+/// along — so N-way joins chain N probe operators in one pipeline. Match
+/// order stays deterministic either way: inputs in selection/prior order,
+/// duplicates in the table's insertion order. Only chunks with at least one
+/// surviving input flow on. Null keys match nothing. The probe is read-only
+/// on the shared table, so any number of workers push concurrently.
 class HashJoinProbeOp final : public Operator {
  public:
   HashJoinProbeOp(uint16_t key_col, const HashJoinBuildOp *build,

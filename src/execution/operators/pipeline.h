@@ -69,29 +69,32 @@ class Pipeline {
         },
         stats, profile);
     const common::Timer finish_timer;
-    for (const auto &op : ops_) op->Finish(pool);
-
-    if (profile != nullptr) {
-      profile->finish_ns = finish_timer.Elapsed<std::chrono::nanoseconds>();
-      profile->wall_ns = wall_timer.Elapsed<std::chrono::nanoseconds>();
-      profile->operators.clear();
-      for (size_t i = 0; i < ops_.size(); i++) {
-        OperatorProfile record;
-        record.label = ops_[i]->Label();
-        record.rows_in = profilers_[i]->TotalRows();
-        // An operator's output is exactly what the next operator saw; the
-        // chain's last operator is a sink.
-        record.rows_out = i + 1 < ops_.size() ? profilers_[i + 1]->TotalRows() : 0;
-        record.chunks = profilers_[i]->TotalChunks();
-        record.inclusive_ns = profilers_[i]->TotalElapsedNs();
-        const uint64_t next_ns =
-            i + 1 < ops_.size() ? profilers_[i + 1]->TotalElapsedNs() : 0;
-        // Saturate: clock granularity can make a nested measurement read a
-        // hair longer than its enclosing one.
-        record.exclusive_ns =
-            record.inclusive_ns > next_ns ? record.inclusive_ns - next_ns : 0;
-        profile->operators.push_back(std::move(record));
-      }
+    if (profile == nullptr) {
+      for (const auto &op : ops_) op->Finish(pool);
+      return;
+    }
+    profile->operators.assign(ops_.size(), OperatorProfile{});
+    for (size_t i = 0; i < ops_.size(); i++) {
+      const common::Timer op_timer;
+      ops_[i]->Finish(pool);
+      profile->operators[i].finish_ns = op_timer.Elapsed<std::chrono::nanoseconds>();
+    }
+    profile->finish_ns = finish_timer.Elapsed<std::chrono::nanoseconds>();
+    profile->wall_ns = wall_timer.Elapsed<std::chrono::nanoseconds>();
+    for (size_t i = 0; i < ops_.size(); i++) {
+      OperatorProfile &record = profile->operators[i];
+      record.label = ops_[i]->Label();
+      record.rows_in = profilers_[i]->TotalRows();
+      // An operator's output is exactly what the next operator saw; the
+      // chain's last operator is a sink.
+      record.rows_out = i + 1 < ops_.size() ? profilers_[i + 1]->TotalRows() : 0;
+      record.chunks = profilers_[i]->TotalChunks();
+      record.inclusive_ns = profilers_[i]->TotalElapsedNs();
+      const uint64_t next_ns =
+          i + 1 < ops_.size() ? profilers_[i + 1]->TotalElapsedNs() : 0;
+      // Saturate: clock granularity can make a nested measurement read a
+      // hair longer than its enclosing one.
+      record.exclusive_ns = record.inclusive_ns > next_ns ? record.inclusive_ns - next_ns : 0;
     }
   }
 

@@ -25,6 +25,9 @@ struct OperatorProfile {
   /// inclusive_ns minus the successor's inclusive_ns: time attributable to
   /// this operator alone.
   uint64_t exclusive_ns = 0;
+  /// Time in this operator's Finish (a join build's table construction, an
+  /// aggregate's merge) — part of the pipeline's finish_ns, not of the above.
+  uint64_t finish_ns = 0;
 
   double Selectivity() const {
     return rows_in == 0 ? 0.0 : static_cast<double>(rows_out) / static_cast<double>(rows_in);

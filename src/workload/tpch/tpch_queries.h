@@ -113,12 +113,15 @@ struct Q12Row {
   bool operator==(const Q12Row &) const = default;
 };
 
-/// Q12 as a two-pipeline plan: hash-join build over ORDERS (key o_orderkey,
-/// payload = "is urgent/high" bit), then a probe pipeline streaming LINEITEM
-/// through the date/shipmode filters into a grouped aggregate on l_shipmode.
-/// With a pool, the build scan, partition build, and probe scan all run
-/// over it. Bit-exact with RunQ12Scalar for any worker count. `orders` and
-/// `lineitem` must use OrdersSchema()/LineItemSchema() column positions.
+/// Q12 as a three-pipeline plan: a build of the order keys of the lineitems
+/// passing the date/shipmode filters; a hash-join build over the ORDERS rows
+/// a semi-join probe finds in that key set (key o_orderkey, payload = "is
+/// urgent/high" bit), so it holds only the orders a probe can reach; then a
+/// probe pipeline streaming LINEITEM through the same filters into a grouped
+/// aggregate on l_shipmode. LINEITEM is scanned twice. With a pool, every
+/// scan and partition build runs over it. Bit-exact with RunQ12Scalar for
+/// any worker count. `orders` and `lineitem` must use
+/// OrdersSchema()/LineItemSchema() column positions.
 std::vector<Q12Row> RunQ12Parallel(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
                                    transaction::TransactionContext *txn,
                                    const Q12Params &params, common::WorkerPool *pool,

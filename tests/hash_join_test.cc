@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +18,8 @@
 #include "workload/tpch/query_runner.h"
 #include "workload/tpch/tpch_queries.h"
 #include "gc/garbage_collector.h"
+#include "storage/block_access_controller.h"
+#include "storage/raw_block.h"
 #include "storage/storage_util.h"
 #include "transform/access_observer.h"
 #include "transform/block_transformer.h"
@@ -37,6 +41,92 @@ using transform::GatherMode;
 namespace op = execution::op;
 namespace q = workload::tpch;
 namespace tpch = workload::tpch;
+
+namespace {
+
+/// Build a JoinHashTable straight from per-block entry lists (each in row
+/// order), the way HashJoinBuildOp does, over `pool` (inline when null).
+JoinHashTable BuildFromBlocks(const std::vector<std::vector<JoinEntry>> &blocks,
+                              common::WorkerPool *pool) {
+  std::vector<JoinHashTable::BlockEntries> per_block(blocks.size());
+  for (size_t b = 0; b < blocks.size(); b++) per_block[b].Assign(blocks[b]);
+  return JoinHashTable::Build(per_block, pool);
+}
+
+}  // namespace
+
+/// The Bloom filter in front of every partition never rejects a key that was
+/// built (no false negatives), from a one-entry table to a million entries,
+/// with the extreme and negative keys included; and a key that was not built
+/// never matches, whatever the filter says.
+TEST(JoinHashTableTest, BloomFilterHasNoFalseNegativesAndAbsentKeysNeverMatch) {
+  common::WorkerPool pool(4);
+  common::Xorshift rng(42);
+  for (const uint64_t size : {uint64_t{1}, uint64_t{2}, uint64_t{7}, uint64_t{1000},
+                              uint64_t{100000}, uint64_t{1} << 20}) {
+    std::vector<int64_t> keys = {std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max(), 0, -1, -12345};
+    keys.resize(std::min<size_t>(keys.size(), size));
+    while (keys.size() < size) keys.push_back(static_cast<int64_t>(rng.Next()));
+    std::vector<std::vector<JoinEntry>> blocks(1 + size / 4096);
+    for (size_t i = 0; i < keys.size(); i++) {
+      blocks[i % blocks.size()].push_back({keys[i], static_cast<uint64_t>(i)});
+    }
+    const JoinHashTable table = BuildFromBlocks(blocks, &pool);
+    ASSERT_EQ(table.NumEntries(), size);
+
+    for (size_t i = 0; i < keys.size(); i++) {
+      ASSERT_TRUE(table.Contains(keys[i])) << "built key " << keys[i] << " of " << size;
+      bool found = false;
+      table.ForEachMatch(keys[i], [&](uint64_t payload) { found |= payload == i; });
+      ASSERT_TRUE(found) << "built key " << keys[i] << " lost its entry at size " << size;
+    }
+
+    std::vector<int64_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    uint64_t absent = 0;
+    while (absent < 20000) {
+      const auto key = static_cast<int64_t>(rng.Next());
+      if (std::binary_search(sorted.begin(), sorted.end(), key)) continue;
+      absent++;
+      ASSERT_FALSE(table.Contains(key)) << "absent key " << key << " at size " << size;
+      table.ForEachMatch(key, [&](uint64_t) { FAIL() << "absent key " << key << " matched"; });
+    }
+  }
+}
+
+/// Duplicate keys whose copies span blocks match in block insertion order at
+/// every worker count — checked against a reference list built sequentially
+/// by walking the blocks in order, not only parallel against inline.
+TEST(JoinHashTableTest, DuplicatesSpanningBlocksMatchInBlockOrderAtAnyWorkerCount) {
+  constexpr int64_t kKeys = 3000;
+  constexpr size_t kBlocks = 37;
+  common::Xorshift rng(7);
+  std::vector<std::vector<JoinEntry>> blocks(kBlocks);
+  std::vector<std::vector<uint64_t>> reference(kKeys);  // per key, in block order
+  uint64_t payload = 0;
+  for (size_t b = 0; b < kBlocks; b++) {
+    for (int i = 0; i < 400; i++) {
+      const auto key = static_cast<int64_t>(rng.Uniform(0, kKeys - 1)) - kKeys / 2;
+      blocks[b].push_back({key, payload});
+      reference[static_cast<size_t>(key + kKeys / 2)].push_back(payload);
+      payload++;
+    }
+  }
+
+  for (const uint32_t workers : {0u, 1u, 2u, 4u, 8u}) {
+    common::WorkerPool pool(workers);
+    const JoinHashTable table = BuildFromBlocks(blocks, workers == 0 ? nullptr : &pool);
+    ASSERT_EQ(table.NumEntries(), payload);
+    for (int64_t k = 0; k < kKeys; k++) {
+      std::vector<uint64_t> matches;
+      table.ForEachMatch(k - kKeys / 2, [&](uint64_t p) { matches.push_back(p); });
+      ASSERT_EQ(matches, reference[static_cast<size_t>(k)])
+          << "key " << k - kKeys / 2 << " at " << workers << " workers";
+      EXPECT_EQ(table.Contains(k - kKeys / 2), !matches.empty());
+    }
+  }
+}
 
 /// Coverage of the morsel-parallel hash join: the JoinHashTable operator
 /// itself (duplicates, empty sides, parallel build == inline build) and
@@ -332,7 +422,8 @@ TEST_P(HashJoinTest, QueryRunnerRunsQ12InAllModes) {
   EXPECT_TRUE(par.rows == scalar.rows);
   // Two ship modes, counts bounded by qualifying lineitems.
   EXPECT_LE(vec.rows.size(), 2u);
-  // The stats span the ORDERS build scan and the LINEITEM probe scan.
+  // The stats span every scan of the plan: LINEITEM for the semi-join key
+  // set, ORDERS for the reduced build, and LINEITEM again for the probe.
   uint64_t line_rows = 0, order_rows = 0;
   auto *txn = txn_manager_.BeginTransaction();
   const auto count_rows = [&](catalog::SqlTable *table) {
@@ -347,7 +438,76 @@ TEST_P(HashJoinTest, QueryRunnerRunsQ12InAllModes) {
   line_rows = count_rows(lineitem_);
   order_rows = count_rows(orders_);
   txn_manager_.Commit(txn);
-  EXPECT_EQ(vec.stats.rows, line_rows + order_rows);
+  EXPECT_EQ(vec.stats.rows, 2 * line_rows + order_rows);
+  gc_.FullGC();
+}
+
+/// Q12's semi-join reduction: over hot and over frozen tables the ORDERS
+/// build holds exactly the ORDERS rows whose key occurs among the qualifying
+/// LINEITEM rows' keys — counted here by a Select loop applying Q12's
+/// predicates.
+TEST_P(HashJoinTest, Q12BuildsOnlyTheOrdersAQualifyingLineitemReaches) {
+  Generate(RowsForBlocks(2));
+  const q::Q12Params params;
+
+  const auto expected_build_rows = [&] {
+    auto *txn = txn_manager_.BeginTransaction();
+    std::vector<int64_t> keys;
+    const auto line_init = lineitem_->InitializerForColumns(
+        {tpch::L_ORDERKEY, tpch::L_SHIPDATE, tpch::L_COMMITDATE, tpch::L_RECEIPTDATE,
+         tpch::L_SHIPMODE});
+    std::vector<byte> buffer(line_init.ProjectedRowSize() + 8);
+    for (auto it = lineitem_->begin(); !it.Done(); ++it) {
+      ProjectedRow *row = line_init.InitializeRow(buffer.data());
+      if (!lineitem_->Select(txn, *it, row)) continue;
+      const auto receipt = workload::Get<uint32_t>(*row, 3);
+      const auto commit = workload::Get<uint32_t>(*row, 2);
+      const std::string_view mode = workload::GetVarchar(*row, 4);
+      if (receipt < params.receiptdate_min || receipt >= params.receiptdate_max ||
+          commit >= receipt || workload::Get<uint32_t>(*row, 1) >= commit ||
+          (mode != params.shipmode_a && mode != params.shipmode_b)) {
+        continue;
+      }
+      keys.push_back(workload::Get<int64_t>(*row, 0));
+    }
+    std::sort(keys.begin(), keys.end());
+    const auto order_init = orders_->InitializerForColumns({tpch::O_ORDERKEY});
+    std::vector<byte> order_buffer(order_init.ProjectedRowSize() + 8);
+    uint64_t reached = 0, order_rows = 0;
+    for (auto it = orders_->begin(); !it.Done(); ++it) {
+      ProjectedRow *row = order_init.InitializeRow(order_buffer.data());
+      if (!orders_->Select(txn, *it, row)) continue;
+      order_rows++;
+      reached += std::binary_search(keys.begin(), keys.end(), workload::Get<int64_t>(*row, 0));
+    }
+    txn_manager_.Commit(txn);
+    EXPECT_GT(reached, 0u);
+    EXPECT_LT(reached, order_rows) << "the reduction should drop some orders";
+    return std::pair{reached, order_rows};
+  };
+
+  const auto check = [&](const char *label) {
+    const auto [reached, order_rows] = expected_build_rows();
+    QueryRunner runner(&txn_manager_, /*num_threads=*/2);
+    runner.SetProfiling(true);
+    const auto result = runner.RunQ12(orders_, lineitem_, params);
+    ASSERT_FALSE(result.rows.empty());
+    const op::PlanProfile &profile = runner.LastProfile();
+    ASSERT_EQ(profile.pipelines.size(), 3u) << label;
+    const std::vector<op::OperatorProfile> &orders_ops = profile.pipelines[1].operators;
+    ASSERT_EQ(orders_ops.size(), 2u) << label;
+    EXPECT_EQ(orders_ops.front().label, "HashJoinProbe");
+    EXPECT_EQ(orders_ops.front().rows_in, order_rows) << label;
+    EXPECT_EQ(orders_ops.back().label, "HashJoinBuild");
+    EXPECT_EQ(orders_ops.back().rows_in, reached)
+        << label << ": the ORDERS build must hold exactly the reachable orders";
+  };
+  check("hot");
+  for (storage::DataTable *dt : {&lineitem_->UnderlyingTable(), &orders_->UnderlyingTable()}) {
+    pipeline_.EnqueueTable(dt);
+  }
+  pipeline_.RunOnce();
+  check("frozen");
   gc_.FullGC();
 }
 
@@ -357,6 +517,9 @@ TEST_P(HashJoinTest, QueryRunnerRunsQ12InAllModes) {
 /// keeps re-freezing whatever cools down. Every iteration compares the
 /// parallel join against the scalar reference inside the SAME transaction:
 /// any MVCC violation on either side of the join shows up as a divergence.
+/// The writer now and then waits for its block to re-freeze before writing
+/// again, so blocks also change state between the plan's two LINEITEM scans
+/// (semi-join key set, then probe), which must still agree on one snapshot.
 TEST_P(HashJoinTest, Q12ParallelStaysConsistentUnderConcurrentWritesAndTransform) {
   Generate(RowsForBlocks(1));
   storage::DataTable &lines = lineitem_->UnderlyingTable();
@@ -406,24 +569,45 @@ TEST_P(HashJoinTest, Q12ParallelStaysConsistentUnderConcurrentWritesAndTransform
       } else {
         txn_manager_.Abort(txn);
       }
+      // One round in four, wait for the transform thread to re-freeze the
+      // written block (at most 500 ms, for slow sanitizer builds); a frozen
+      // block then stays frozen a few ms before the next write heats it.
+      const bool wait_for_freeze = rng.Uniform(0, 3) == 0;
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+      const auto written_block_frozen = [&] {
+        return lines.Blocks().front()->controller.GetState() == storage::BlockState::kFrozen;
+      };
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      while (wait_for_freeze && !written_block_frozen() &&
+             std::chrono::steady_clock::now() < give_up && !stop.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (written_block_frozen()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(rng.Uniform(5, 40)));
+      }
     }
   });
 
   common::WorkerPool pool(4);
   ScanStats aggregate;
   int iterations = 0;
+  int changed_mid_plan = 0;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (iterations < 25 ||
-         ((aggregate.frozen_blocks == 0 || aggregate.hot_blocks == 0) &&
+         ((aggregate.frozen_blocks == 0 || aggregate.hot_blocks == 0 || changed_mid_plan == 0) &&
           std::chrono::steady_clock::now() < deadline)) {
     auto *txn = txn_manager_.BeginTransaction();
     ScanStats stats;
-    const auto parallel = q::RunQ12Parallel(orders_, lineitem_, txn, {}, &pool, &stats);
+    op::PlanProfile profile;
+    const auto parallel = q::RunQ12Parallel(orders_, lineitem_, txn, {}, &pool, &stats, &profile);
     const auto scalar = q::RunQ12Scalar(orders_, lineitem_, txn, {}, nullptr);
     EXPECT_TRUE(parallel == scalar)
         << "parallel Q12 diverged from the scalar reference in the same snapshot "
         << "(iteration " << iterations << ")";
+    EXPECT_EQ(profile.pipelines.size(), 3u);
+    changed_mid_plan +=
+        profile.pipelines.size() == 3 &&
+        profile.pipelines[0].scan.frozen_blocks != profile.pipelines[2].scan.frozen_blocks;
     txn_manager_.Commit(txn);
     aggregate.Add(stats);
     iterations++;
@@ -435,6 +619,8 @@ TEST_P(HashJoinTest, Q12ParallelStaysConsistentUnderConcurrentWritesAndTransform
   // Both access paths must actually have been exercised across the run.
   EXPECT_GT(aggregate.frozen_blocks, 0u) << "no morsel ever took the zero-copy path";
   EXPECT_GT(aggregate.hot_blocks, 0u) << "no morsel ever took the materialization path";
+  EXPECT_GT(changed_mid_plan, 0)
+      << "no block ever changed state between one plan's two LINEITEM scans";
   gc_.FullGC();
 }
 

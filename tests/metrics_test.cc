@@ -391,16 +391,33 @@ class MetricsProfilingTest : public ::testing::Test {
           << "Q12 row " << i << " diverged under profiling at " << num_threads << " threads";
     }
 
-    // Q12 is two pipelines: the ORDERS join build, then the LINEITEM probe.
+    // Q12 is three pipelines: the LINEITEM key-set build, the ORDERS build
+    // behind a semi-join probe of that key set, then the LINEITEM probe.
     const op::PlanProfile &q12_profile = runner.LastProfile();
-    ASSERT_EQ(q12_profile.pipelines.size(), 2u);
-    ASSERT_FALSE(q12_profile.pipelines[0].operators.empty());
+    ASSERT_EQ(q12_profile.pipelines.size(), 3u);
+    for (const op::PipelineProfile &pipe : q12_profile.pipelines) {
+      ASSERT_FALSE(pipe.operators.empty());
+    }
     EXPECT_EQ(q12_profile.pipelines[0].operators.back().label, "HashJoinBuild");
+    const std::vector<op::OperatorProfile> &orders_ops = q12_profile.pipelines[1].operators;
+    ASSERT_EQ(orders_ops.size(), 2u);
+    EXPECT_EQ(orders_ops.front().label, "HashJoinProbe");
+    EXPECT_EQ(orders_ops.back().label, "HashJoinBuild");
     bool saw_probe = false;
-    for (const op::OperatorProfile &record : q12_profile.pipelines[1].operators) {
+    for (const op::OperatorProfile &record : q12_profile.pipelines.back().operators) {
       saw_probe |= record.label == "HashJoinProbe";
     }
     EXPECT_TRUE(saw_probe) << "Q12's probe pipeline lost its HashJoinProbe record";
+
+    // Finish time is charged to the operator that spent it: each build's
+    // table construction is its own, and together the operators account for
+    // no more than the pipeline's finish phase.
+    for (const op::PipelineProfile &pipe : q12_profile.pipelines) {
+      uint64_t op_finish_ns = 0;
+      for (const op::OperatorProfile &record : pipe.operators) op_finish_ns += record.finish_ns;
+      EXPECT_LE(op_finish_ns, pipe.finish_ns);
+    }
+    EXPECT_GT(orders_ops.back().finish_ns, 0u) << "the ORDERS build's Finish went unattributed";
 
     // Toggling back off both stops recording and clears the stale record.
     runner.SetProfiling(false);
@@ -472,6 +489,20 @@ TEST_F(MetricsProfilingTest, ExplainReportsQ3Operators) {
         << "profile JSON missing " << key << ":\n"
         << json;
   }
+
+  // Every pipeline and every operator carries its own finish time, in both
+  // renderings.
+  size_t records = profile.pipelines.size();
+  for (const op::PipelineProfile &pipe : profile.pipelines) records += pipe.operators.size();
+  const auto count = [](const std::string &text, const std::string &needle) {
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos; at = text.find(needle, at + 1)) {
+      n++;
+    }
+    return n;
+  };
+  EXPECT_EQ(count(json, "\"finish_ns\":"), records) << json;
+  EXPECT_EQ(count(explain, " finish="), records) << explain;
 }
 
 /// A full query pass moves the global engine counters: the scan counters

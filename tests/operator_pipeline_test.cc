@@ -472,6 +472,123 @@ TEST_P(OperatorPipelineTest, JoinBuildAndProbeCompose) {
   gc_.FullGC();
 }
 
+/// ProbeEmit::kSemi keeps each input whose key has a build entry exactly
+/// once: on an unprobed chunk it refines the selection (null keys dropped,
+/// duplicate build keys never multiplying a row) and a downstream build
+/// consumes that selection; on a probed chunk it filters the match list;
+/// an empty build drops every chunk. Inline and on four workers, hot and
+/// frozen.
+TEST_P(OperatorPipelineTest, SemiJoinProbeFiltersWithoutMultiplying) {
+  const catalog::Schema schema(
+      {{"key", catalog::TypeId::kBigInt}, {"pay", catalog::TypeId::kBigInt}});
+  // Build side: keys 0..99, key k repeated 1 + k % 3 times, payload 10k + c.
+  catalog::SqlTable *build_table = catalog_.GetTable(catalog_.CreateTable("semi_build", schema));
+  // Only the even ids, once each: the second semi-probe's key set.
+  catalog::SqlTable *evens = catalog_.GetTable(catalog_.CreateTable("semi_evens", schema));
+  catalog::SqlTable *no_rows = catalog_.GetTable(catalog_.CreateTable("semi_empty", schema));
+  // Probe side: ids 0.. with fk = id % 150 (a third dangle), fk null on
+  // every seventh row — one and a half blocks' worth of rows.
+  const uint32_t slots = schema.ToBlockLayout().NumSlots();
+  const auto kProbeRows = static_cast<int64_t>(slots + slots / 2);
+  catalog::SqlTable *probe_table = catalog_.GetTable(catalog_.CreateTable("semi_probe", schema));
+  const auto fk_of = [](int64_t id) { return id % 7 == 3 ? -1 : id % 150; };  // -1: null
+  {
+    const auto init = build_table->FullInitializer();
+    std::vector<byte> buffer(init.ProjectedRowSize() + 8);
+    auto *txn = txn_manager_.BeginTransaction();
+    const auto insert = [&](catalog::SqlTable *table, int64_t key, int64_t pay) {
+      ProjectedRow *row = init.InitializeRow(buffer.data());
+      workload::Set<int64_t>(row, 0, key);
+      workload::Set<int64_t>(row, 1, pay);
+      if (pay < 0) row->SetNull(1);
+      table->Insert(txn, *row);
+    };
+    for (int64_t k = 0; k < 100; k++) {
+      for (int64_t c = 0; c < 1 + k % 3; c++) insert(build_table, k, k * 10 + c);
+    }
+    for (int64_t id = 0; id < kProbeRows; id += 2) insert(evens, id, id);
+    for (int64_t id = 0; id < kProbeRows; id++) insert(probe_table, id, fk_of(id));
+    txn_manager_.Commit(txn);
+  }
+  gc_.FullGC();
+  ASSERT_GT(probe_table->UnderlyingTable().NumBlocks(), 1u);
+
+  std::vector<int64_t> survivors;  // ids whose fk is non-null and has a build entry
+  std::vector<std::pair<int64_t, uint64_t>> even_matches;  // each match of an even id
+  for (int64_t id = 0; id < kProbeRows; id++) {
+    const int64_t fk = fk_of(id);
+    if (fk < 0 || fk >= 100) continue;
+    survivors.push_back(id);
+    if (id % 2 != 0) continue;
+    for (int64_t c = 0; c < 1 + fk % 3; c++) {
+      even_matches.emplace_back(id, static_cast<uint64_t>(fk * 10 + c));
+    }
+  }
+
+  const auto check = [&](const char *label) {
+    for (const uint32_t workers : {0u, 4u}) {
+      common::WorkerPool pool(workers);
+      common::WorkerPool *run_pool = workers == 0 ? nullptr : &pool;
+      auto *txn = txn_manager_.BeginTransaction();
+      op::PhysicalPlan plan;
+      op::PipelineBuilder builder(&plan);
+      builder.Scan(build_table, {0, 1});
+      op::HashJoinBuildOp *build = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
+      builder.Scan(evens, {0, 1});
+      op::HashJoinBuildOp *even_build = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
+      builder.Scan(no_rows, {0, 1});
+      op::HashJoinBuildOp *empty_build = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
+      // Unprobed: semi-probe on fk, then collect the refined selection.
+      op::Pipeline *semi = plan.AddPipeline(probe_table, {0, 1});
+      semi->Add<op::HashJoinProbeOp>(1, build, op::ProbeEmit::kSemi);
+      CollectOp *semi_rows = semi->Add<CollectOp>(0);
+      // Unprobed, feeding a build keyed on id with fk as payload.
+      builder.Scan(probe_table, {0, 1}).JoinProbe(1, build, op::ProbeEmit::kSemi);
+      op::HashJoinBuildOp *reduced = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
+      // Probed: every fk match, then keep only the matches of even ids.
+      op::Pipeline *chained = plan.AddPipeline(probe_table, {0, 1});
+      chained->Add<op::HashJoinProbeOp>(1, build);
+      chained->Add<op::HashJoinProbeOp>(0, even_build, op::ProbeEmit::kSemi);
+      CollectOp *chained_rows = chained->Add<CollectOp>(0);
+      // Empty build: nothing reaches the sink.
+      op::Pipeline *empty = plan.AddPipeline(probe_table, {0, 1});
+      empty->Add<op::HashJoinProbeOp>(1, empty_build, op::ProbeEmit::kSemi);
+      CollectOp *empty_rows = empty->Add<CollectOp>(0);
+      plan.Run(txn, run_pool, nullptr);
+      txn_manager_.Commit(txn);
+
+      std::vector<int64_t> got;
+      for (const CollectOp::Row &row : semi_rows->All()) {
+        EXPECT_EQ(row.payload, 0u) << "a semi-probe must leave the chunk unprobed";
+        got.push_back(row.id);
+      }
+      EXPECT_EQ(got, survivors) << label << " " << workers << " workers";
+
+      EXPECT_EQ(reduced->Table().NumEntries(), survivors.size())
+          << label << ": the downstream build did not consume the refined selection";
+      for (const int64_t id : survivors) {
+        std::vector<uint64_t> payloads;
+        reduced->Table().ForEachMatch(id, [&](uint64_t p) { payloads.push_back(p); });
+        EXPECT_EQ(payloads, std::vector<uint64_t>{static_cast<uint64_t>(fk_of(id))})
+            << label << " id " << id;
+      }
+
+      std::vector<std::pair<int64_t, uint64_t>> chained_got;
+      for (const CollectOp::Row &row : chained_rows->All()) {
+        chained_got.emplace_back(row.id, row.payload);
+      }
+      EXPECT_EQ(chained_got, even_matches)
+          << label << " " << workers << " workers: the probed chunk's match list";
+
+      EXPECT_TRUE(empty_rows->All().empty()) << label;
+    }
+  };
+  check("hot");
+  Freeze(probe_table);
+  check("frozen");
+  gc_.FullGC();
+}
+
 /// AggregateOp grouped (one and two string columns) and ungrouped, all five
 /// aggregate kinds, verified exactly against a manual pass — the micro table
 /// fits one block, so the per-block partial IS the final accumulation and a
