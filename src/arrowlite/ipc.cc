@@ -103,6 +103,8 @@ std::shared_ptr<Array> IpcStreamReader::ReadArray(int64_t num_rows) {
   GetValue(&type_byte);
   GetValue(&null_count);
   GetValue(&has_validity);
+  // A type byte past the last Type is corruption: end the stream.
+  if (type_byte > static_cast<uint8_t>(Type::kDictionary)) done_ = true;
   if (done_) return nullptr;
   const auto type = static_cast<Type>(type_byte);
   std::shared_ptr<Buffer> validity = has_validity != 0 ? ReadBuffer() : nullptr;
@@ -133,11 +135,12 @@ std::shared_ptr<Array> IpcStreamReader::ReadArray(int64_t num_rows) {
 std::shared_ptr<RecordBatch> IpcStreamReader::ReadNext() {
   if (done_) return nullptr;
   char marker;
-  if (!source_->ReadValue(&marker) || marker == 'E') {
+  // 'E' ends the stream; any other byte but 'B' is corruption, which ends
+  // it too, at the last whole batch.
+  if (!source_->ReadValue(&marker) || marker != 'B') {
     done_ = true;
     return nullptr;
   }
-  MAINLINE_ASSERT(marker == 'B', "corrupt IPC stream");
   uint64_t num_rows = 0;
   GetValue(&num_rows);
   std::vector<std::shared_ptr<Array>> columns;

@@ -24,7 +24,9 @@ constexpr uint64_t PaddingAt(uint64_t offset) {
 /// zero-serialization property. This byte framing stands in for Arrow's
 /// flatbuffer message metadata: it carries the same schema, lengths, null
 /// counts and buffers, and keeps Arrow's 8-byte body alignment, but is not
-/// wire-compatible with Arrow readers.
+/// wire-compatible with Arrow readers. A stream may be written in pieces, each
+/// piece by its own writer that continues the stream at the piece's offset
+/// (see exporter::ArrowFlightExporter).
 ///
 /// Message grammar (integers little-endian, as in memory):
 ///   stream  := schema batch* end
@@ -40,6 +42,10 @@ class IpcStreamWriter {
  public:
   /// Write the schema message immediately.
   IpcStreamWriter(ByteSink *sink, const Schema &schema);
+
+  /// Continue a stream whose first `offset` bytes are written elsewhere: no
+  /// schema message, and every buffer padded as at that offset.
+  IpcStreamWriter(ByteSink *sink, uint64_t offset) : sink_(sink), offset_(offset) {}
 
   /// Write one record batch message.
   void WriteBatch(const RecordBatch &batch);
@@ -67,7 +73,8 @@ class IpcStreamWriter {
 /// buffer lands as a non-owning view of the source's bytes (no allocation,
 /// no copy), 8-byte aligned when the span is, so the batches are valid only
 /// as long as the span's memory. A stream cut short ends at its last whole
-/// batch.
+/// batch, and so does a corrupt one: a message marker other than 'B' or 'E',
+/// or a column type byte that names no Type.
 class IpcStreamReader {
  public:
   explicit IpcStreamReader(SpanSource *source);

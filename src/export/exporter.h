@@ -29,6 +29,20 @@ struct ExportResult {
 /// A bulk data-export mechanism (Section 5). Implementations walk the
 /// table's blocks; frozen blocks may be read in place under the block read
 /// lock, hot blocks must be materialized through a transaction first.
+///
+/// The Arrow-native exporters (Flight and RDMA) export in two steps. One
+/// thread plans the stream: it walks the blocks in order, sizes each block's
+/// message with a dry run of the writer at the offset where the message will
+/// start, and claims that range of the ClientBuffer, growing it as needed. A
+/// hot block is materialized and its message written at once, so the export
+/// never holds a second copy of the hot data; a frozen block is read in place
+/// under its read lock and its message left to step two. Then the workers of
+/// a pool write the frozen blocks' messages into their ranges, each worker a
+/// contiguous run of blocks of about equal bytes, the way a multi-endpoint
+/// Flight DoGet or a multi-queue RDMA NIC moves one stream over several
+/// lanes. The bytes are the same as a one-thread export's; only the copy
+/// standing in for the transfer runs in parallel. A frozen block's read lock
+/// is held from planning until its message has landed, and released then.
 class Exporter {
  public:
   virtual ~Exporter() = default;
@@ -43,9 +57,9 @@ class Exporter {
 
 /// Simulated client memory region for one-sided transfers (the RDMA path)
 /// and a landing zone for the other protocols' wire bytes. The constructor's
-/// capacity is an initial reservation: a Write past it grows the region
-/// (moving the bytes written so far), so take pointers into data() only once
-/// the writing is done.
+/// capacity is an initial reservation: a Write or Claim past it grows the
+/// region (moving the bytes written so far), so take pointers into data()
+/// only once the writing is done, and address claimed ranges by offset.
 class ClientBuffer final : public arrowlite::ByteSink {
  public:
   explicit ClientBuffer(uint64_t capacity)
@@ -55,6 +69,22 @@ class ClientBuffer final : public arrowlite::ByteSink {
     if (UNLIKELY(size > capacity_ - size_)) Grow(size_ + size);
     std::memcpy(data_.get() + size_, data, size);
     size_ += size;
+  }
+
+  /// Append `size` bytes to the region without writing them, growing it
+  /// like Write. Fill them in later with FillAt.
+  /// \return the offset of the claimed range.
+  uint64_t Claim(uint64_t size) {
+    if (UNLIKELY(size > capacity_ - size_)) Grow(size_ + size);
+    const uint64_t offset = size_;
+    size_ += size;
+    return offset;
+  }
+
+  /// Write into a claimed range. Threads may fill disjoint ranges at once,
+  /// provided no Write or Claim (which may move the region) runs meanwhile.
+  void FillAt(uint64_t offset, const byte *data, uint64_t size) {
+    std::memcpy(data_.get() + offset, data, size);
   }
 
   void Reset() { size_ = 0; }

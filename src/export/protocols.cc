@@ -1,10 +1,12 @@
 #include "export/protocols.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
+#include "arrowlite/buffer.h"
 #include "arrowlite/builder.h"
 #include "arrowlite/io.h"
 #include "arrowlite/ipc.h"
@@ -192,6 +194,146 @@ std::shared_ptr<arrowlite::RecordBatch> ParsePostgresWire(const catalog::Schema 
   }
   return std::make_shared<arrowlite::RecordBatch>(
       std::make_shared<arrowlite::Schema>(std::move(fields)), rows, std::move(columns));
+}
+
+/// A sink writing a claimed range of the ClientBuffer from `offset` on.
+class ClaimedRange final : public arrowlite::ByteSink {
+ public:
+  ClaimedRange(ClientBuffer *client, uint64_t offset) : client_(client), offset_(offset) {}
+
+  void Write(const byte *data, uint64_t size) override {
+    client_->FillAt(offset_, data, size);
+    offset_ += size;
+  }
+
+ private:
+  ClientBuffer *client_;
+  uint64_t offset_;
+};
+
+/// Flight's message for one block: an IPC batch message, continuing the
+/// stream at `offset`.
+struct FlightMessage {
+  static void Write(arrowlite::ByteSink *sink, const arrowlite::RecordBatch &batch,
+                    uint64_t offset) {
+    arrowlite::IpcStreamWriter(sink, offset).WriteBatch(batch);
+  }
+};
+
+/// RDMA's message for one block: every buffer, raw, in column order.
+struct RdmaMessage {
+  static void Write(arrowlite::ByteSink *sink, const arrowlite::RecordBatch &batch,
+                    uint64_t /*offset*/) {
+    const auto put = [sink](const arrowlite::Buffer &buffer) {
+      sink->Write(buffer.data(), buffer.size());
+    };
+    for (int c = 0; c < batch.num_columns(); c++) {
+      const arrowlite::Array &array = *batch.column(c);
+      if (array.validity() != nullptr) put(*array.validity());
+      put(*array.buffer(0));
+      if (array.type() == arrowlite::Type::kString) {
+        put(*array.buffer(1));
+      } else if (array.type() == arrowlite::Type::kDictionary) {
+        put(*array.dictionary()->buffer(0));
+        put(*array.dictionary()->buffer(1));
+      }
+    }
+  }
+};
+
+/// A block whose message the copy step writes into its claimed range, and
+/// the read lock that keeps the block's buffers in place until then.
+struct PlannedBlock {
+  template <typename Message>
+  void WriteTo(ClientBuffer *client) const {
+    ClaimedRange sink(client, offset);
+    Message::Write(&sink, *batch, offset);
+  }
+
+  RawBlock *locked;
+  std::shared_ptr<const arrowlite::RecordBatch> batch;
+  uint64_t offset;
+  uint64_t size;
+};
+
+/// Step one of an Arrow-native export (see Exporter): walk the table's
+/// blocks in order and claim each block's message range of the ClientBuffer,
+/// sized by a dry run of `Message`. A frozen block is read in place under its
+/// read lock, and its message is left to the copy step. A hot block is
+/// materialized and its message written at once, so the export never holds
+/// a second copy of the hot data.
+template <typename Message>
+std::vector<PlannedBlock> PlanBlocks(catalog::SqlTable *table,
+                                     transaction::TransactionManager *txn_manager,
+                                     ClientBuffer *client, ExportResult *result) {
+  const catalog::Schema &schema = table->GetSchema();
+  storage::DataTable &data_table = table->UnderlyingTable();
+  std::vector<PlannedBlock> plan;
+  for (RawBlock *block : data_table.Blocks()) {
+    PlannedBlock planned{nullptr, nullptr, client->size(), 0};
+    if (block->controller.TryAcquireRead()) {
+      result->frozen_blocks++;
+      planned.locked = block;
+      planned.batch = transform::ArrowReader::FromFrozenBlock(schema, data_table, block);
+      if (planned.batch == nullptr) {
+        block->controller.ReleaseRead();
+        continue;
+      }
+    } else {
+      result->hot_blocks++;
+      transaction::TransactionContext *txn = txn_manager->BeginTransaction();
+      planned.batch = transform::ArrowReader::MaterializeBlock(schema, &data_table, block, txn);
+      txn_manager->Commit(txn);
+    }
+    result->rows += static_cast<uint64_t>(planned.batch->num_rows());
+    arrowlite::CountingSink counter;
+    Message::Write(&counter, *planned.batch, planned.offset);
+    planned.size = counter.count();
+    client->Claim(planned.size);
+    if (planned.locked == nullptr) {
+      planned.WriteTo<Message>(client);
+    } else {
+      plan.push_back(std::move(planned));
+    }
+  }
+  return plan;
+}
+
+/// Step two: write the planned blocks' messages into their claimed ranges,
+/// split across `pool`'s workers in contiguous runs of blocks of about equal
+/// bytes, releasing each block's read lock as soon as its message has landed.
+template <typename Message>
+void CopyBlocks(common::WorkerPool *pool, ClientBuffer *client,
+                const std::vector<PlannedBlock> &plan) {
+  const auto copy = [client, &plan](size_t first, size_t last) {
+    for (size_t i = first; i < last; i++) {
+      plan[i].WriteTo<Message>(client);
+      plan[i].locked->controller.ReleaseRead();
+    }
+  };
+  // One lane, or a pool without workers: copy on the calling thread.
+  const uint64_t lanes = std::min<uint64_t>(pool->NumWorkers(), plan.size());
+  if (lanes <= 1) {
+    copy(0, plan.size());
+    return;
+  }
+  uint64_t bytes = 0;
+  for (const PlannedBlock &block : plan) bytes += block.size;
+  // Lane l copies the blocks whose messages start in its l-th of the bytes.
+  size_t first = 0;
+  uint64_t start = 0;
+  for (uint64_t lane = 0; lane < lanes; lane++) {
+    const uint64_t lane_end = bytes * (lane + 1) / lanes;
+    size_t last = first;
+    while (last < plan.size() && (lane + 1 == lanes || start < lane_end)) {
+      start += plan[last++].size;
+    }
+    if (first == last) continue;
+    // A pool shut down under us rejects the task: copy its blocks inline.
+    if (!pool->SubmitTask([copy, first, last] { copy(first, last); })) copy(first, last);
+    first = last;
+  }
+  pool->WaitUntilAllFinished();
 }
 
 }  // namespace
@@ -448,37 +590,20 @@ ExportResult VectorizedWireExporter::Export(catalog::SqlTable *table,
 
 ExportResult ArrowFlightExporter::Export(catalog::SqlTable *table,
                                          transaction::TransactionManager *txn_manager) {
+  common::WorkerPool *pool = workers_.Get();
   client_->Reset();
   client_batches_.clear();
   ExportResult result;
-  const catalog::Schema &schema = table->GetSchema();
-  storage::DataTable &data_table = table->UnderlyingTable();
   {
     common::ScopedTimer<std::chrono::microseconds> timer(&result.micros);
-    auto arrow_schema = transform::ArrowReader::ToArrowSchema(schema);
-    arrowlite::IpcStreamWriter writer(client_, *arrow_schema);
-    for (RawBlock *block : data_table.Blocks()) {
-      if (block->controller.TryAcquireRead()) {
-        // Zero-copy: the block's buffers go onto the wire verbatim.
-        result.frozen_blocks++;
-        auto batch = transform::ArrowReader::FromFrozenBlock(schema, data_table, block);
-        if (batch != nullptr) {
-          writer.WriteBatch(*batch);
-          result.rows += static_cast<uint64_t>(batch->num_rows());
-        }
-        block->controller.ReleaseRead();
-      } else {
-        // Hot block: materialize a transactional snapshot first.
-        result.hot_blocks++;
-        transaction::TransactionContext *txn = txn_manager->BeginTransaction();
-        auto batch =
-            transform::ArrowReader::MaterializeBlock(schema, &data_table, block, txn);
-        txn_manager->Commit(txn);
-        writer.WriteBatch(*batch);
-        result.rows += static_cast<uint64_t>(batch->num_rows());
-      }
-    }
-    writer.Close();
+    // Plan: the schema message, then every batch message's range, then the
+    // end marker.
+    arrowlite::IpcStreamWriter(client_, *transform::ArrowReader::ToArrowSchema(
+                                            table->GetSchema()));
+    const std::vector<PlannedBlock> plan =
+        PlanBlocks<FlightMessage>(table, txn_manager, client_, &result);
+    arrowlite::IpcStreamWriter(client_, client_->size()).Close();
+    CopyBlocks<FlightMessage>(pool, client_, plan);
     // Client side: land the stream in place — no per-value parsing, and no
     // allocation or copy either: SpanSource lends the wire bytes, so every
     // client buffer is a view into the ClientBuffer.
@@ -492,47 +617,15 @@ ExportResult ArrowFlightExporter::Export(catalog::SqlTable *table,
 
 ExportResult RdmaExporter::Export(catalog::SqlTable *table,
                                   transaction::TransactionManager *txn_manager) {
+  common::WorkerPool *pool = workers_.Get();
   client_->Reset();
   ExportResult result;
-  const catalog::Schema &schema = table->GetSchema();
-  storage::DataTable &data_table = table->UnderlyingTable();
   {
     common::ScopedTimer<std::chrono::microseconds> timer(&result.micros);
-    auto write_batch_raw = [&](const arrowlite::RecordBatch &batch) {
-      for (int c = 0; c < batch.num_columns(); c++) {
-        const arrowlite::Array &array = *batch.column(c);
-        if (array.validity() != nullptr) {
-          client_->Write(array.validity()->data(), array.validity()->size());
-        }
-        client_->Write(array.buffer(0)->data(), array.buffer(0)->size());
-        if (array.type() == arrowlite::Type::kString) {
-          client_->Write(array.buffer(1)->data(), array.buffer(1)->size());
-        } else if (array.type() == arrowlite::Type::kDictionary) {
-          const arrowlite::Array &dict = *array.dictionary();
-          client_->Write(dict.buffer(0)->data(), dict.buffer(0)->size());
-          client_->Write(dict.buffer(1)->data(), dict.buffer(1)->size());
-        }
-      }
-      result.rows += static_cast<uint64_t>(batch.num_rows());
-    };
-
-    for (RawBlock *block : data_table.Blocks()) {
-      if (block->controller.TryAcquireRead()) {
-        // One-sided transfer of the block's Arrow buffers into client
-        // memory: no serialization, no framing, no server-side encode.
-        result.frozen_blocks++;
-        auto batch = transform::ArrowReader::FromFrozenBlock(schema, data_table, block);
-        if (batch != nullptr) write_batch_raw(*batch);
-        block->controller.ReleaseRead();
-      } else {
-        result.hot_blocks++;
-        transaction::TransactionContext *txn = txn_manager->BeginTransaction();
-        auto batch =
-            transform::ArrowReader::MaterializeBlock(schema, &data_table, block, txn);
-        txn_manager->Commit(txn);
-        write_batch_raw(*batch);
-      }
-    }
+    // One-sided transfer of each block's Arrow buffers into client memory:
+    // no serialization, no framing, no server-side encode.
+    CopyBlocks<RdmaMessage>(pool, client_,
+                            PlanBlocks<RdmaMessage>(table, txn_manager, client_, &result));
   }
   result.wire_bytes = client_->size();
   return result;

@@ -1,9 +1,12 @@
 #pragma once
 
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "arrowlite/array.h"
 #include "catalog/sql_table.h"
+#include "common/worker_pool.h"
 #include "export/exporter.h"
 #include "transaction/transaction_manager.h"
 
@@ -50,14 +53,47 @@ class VectorizedWireExporter final : public Exporter {
   std::shared_ptr<arrowlite::RecordBatch> client_batch_;
 };
 
+/// The workers that run the copy step of an Arrow-native export (see
+/// Exporter): the caller's pool, which must be otherwise idle during Export,
+/// or, given none, a pool of std::thread::hardware_concurrency() workers
+/// created on the first Export and owned here.
+class CopyWorkers {
+ public:
+  explicit CopyWorkers(common::WorkerPool *pool) : pool_(pool) {}
+
+  common::WorkerPool *Get() {
+    if (pool_ == nullptr) {
+      const uint32_t hw = std::thread::hardware_concurrency();
+      owned_ = std::make_unique<common::WorkerPool>(hw == 0 ? 1 : hw);
+      pool_ = owned_.get();
+    }
+    return pool_;
+  }
+
+ private:
+  common::WorkerPool *pool_;
+  std::unique_ptr<common::WorkerPool> owned_;
+};
+
 /// Arrow-native RPC in the style of Arrow Flight: frozen blocks' buffers go
 /// onto the wire verbatim through the IPC stream writer (no per-value
 /// encoding), and the client lands them in place: every client buffer is a
 /// view into the ClientBuffer's wire bytes, with no allocation, copy or
 /// parse. Hot blocks are transactionally materialized first.
+///
+/// Export plans the stream on the calling thread (the schema message goes
+/// out, each batch message is sized by a dry run of the IpcStreamWriter at
+/// its offset, a hot block's is written at once), then writes the frozen
+/// blocks' batch messages into the ClientBuffer on every worker, each worker
+/// continuing the stream at its blocks' offsets and releasing each block's
+/// read lock once its message is in; then the client lands the stream. The
+/// wire bytes equal a one-thread IpcStreamWriter's.
 class ArrowFlightExporter final : public Exporter {
  public:
-  explicit ArrowFlightExporter(ClientBuffer *client) : client_(client) {}
+  /// \param client sink standing in for the client connection
+  /// \param pool workers for the copy step; nullptr for an owned pool
+  explicit ArrowFlightExporter(ClientBuffer *client, common::WorkerPool *pool = nullptr)
+      : client_(client), workers_(pool) {}
 
   ExportResult Export(catalog::SqlTable *table,
                       transaction::TransactionManager *txn_manager) override;
@@ -72,6 +108,7 @@ class ArrowFlightExporter final : public Exporter {
 
  private:
   ClientBuffer *client_;
+  CopyWorkers workers_;
   std::vector<std::shared_ptr<arrowlite::RecordBatch>> client_batches_;
 };
 
@@ -80,9 +117,15 @@ class ArrowFlightExporter final : public Exporter {
 /// blocks are materialized first. A memcpy into the ClientBuffer substitutes
 /// for the RDMA NIC and its one-sided writes, preserving the protocol cost
 /// structure Figure 15 isolates (zero serialization, no CPU-side encode).
+/// The client receives every buffer in block and column order. Export runs
+/// the same two steps as ArrowFlightExporter: plan on the calling thread,
+/// copy the frozen blocks on every worker, like a NIC with one queue per
+/// worker.
 class RdmaExporter final : public Exporter {
  public:
-  explicit RdmaExporter(ClientBuffer *client) : client_(client) {}
+  /// \param pool workers for the copy step; nullptr for an owned pool
+  explicit RdmaExporter(ClientBuffer *client, common::WorkerPool *pool = nullptr)
+      : client_(client), workers_(pool) {}
 
   ExportResult Export(catalog::SqlTable *table,
                       transaction::TransactionManager *txn_manager) override;
@@ -90,6 +133,7 @@ class RdmaExporter final : public Exporter {
 
  private:
   ClientBuffer *client_;
+  CopyWorkers workers_;
 };
 
 }  // namespace mainline::exporter

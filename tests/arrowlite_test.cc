@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "arrowlite/builder.h"
 #include "arrowlite/csv.h"
@@ -166,6 +167,58 @@ TEST(ArrowliteTest, IpcEndsACutStreamAtItsLastWholeBatch) {
     int whole = 0;
     for (const uint64_t end : batch_ends) whole += end <= cut ? 1 : 0;
     EXPECT_EQ(batches, whole) << "cut at " << cut;
+  }
+}
+
+/// A corrupt stream ends where a cut one does, at its last whole batch, in
+/// every build: here the second batch's message marker is any byte but 'B'.
+TEST(ArrowliteTest, IpcEndsAStreamWithACorruptMarkerAtItsLastWholeBatch) {
+  auto batch = OddNamedBatch();
+  VectorSink sink;
+  IpcStreamWriter writer(&sink, *batch->schema());
+  writer.WriteBatch(*batch);
+  const uint64_t second_marker = sink.data().size();
+  writer.WriteBatch(*batch);
+  writer.Close();
+  ASSERT_EQ(static_cast<char>(sink.data()[second_marker]), 'B');
+
+  for (int marker = 0; marker < 256; marker++) {
+    if (static_cast<char>(marker) == 'B') continue;
+    std::vector<byte> corrupt = sink.data();
+    corrupt[second_marker] = static_cast<byte>(marker);
+    SpanSource source(corrupt.data(), corrupt.size());
+    IpcStreamReader reader(&source);
+    auto first = reader.ReadNext();
+    ASSERT_NE(first, nullptr) << "marker " << marker;
+    EXPECT_TRUE(first->Equals(*batch));
+    EXPECT_EQ(reader.ReadNext(), nullptr) << "marker " << marker;
+    EXPECT_EQ(reader.ReadNext(), nullptr) << "marker " << marker;
+  }
+}
+
+/// A column type byte that names no Type ends the stream at the last whole
+/// batch instead of reaching Array::MakeFixed.
+TEST(ArrowliteTest, IpcEndsAStreamWithAnUnknownTypeAtItsLastWholeBatch) {
+  auto batch = OddNamedBatch();
+  VectorSink sink;
+  IpcStreamWriter writer(&sink, *batch->schema());
+  writer.WriteBatch(*batch);
+  // 'B', then the u64 row count, then the first column's type byte.
+  const uint64_t type_byte = sink.data().size() + 1 + sizeof(uint64_t);
+  writer.WriteBatch(*batch);
+  writer.Close();
+  ASSERT_EQ(static_cast<Type>(sink.data()[type_byte]), batch->column(0)->type());
+
+  for (int type = static_cast<int>(Type::kDictionary) + 1; type < 256; type++) {
+    std::vector<byte> corrupt = sink.data();
+    corrupt[type_byte] = static_cast<byte>(type);
+    SpanSource source(corrupt.data(), corrupt.size());
+    IpcStreamReader reader(&source);
+    auto first = reader.ReadNext();
+    ASSERT_NE(first, nullptr) << "type " << type;
+    EXPECT_TRUE(first->Equals(*batch));
+    EXPECT_EQ(reader.ReadNext(), nullptr) << "type " << type;
+    EXPECT_EQ(reader.ReadNext(), nullptr) << "type " << type;
   }
 }
 
