@@ -1,12 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
-#include "arrowlite/array.h"
 #include "common/macros.h"
-#include "common/selection_vector.h"
 #include "common/worker_pool.h"
 
 namespace mainline::execution {
@@ -20,47 +21,74 @@ struct JoinEntry {
   uint64_t payload;
 };
 
-/// The build side of a morsel-parallel hash join (Section 4.1's dual access
-/// path underneath, morsel-driven on top): a partitioned open-addressing hash
-/// table over int64 join keys, each partition fronted by a blocked Bloom
-/// filter.
+/// The build side of a morsel-parallel equi-join over int64 keys (Section
+/// 4.1's dual access path underneath, morsel-driven on top). Build picks one
+/// of two layouts from the span of the build keys, by one fixed rule:
 ///
-/// The build runs in two steps, none of which takes a lock and neither of
-/// which is sequential:
+///  - **Dense** when `max − min < kDenseSlotsPerEntry × entries` (computed in
+///    unsigned 64-bit, so INT64_MIN with INT64_MAX cannot overflow): a CSR
+///    layout (compressed sparse rows). `offsets[key − min]` is where key's
+///    entries start in `payloads` and `offsets[key − min + 1]` where they
+///    end. A probe is one bounds check and one or two array loads, and the
+///    offsets double as the filter. Surrogate keys handed out in sequence —
+///    TPC-H `*_KEY` columns, TPC-C ids, auto-increment ids — land here.
+///  - **Hashed** otherwise: 64 open-addressing partitions, each fronted by a
+///    blocked Bloom filter.
+///
+/// The rule is memory-neutral. A hashed entry costs at least two 17-byte
+/// slots (load factor <= 0.5, 16-byte entry plus its occupancy byte) and one
+/// Bloom byte: 35 bytes. A dense table costs 8 bytes per entry plus 4 per
+/// key of the span, under 32 bytes per entry below the threshold — so the
+/// dense layout is never the larger one.
+///
+/// The build has no sequential step over the entries, and no locks:
 ///
 ///  1. **Scan**: op::HashJoinBuildOp's pipeline hands block-granular morsels
-///     to the worker pool; each worker emits its blocks' (key, payload) pairs
-///     into a per-block-ordinal BlockEntries (disjoint writes, like the query
-///     engines' per-block partials), grouped there by hash prefix with a
-///     stable counting sort.
-///  2. **Partition build**: one task per non-empty partition inserts that
-///     partition's sub-range of every block's entries, walking ordinals in
-///     block order — so partition contents (and therefore duplicate-match
-///     order) are deterministic and independent of the worker count. The
-///     same task fills the partition's Bloom filter. Partitions are disjoint
-///     by construction, so the tasks share nothing.
+///     to the worker pool; each worker appends its block's (key, payload)
+///     pairs, in row order, to a per-block-ordinal BlockEntries (disjoint
+///     writes, like the query engines' per-block partials), which records
+///     the block's key range.
+///  2. **Build**, dense: one task per key range zeroes and counts its slice
+///     of the offsets, reading only the blocks whose key range overlaps its
+///     own; a short in-order prefix sum over the range totals places the
+///     ranges; then each task turns its slice into start offsets and
+///     scatters its payloads, walking the blocks in ordinal order.
+///     Hashed: one task per run of blocks groups each block's entries by
+///     hash prefix (a stable counting sort); then one task per partition
+///     inserts that partition's share of every block in ordinal order and
+///     fills the partition's Bloom filter.
 ///
-/// Probes test the Bloom filter word before touching the slots, so a key
-/// absent from the build usually costs one cache line. Duplicate build keys
-/// are supported: every entry gets its own slot, and ForEachMatch visits all
-/// of them in insertion (block) order. The table is insert-only — probes
-/// never mutate it, so the probe phase may run from any number of threads
-/// concurrently.
+/// Either way, the entries of one key come out in block-then-row order, so
+/// ForEachMatch visits duplicates in that order in both layouts, at any
+/// worker count. Probes never mutate the table, so any number of threads
+/// may probe concurrently.
 class JoinHashTable {
  public:
-  /// Partition count: enough to keep a pool of workers busy in step 2 while
-  /// keeping each block's partition offsets small.
+  /// Hashed-layout partition count: enough to keep a pool of workers busy
+  /// while keeping each block's partition offsets small.
   static constexpr uint32_t kNumPartitions = 64;
+  /// The dense-layout rule's constant (see the class comment).
+  static constexpr uint64_t kDenseSlotsPerEntry = 6;
 
-  /// One block's build entries, grouped by partition: partition p's entries
-  /// are entries[offsets[p], offsets[p + 1]), in the block's row order.
+  enum class Layout : uint8_t { kDense, kHashed };
+
+  /// One block's build entries, in the block's row order, and the range of
+  /// their keys.
   struct BlockEntries {
     std::vector<JoinEntry> entries;
-    std::array<uint32_t, kNumPartitions + 1> offsets{};
+    int64_t min_key = std::numeric_limits<int64_t>::max();
+    int64_t max_key = std::numeric_limits<int64_t>::min();
 
-    /// Replace the contents with `rows` (one block's entries, in row order),
-    /// grouped by partition with a stable counting sort.
-    void Assign(const std::vector<JoinEntry> &rows);
+    /// Replace the contents with `rows` and record their key range.
+    void Assign(std::vector<JoinEntry> rows) {
+      entries = std::move(rows);
+      min_key = std::numeric_limits<int64_t>::max();
+      max_key = std::numeric_limits<int64_t>::min();
+      for (const JoinEntry &entry : entries) {
+        min_key = std::min(min_key, entry.key);
+        max_key = std::max(max_key, entry.key);
+      }
+    }
   };
 
   JoinHashTable() = default;
@@ -70,58 +98,43 @@ class JoinHashTable {
   JoinHashTable &operator=(JoinHashTable &&) noexcept = default;
 
   /// Step 2 of the build, over the per-block-ordinal entries step 1
-  /// produced: build every partition, one pool task each, from its
-  /// sub-range of each block in ordinal order. A null/zero-worker/shut-down
-  /// pool degrades to an inline build on the calling thread.
-  static JoinHashTable Build(const std::vector<BlockEntries> &per_block,
-                             common::WorkerPool *pool);
+  /// produced (consumed: a hashed build regroups them in place). Parallel
+  /// over `pool`; a null/zero-worker/shut-down pool degrades to an inline
+  /// build on the calling thread.
+  static JoinHashTable Build(std::vector<BlockEntries> per_block, common::WorkerPool *pool);
+
+  /// Call `fn(probe)` with the probe of this table's layout: an object with
+  /// `ForEachMatch(key, each)` and `Contains(key)` as below. A caller probing
+  /// many keys branches on the layout once, not once per key.
+  template <typename Fn>
+  decltype(auto) WithProbe(Fn &&fn) const {
+    if (layout_ == Layout::kDense) {
+      return fn(DenseProbe{min_key_, num_slots_, offsets_.get(), payloads_.get()});
+    }
+    return fn(HashedProbe{&partitions_});
+  }
 
   /// Invoke `fn(payload)` for every build entry whose key equals `key`, in
-  /// the deterministic insertion order described above. Thread-safe.
+  /// the block-then-row order described above. Thread-safe.
   template <typename Fn>
   void ForEachMatch(int64_t key, Fn &&fn) const {
-    const uint64_t h = HashKey(key);
-    const Partition &p = partitions_[h >> kPartitionShift];
-    if (!p.MayContain(h)) return;
-    for (uint64_t i = h & p.mask;; i = (i + 1) & p.mask) {
-      if (!p.used[i]) return;
-      if (p.slots[i].key == key) fn(p.slots[i].payload);
-    }
+    WithProbe([&](const auto &probe) { probe.ForEachMatch(key, fn); });
   }
 
   /// \return whether at least one build entry has key `key`. Thread-safe.
   bool Contains(int64_t key) const {
-    const uint64_t h = HashKey(key);
-    const Partition &p = partitions_[h >> kPartitionShift];
-    if (!p.MayContain(h)) return false;
-    for (uint64_t i = h & p.mask;; i = (i + 1) & p.mask) {
-      if (!p.used[i]) return false;
-      if (p.slots[i].key == key) return true;
-    }
+    return WithProbe([key](const auto &probe) { return probe.Contains(key); });
   }
 
-  /// Probe every selected row of an int64 key column, invoking
-  /// `fn(row, payload)` per match. Null keys match nothing. Thread-safe.
-  template <typename Fn>
-  void ProbeSelected(const arrowlite::Array &keys, const common::SelectionVector &sel,
-                     Fn &&fn) const {
-    const int64_t *values = keys.buffer(0)->data_as<int64_t>();
-    if (keys.null_count() == 0) {
-      for (const uint32_t row : sel) {
-        ForEachMatch(values[row], [&](uint64_t payload) { fn(row, payload); });
-      }
-    } else {
-      for (const uint32_t row : sel) {
-        if (keys.IsNull(row)) continue;
-        ForEachMatch(values[row], [&](uint64_t payload) { fn(row, payload); });
-      }
-    }
-  }
-
-  /// \return total number of build entries across all partitions.
+  /// \return total number of build entries.
   uint64_t NumEntries() const { return num_entries_; }
 
   bool Empty() const { return num_entries_ == 0; }
+
+  Layout GetLayout() const { return layout_; }
+
+  /// \return the bytes the table's arrays hold (EXPLAIN's table_bytes).
+  uint64_t TableBytes() const;
 
   /// 64-bit mix of a join key (splitmix64 finalizer): the top bits pick the
   /// partition, the low bits the slot and the Bloom word, and bits 40-57
@@ -139,6 +152,10 @@ class JoinHashTable {
   static constexpr uint32_t kPartitionShift = 64 - 6;  // 2^6 == kNumPartitions
   static_assert((uint32_t{1} << (64 - kPartitionShift)) == kNumPartitions,
                 "partition shift must match the partition count");
+
+  /// One block's hashed-build bounds: partition p's entries are
+  /// entries[bounds[p], bounds[p + 1]) once the block is grouped.
+  using PartitionBounds = std::array<uint32_t, kNumPartitions + 1>;
 
   /// The three bits a key sets in its Bloom filter word.
   static uint64_t BloomBits(uint64_t h) {
@@ -163,13 +180,80 @@ class JoinHashTable {
       return (bloom[h & (bloom.size() - 1)] & bits) == bits;
     }
 
-    /// Insert partition `p`'s `count` entries from every block, in ordinal
-    /// order.
-    void BuildFrom(const std::vector<BlockEntries> &per_block, uint32_t p, uint64_t count);
+    /// Insert partition `p`'s `count` entries from every grouped block, in
+    /// ordinal order.
+    void BuildFrom(const std::vector<BlockEntries> &per_block,
+                   const std::vector<PartitionBounds> &bounds, uint32_t p, uint64_t count);
   };
 
-  std::array<Partition, kNumPartitions> partitions_;
+  /// Position of `key` in the dense offsets: out of range (>= num_slots)
+  /// for keys outside [min, max], those below min wrapping around to huge
+  /// values.
+  static uint64_t DenseIndex(int64_t key, int64_t min_key) {
+    return static_cast<uint64_t>(key) - static_cast<uint64_t>(min_key);
+  }
+  uint64_t DenseIndex(int64_t key) const { return DenseIndex(key, min_key_); }
+
+  /// The dense layout's probe: one bounds check, then the key's offsets.
+  struct DenseProbe {
+    int64_t min_key;
+    uint64_t num_slots;
+    const uint32_t *offsets;
+    const uint64_t *payloads;
+
+    template <typename Fn>
+    void ForEachMatch(int64_t key, Fn &&fn) const {
+      const uint64_t i = DenseIndex(key, min_key);
+      if (i >= num_slots) return;
+      for (uint32_t e = offsets[i], end = offsets[i + 1]; e < end; e++) fn(payloads[e]);
+    }
+
+    bool Contains(int64_t key) const {
+      const uint64_t i = DenseIndex(key, min_key);
+      return i < num_slots && offsets[i] != offsets[i + 1];
+    }
+  };
+
+  /// The hashed layout's probe: the partition's Bloom word, then its slots.
+  struct HashedProbe {
+    const std::array<Partition, kNumPartitions> *partitions;
+
+    template <typename Fn>
+    void ForEachMatch(int64_t key, Fn &&fn) const {
+      const uint64_t h = HashKey(key);
+      const Partition &p = (*partitions)[h >> kPartitionShift];
+      if (!p.MayContain(h)) return;
+      for (uint64_t i = h & p.mask;; i = (i + 1) & p.mask) {
+        if (!p.used[i]) return;
+        if (p.slots[i].key == key) fn(p.slots[i].payload);
+      }
+    }
+
+    bool Contains(int64_t key) const {
+      const uint64_t h = HashKey(key);
+      const Partition &p = (*partitions)[h >> kPartitionShift];
+      if (!p.MayContain(h)) return false;
+      for (uint64_t i = h & p.mask;; i = (i + 1) & p.mask) {
+        if (!p.used[i]) return false;
+        if (p.slots[i].key == key) return true;
+      }
+    }
+  };
+
+  void BuildDense(const std::vector<BlockEntries> &per_block, common::WorkerPool *pool);
+  void BuildHashed(std::vector<BlockEntries> *per_block, common::WorkerPool *pool);
+
+  Layout layout_ = Layout::kHashed;
   uint64_t num_entries_ = 0;
+
+  // Dense layout.
+  int64_t min_key_ = 0;
+  uint64_t num_slots_ = 0;                ///< max − min + 1 keys; 0 when hashed
+  std::unique_ptr<uint32_t[]> offsets_;   ///< num_slots_ + 1 entry offsets
+  std::unique_ptr<uint64_t[]> payloads_;  ///< num_entries_ payloads, by key
+
+  // Hashed layout.
+  std::array<Partition, kNumPartitions> partitions_;
 };
 
 }  // namespace mainline::execution

@@ -211,13 +211,12 @@ void ForEachInput(const Chunk &chunk, F &&f) {
 
 /// Fold an expression aggregate: `combine` each input's value into
 /// `acc[group(k)]`, in input order, with the expression form and the null
-/// test hoisted out of the loop (the forms are BoundExpr::Eval's, operation
-/// for operation). Inputs with a null source, or a zero payload under
-/// `gate`, are skipped.
+/// test hoisted out of the loop. Inputs with a null source, or a zero
+/// payload under `gate`, are skipped.
 template <typename GroupOf, typename Combine>
 void FoldExpr(const Chunk &chunk, const BoundExpr &e, bool gate, GroupOf group, AggValue *acc,
               Combine combine) {
-  const auto fold = [&](auto value) {
+  e.Dispatch([&](const auto &value) {
     const auto each = [&](auto nullable) {
       ForEachInput(chunk, [&](uint32_t k, uint32_t row, uint64_t payload) {
         if (gate && payload == 0) return;
@@ -230,22 +229,7 @@ void FoldExpr(const Chunk &chunk, const BoundExpr &e, bool gate, GroupOf group, 
     } else {
       each(std::true_type{});
     }
-  };
-  const double *a = e.a, *b = e.b, *c = e.c;
-  switch (e.kind) {
-    case Expr::Kind::kColumn:
-      fold([a](uint32_t r) { return a[r]; });
-      break;
-    case Expr::Kind::kMul:
-      fold([a, b](uint32_t r) { return a[r] * b[r]; });
-      break;
-    case Expr::Kind::kDiscounted:
-      fold([a, b](uint32_t r) { return a[r] * (1.0 - b[r]); });
-      break;
-    case Expr::Kind::kDiscountedTaxed:
-      fold([a, b, c](uint32_t r) { return a[r] * (1.0 - b[r]) * (1.0 + c[r]); });
-      break;
-  }
+  });
 }
 
 /// Fold one aggregate over the chunk's inputs into `acc[group(k)]` for the

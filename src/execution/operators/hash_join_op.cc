@@ -19,12 +19,10 @@ bool PayloadSpec::Matches(std::string_view value) const {
 void HashJoinBuildOp::Push(Chunk *chunk) {
   const arrowlite::Array &keys = chunk->batch->Column(key_col_);
   const int64_t *key_values = keys.buffer(0)->data_as<int64_t>();
-  // The block's entries gather here in row order, then Assign groups them
-  // by partition into the block's slot. Per worker thread, so the scratch
-  // is reused across blocks and never holds more than one block.
-  thread_local std::vector<JoinEntry> rows;
-  rows.clear();
-  rows.reserve(chunk->probed ? chunk->matches.size() : chunk->sel.Size());
+  // Sized for every input up front and written through a local cursor, so
+  // the row loop keeps its output position in a register.
+  std::vector<JoinEntry> entries(chunk->probed ? chunk->matches.size() : chunk->sel.Size());
+  JoinEntry *out = entries.data();
 
   // One entry per input — a selected row, or a join match when this build
   // consumes an already probed stream (multiplicity carries through).
@@ -34,7 +32,7 @@ void HashJoinBuildOp::Push(Chunk *chunk) {
     const bool has_nulls = keys.null_count() != 0 || payload_nulls;
     const auto body = [&](uint32_t row) {
       if (has_nulls && (keys.IsNull(row) || payload_is_null(row))) return;
-      rows.push_back({key_values[row], payload_of_row(row)});
+      *out++ = {key_values[row], payload_of_row(row)};
     };
     if (chunk->probed) {
       for (const JoinMatch &match : chunk->matches) body(match.row);
@@ -93,84 +91,59 @@ void HashJoinBuildOp::Push(Chunk *chunk) {
       break;
     }
   }
-  per_block_[chunk->block_ordinal].Assign(rows);
-  // Like Chunk's buffers: a skewed block must not pin a worst-case scratch
-  // in every worker thread for the rest of the process.
-  if (rows.capacity() > Chunk::kMaxRetainedMatches) std::vector<JoinEntry>().swap(rows);
+  entries.resize(static_cast<size_t>(out - entries.data()));
+  per_block_[chunk->block_ordinal].Assign(std::move(entries));
 }
 
 void HashJoinProbeOp::Push(Chunk *chunk) {
-  const JoinHashTable &table = build_->Table();
-  if (emit_ == ProbeEmit::kSemi) {
-    const arrowlite::Array &keys = chunk->batch->Column(key_col_);
-    const int64_t *values = keys.buffer(0)->data_as<int64_t>();
-    const bool has_nulls = keys.null_count() != 0;
-    const auto hit = [&](uint32_t row) {
-      return !(has_nulls && keys.IsNull(row)) && table.Contains(values[row]);
-    };
-    if (chunk->probed) {
-      std::erase_if(chunk->matches, [&](const JoinMatch &match) { return !hit(match.row); });
-      if (chunk->matches.empty()) return;
-    } else {
+  const arrowlite::Array &keys = chunk->batch->Column(key_col_);
+  const int64_t *values = keys.buffer(0)->data_as<int64_t>();
+  const bool has_nulls = keys.null_count() != 0;
+  const auto is_null = [&](uint32_t row) { return has_nulls && keys.IsNull(row); };
+  // One branch on the table's layout per chunk: the loops below run on that
+  // layout's probe.
+  const bool flows = build_->Table().WithProbe([&](const auto &probe) {
+    if (emit_ == ProbeEmit::kSemi) {
+      const auto hit = [&](uint32_t row) { return !is_null(row) && probe.Contains(values[row]); };
+      if (chunk->probed) {
+        std::erase_if(chunk->matches, [&](const JoinMatch &match) { return !hit(match.row); });
+        return !chunk->matches.empty();
+      }
       chunk->sel.Refine(hit);
-      if (chunk->sel.Empty()) return;
+      return !chunk->sel.Empty();
     }
-    PushNext(chunk);
-    return;
-  }
-  if (!chunk->probed) {
-    chunk->probed = true;
-    if (chunk->sel.Empty() || table.Empty()) return;
-    const arrowlite::Array &keys = chunk->batch->Column(key_col_);
-    if (emit_ == ProbeEmit::kEachMatch) {
-      table.ProbeSelected(keys, chunk->sel, [chunk](uint32_t row, uint64_t payload) {
-        chunk->matches.push_back({row, payload});
-      });
-    } else {
-      const int64_t *values = keys.buffer(0)->data_as<int64_t>();
-      const bool has_nulls = keys.null_count() != 0;
-      for (const uint32_t row : chunk->sel) {
-        if (has_nulls && keys.IsNull(row)) continue;
-        double sum = 0;
-        bool matched = false;
-        table.ForEachMatch(values[row], [&](uint64_t payload) {
-          sum += std::bit_cast<double>(payload);
-          matched = true;
-        });
-        if (matched) chunk->matches.push_back({row, std::bit_cast<uint64_t>(sum)});
-      }
-    }
-  } else {
-    // Chained probe: consume the prior probe's matches, carrying each one's
-    // payload along in JoinMatch::prior. Input order (prior matches) times
-    // the table's insertion order keeps the new list deterministic.
-    std::vector<JoinMatch> prior;
-    prior.swap(chunk->matches);
-    if (prior.empty() || table.Empty()) return;
-    const arrowlite::Array &keys = chunk->batch->Column(key_col_);
-    const int64_t *values = keys.buffer(0)->data_as<int64_t>();
-    const bool has_nulls = keys.null_count() != 0;
-    for (const JoinMatch &match : prior) {
-      if (has_nulls && keys.IsNull(match.row)) continue;
+    // Append one input's matches (kEachMatch) or their payload sum
+    // (kSumPayloadF64), carrying `prior` along.
+    const auto probe_input = [&](uint32_t row, uint64_t prior) {
+      if (is_null(row)) return;
       if (emit_ == ProbeEmit::kEachMatch) {
-        table.ForEachMatch(values[match.row], [&](uint64_t payload) {
-          chunk->matches.push_back({match.row, payload, match.payload});
+        probe.ForEachMatch(values[row], [&](uint64_t payload) {
+          chunk->matches.push_back({row, payload, prior});
         });
-      } else {
-        double sum = 0;
-        bool matched = false;
-        table.ForEachMatch(values[match.row], [&](uint64_t payload) {
-          sum += std::bit_cast<double>(payload);
-          matched = true;
-        });
-        if (matched) {
-          chunk->matches.push_back({match.row, std::bit_cast<uint64_t>(sum), match.payload});
-        }
+        return;
       }
+      double sum = 0;
+      bool matched = false;
+      probe.ForEachMatch(values[row], [&](uint64_t payload) {
+        sum += std::bit_cast<double>(payload);
+        matched = true;
+      });
+      if (matched) chunk->matches.push_back({row, std::bit_cast<uint64_t>(sum), prior});
+    };
+    if (!chunk->probed) {
+      chunk->probed = true;
+      for (const uint32_t row : chunk->sel) probe_input(row, 0);
+    } else {
+      // Chained probe: consume the prior probe's matches, carrying each
+      // one's payload along in JoinMatch::prior. Input order (prior matches)
+      // times the table's match order keeps the new list deterministic.
+      std::vector<JoinMatch> prior;
+      prior.swap(chunk->matches);
+      for (const JoinMatch &match : prior) probe_input(match.row, match.payload);
     }
-  }
-  if (chunk->matches.empty()) return;
-  PushNext(chunk);
+    return !chunk->matches.empty();
+  });
+  if (flows) PushNext(chunk);
 }
 
 }  // namespace mainline::execution::op

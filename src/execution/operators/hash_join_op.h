@@ -68,13 +68,13 @@ struct PayloadSpec {
 };
 
 /// Pipeline-breaking sink that builds a JoinHashTable — the only way one is
-/// built: Push collects each selected row's (key, payload) into its block
-/// ordinal's JoinHashTable::BlockEntries, grouped by hash prefix, and Finish
-/// hands them to JoinHashTable::Build, which builds each partition from its
-/// share of every block in block order (parallel over the run's pool when
-/// one is available), so partition contents and duplicate-match order stay
-/// deterministic at any worker count. Rows with a null key or null payload
-/// column are dropped (SQL join semantics).
+/// built: Push appends each selected row's (key, payload) to its block
+/// ordinal's JoinHashTable::BlockEntries, in row order, and Finish hands them
+/// to JoinHashTable::Build, which picks the dense or hashed layout from the
+/// keys' span and builds it (parallel over the run's pool when one is
+/// available) so that duplicate-match order is block-then-row order at any
+/// worker count. Rows with a null key or null payload column are dropped
+/// (SQL join semantics).
 ///
 /// A build downstream of a probe consumes the chunk's match list instead of
 /// its selection vector — one entry per match, so join multiplicity carries
@@ -100,8 +100,14 @@ class HashJoinBuildOp final : public Operator {
   std::string Label() const override { return "HashJoinBuild"; }
 
   void Finish(common::WorkerPool *pool) override {
-    table_ = JoinHashTable::Build(per_block_, pool);
+    table_ = JoinHashTable::Build(std::move(per_block_), pool);
     per_block_.clear();
+  }
+
+  /// EXPLAIN: the table's layout and size.
+  void Describe(OperatorProfile *record) const override {
+    record->layout = table_.GetLayout() == JoinHashTable::Layout::kDense ? "dense" : "hashed";
+    record->table_bytes = table_.TableBytes();
   }
 
   /// The finished table; valid once this operator's pipeline has Run.

@@ -131,6 +131,10 @@ class Operator {
   /// Display name in EXPLAIN output.
   virtual std::string Label() const { return "Operator"; }
 
+  /// Fill the operator-specific fields of this run's EXPLAIN record (driving
+  /// thread, after Finish).
+  virtual void Describe(OperatorProfile *record) const { (void)record; }
+
   void SetNext(Operator *next) { next_ = next; }
 
   /// Attach this run's profiling recorder (nullptr detaches). Set on the
@@ -176,18 +180,29 @@ struct BoundExpr {
   const double *c = nullptr;
   std::vector<const arrowlite::Array *> null_sources;
 
-  double Eval(uint32_t row) const {
+  /// Call `fn(value)` with the per-row functor of this expression's form,
+  /// `value(row)` being the expression's value at `row`: the one place the
+  /// four forms are written down. A caller evaluating many rows dispatches
+  /// once and loops over `value`.
+  template <typename Fn>
+  decltype(auto) Dispatch(Fn &&fn) const {
     switch (kind) {
       case Expr::Kind::kColumn:
-        return a[row];
+        return fn([a = a](uint32_t row) { return a[row]; });
       case Expr::Kind::kMul:
-        return a[row] * b[row];
+        return fn([a = a, b = b](uint32_t row) { return a[row] * b[row]; });
       case Expr::Kind::kDiscounted:
-        return a[row] * (1.0 - b[row]);
+        return fn([a = a, b = b](uint32_t row) { return a[row] * (1.0 - b[row]); });
       case Expr::Kind::kDiscountedTaxed:
-        return a[row] * (1.0 - b[row]) * (1.0 + c[row]);
+        break;
     }
-    return 0;
+    return fn([a = a, b = b, c = c](uint32_t row) {
+      return a[row] * (1.0 - b[row]) * (1.0 + c[row]);
+    });
+  }
+
+  double Eval(uint32_t row) const {
+    return Dispatch([row](const auto &value) { return value(row); });
   }
 
   bool NullFree() const { return null_sources.empty(); }

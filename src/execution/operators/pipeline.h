@@ -84,6 +84,7 @@ class Pipeline {
     for (size_t i = 0; i < ops_.size(); i++) {
       OperatorProfile &record = profile->operators[i];
       record.label = ops_[i]->Label();
+      ops_[i]->Describe(&record);
       record.rows_in = profilers_[i]->TotalRows();
       // An operator's output is exactly what the next operator saw; the
       // chain's last operator is a sink.

@@ -35,8 +35,9 @@ std::string PlanProfile::ToString() const {
       std::snprintf(sel, sizeof(sel), "%.1f%%", op.Selectivity() * 100.0);
       out << "  -> " << op.label << "  rows_in=" << op.rows_in << " rows_out=" << op.rows_out
           << " sel=" << sel << " chunks=" << op.chunks << " incl=" << FormatNs(op.inclusive_ns)
-          << " excl=" << FormatNs(op.exclusive_ns) << " finish=" << FormatNs(op.finish_ns)
-          << "\n";
+          << " excl=" << FormatNs(op.exclusive_ns) << " finish=" << FormatNs(op.finish_ns);
+      if (!op.layout.empty()) out << " layout=" << op.layout << " table_bytes=" << op.table_bytes;
+      out << "\n";
     }
   }
   return out.str();
@@ -59,7 +60,11 @@ std::string PlanProfile::ToJson() const {
       out << "{\"label\":\"" << op.label << "\",\"rows_in\":" << op.rows_in
           << ",\"rows_out\":" << op.rows_out << ",\"chunks\":" << op.chunks
           << ",\"inclusive_ns\":" << op.inclusive_ns << ",\"exclusive_ns\":" << op.exclusive_ns
-          << ",\"finish_ns\":" << op.finish_ns << '}';
+          << ",\"finish_ns\":" << op.finish_ns;
+      if (!op.layout.empty()) {
+        out << ",\"layout\":\"" << op.layout << "\",\"table_bytes\":" << op.table_bytes;
+      }
+      out << '}';
     }
     out << "]}";
   }

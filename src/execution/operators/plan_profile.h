@@ -28,6 +28,10 @@ struct OperatorProfile {
   /// Time in this operator's Finish (a join build's table construction, an
   /// aggregate's merge) — part of the pipeline's finish_ns, not of the above.
   uint64_t finish_ns = 0;
+  /// A join build's table: "dense" or "hashed" (empty for other operators)
+  /// and the bytes its arrays hold.
+  std::string layout;
+  uint64_t table_bytes = 0;
 
   double Selectivity() const {
     return rows_in == 0 ? 0.0 : static_cast<double>(rows_out) / static_cast<double>(rows_in);

@@ -12,12 +12,14 @@ void ProjectOp::Push(Chunk *chunk) {
     col->values.resize(num_rows);  // recycled capacity; only grows allocate
     col->null_sources = bound.null_sources;
     double *out = col->values.data();
-    if (chunk->probed) {
-      // Duplicate match rows re-evaluate to the same value; no dedup needed.
-      for (const JoinMatch &match : chunk->matches) out[match.row] = bound.Eval(match.row);
-    } else {
-      for (const uint32_t row : chunk->sel) out[row] = bound.Eval(row);
-    }
+    bound.Dispatch([&](const auto &value) {
+      if (chunk->probed) {
+        // Duplicate match rows re-evaluate to the same value; no dedup needed.
+        for (const JoinMatch &match : chunk->matches) out[match.row] = value(match.row);
+      } else {
+        for (const uint32_t row : chunk->sel) out[row] = value(row);
+      }
+    });
   }
   PushNext(chunk);
 }

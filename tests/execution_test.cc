@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
@@ -357,12 +358,30 @@ TEST_P(ExecutionTest, Q6StaysConsistentUnderConcurrentWritesAndTransform) {
       } else {
         txn_manager_.Abort(txn);
       }
+      // One round in four, wait for the transform thread to re-freeze the
+      // written block (at most 500 ms, for slow sanitizer builds); a frozen
+      // block then stays frozen a few ms before the next write heats it.
+      // Without this the writer can keep block 0 warm for the whole window.
+      const bool wait_for_freeze = rng.Uniform(0, 3) == 0;
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+      const auto written_block_frozen = [&] {
+        return dt.Blocks().front()->controller.GetState() == storage::BlockState::kFrozen;
+      };
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      while (wait_for_freeze && !written_block_frozen() &&
+             std::chrono::steady_clock::now() < give_up && !stop.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (written_block_frozen()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(rng.Uniform(5, 40)));
+      }
     }
   });
 
   ScanStats aggregate;
   int iterations = 0;
+  int saw_frozen = 0;  // rounds with at least one zero-copy block
+  int saw_hot = 0;     // rounds with at least one materialized block
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (iterations < 30 ||
          ((aggregate.frozen_blocks == 0 || aggregate.hot_blocks == 0) &&
@@ -376,6 +395,8 @@ TEST_P(ExecutionTest, Q6StaysConsistentUnderConcurrentWritesAndTransform) {
         << "(iteration " << iterations << ")";
     txn_manager_.Commit(txn);
     aggregate.Add(stats);
+    saw_frozen += stats.frozen_blocks != 0;
+    saw_hot += stats.hot_blocks != 0;
     iterations++;
   }
   stop.store(true, std::memory_order_release);
@@ -383,6 +404,8 @@ TEST_P(ExecutionTest, Q6StaysConsistentUnderConcurrentWritesAndTransform) {
   transform_thread.join();
 
   // Both access paths must actually have been exercised.
+  std::printf("Q6 under writes: %d rounds, %d saw a frozen block, %d a hot one\n", iterations,
+              saw_frozen, saw_hot);
   EXPECT_GT(aggregate.frozen_blocks, 0u) << "no scan ever took the zero-copy path";
   EXPECT_GT(aggregate.hot_blocks, 0u) << "no scan ever took the materialization path";
   gc_.FullGC();

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,81 +51,234 @@ JoinHashTable BuildFromBlocks(const std::vector<std::vector<JoinEntry>> &blocks,
                               common::WorkerPool *pool) {
   std::vector<JoinHashTable::BlockEntries> per_block(blocks.size());
   for (size_t b = 0; b < blocks.size(); b++) per_block[b].Assign(blocks[b]);
-  return JoinHashTable::Build(per_block, pool);
+  return JoinHashTable::Build(std::move(per_block), pool);
 }
+
+/// Every entry of `blocks`, block by block in row order, stably sorted by
+/// key: each key's run is the match order both layouts promise.
+std::vector<JoinEntry> ReferenceMatches(const std::vector<std::vector<JoinEntry>> &blocks) {
+  std::vector<JoinEntry> reference;
+  for (const std::vector<JoinEntry> &block : blocks) {
+    reference.insert(reference.end(), block.begin(), block.end());
+  }
+  std::stable_sort(reference.begin(), reference.end(),
+                   [](const JoinEntry &a, const JoinEntry &b) { return a.key < b.key; });
+  return reference;
+}
+
+bool Has(const std::vector<JoinEntry> &reference, int64_t key) {
+  const auto it = std::lower_bound(reference.begin(), reference.end(), key,
+                                   [](const JoinEntry &e, int64_t k) { return e.key < k; });
+  return it != reference.end() && it->key == key;
+}
+
+/// `table` holds exactly `reference`: every built key matches its entries in
+/// order, and each key in `absent` matches nothing. Messages are built only
+/// on failure, so a million keys stay cheap under the sanitizers.
+void ExpectHolds(const JoinHashTable &table, const std::vector<JoinEntry> &reference,
+                 const std::vector<int64_t> &absent, const std::string &where) {
+  ASSERT_EQ(table.NumEntries(), reference.size()) << where;
+  std::vector<uint64_t> matches;
+  for (size_t begin = 0, end = 0; begin < reference.size(); begin = end) {
+    const int64_t key = reference[begin].key;
+    matches.clear();
+    table.ForEachMatch(key, [&](uint64_t payload) { matches.push_back(payload); });
+    bool same = table.Contains(key);
+    for (end = begin; end < reference.size() && reference[end].key == key; end++) {
+      same = same && end - begin < matches.size() && matches[end - begin] == reference[end].payload;
+    }
+    if (!same || matches.size() != end - begin) {
+      FAIL() << where << ": built key " << key << " has " << matches.size() << " matches, "
+             << end - begin << " expected, or they come out of order";
+    }
+  }
+  for (const int64_t key : absent) {
+    if (Has(reference, key)) FAIL() << where << ": " << key << " is not absent";
+    if (table.Contains(key)) FAIL() << where << ": absent key " << key << " found";
+    table.ForEachMatch(key, [&](uint64_t) {
+      FAIL() << where << ": absent key " << key << " matched";
+    });
+  }
+}
+
+const char *Name(JoinHashTable::Layout layout) {
+  return layout == JoinHashTable::Layout::kDense ? "dense" : "hashed";
+}
+
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
 
 }  // namespace
 
-/// The Bloom filter in front of every partition never rejects a key that was
-/// built (no false negatives), from a one-entry table to a million entries,
-/// with the extreme and negative keys included; and a key that was not built
-/// never matches, whatever the filter says.
+/// A built key is always found and an absent key never matches, from a
+/// one-entry table to a million entries, in both layouts: consecutive keys
+/// (dense), the same keys at a stride of 64 (hashed: the span is far over
+/// six slots per entry), and random keys with the extremes included
+/// (hashed, through the Bloom filters). Absent keys are random, plus each
+/// built key's neighbours and the keys just outside [min, max].
 TEST(JoinHashTableTest, BloomFilterHasNoFalseNegativesAndAbsentKeysNeverMatch) {
   common::WorkerPool pool(4);
-  common::Xorshift rng(42);
   for (const uint64_t size : {uint64_t{1}, uint64_t{2}, uint64_t{7}, uint64_t{1000},
                               uint64_t{100000}, uint64_t{1} << 20}) {
-    std::vector<int64_t> keys = {std::numeric_limits<int64_t>::min(),
-                                 std::numeric_limits<int64_t>::max(), 0, -1, -12345};
-    keys.resize(std::min<size_t>(keys.size(), size));
-    while (keys.size() < size) keys.push_back(static_cast<int64_t>(rng.Next()));
-    std::vector<std::vector<JoinEntry>> blocks(1 + size / 4096);
-    for (size_t i = 0; i < keys.size(); i++) {
-      blocks[i % blocks.size()].push_back({keys[i], static_cast<uint64_t>(i)});
-    }
-    const JoinHashTable table = BuildFromBlocks(blocks, &pool);
-    ASSERT_EQ(table.NumEntries(), size);
+    for (const char *shape : {"dense", "strided", "random"}) {
+      common::Xorshift rng(42 + size);
+      std::vector<int64_t> keys;
+      if (std::string(shape) == "random") {
+        keys = {kMin, kMax, 0, -1, -12345};
+        keys.resize(std::min<size_t>(keys.size(), size));
+        while (keys.size() < size) keys.push_back(static_cast<int64_t>(rng.Next()));
+      } else {
+        const int64_t stride = std::string(shape) == "dense" ? 1 : 64;
+        for (uint64_t i = 0; i < size; i++) {
+          keys.push_back((static_cast<int64_t>(i) - static_cast<int64_t>(size / 2)) * stride);
+        }
+        std::shuffle(keys.begin(), keys.end(), std::mt19937_64(size));
+      }
+      std::vector<std::vector<JoinEntry>> blocks(1 + size / 4096);
+      for (size_t i = 0; i < keys.size(); i++) {
+        blocks[i % blocks.size()].push_back({keys[i], static_cast<uint64_t>(i)});
+      }
+      const std::vector<JoinEntry> reference = ReferenceMatches(blocks);
+      const JoinHashTable table = BuildFromBlocks(blocks, &pool);
+      const std::string where = std::string(shape) + " keys, size " + std::to_string(size);
+      const bool dense = std::string(shape) == "dense" || size == 1;
+      EXPECT_EQ(table.GetLayout(),
+                dense ? JoinHashTable::Layout::kDense : JoinHashTable::Layout::kHashed)
+          << where;
 
-    for (size_t i = 0; i < keys.size(); i++) {
-      ASSERT_TRUE(table.Contains(keys[i])) << "built key " << keys[i] << " of " << size;
-      bool found = false;
-      table.ForEachMatch(keys[i], [&](uint64_t payload) { found |= payload == i; });
-      ASSERT_TRUE(found) << "built key " << keys[i] << " lost its entry at size " << size;
-    }
-
-    std::vector<int64_t> sorted = keys;
-    std::sort(sorted.begin(), sorted.end());
-    uint64_t absent = 0;
-    while (absent < 20000) {
-      const auto key = static_cast<int64_t>(rng.Next());
-      if (std::binary_search(sorted.begin(), sorted.end(), key)) continue;
-      absent++;
-      ASSERT_FALSE(table.Contains(key)) << "absent key " << key << " at size " << size;
-      table.ForEachMatch(key, [&](uint64_t) { FAIL() << "absent key " << key << " matched"; });
+      std::vector<int64_t> absent;
+      const auto add_absent = [&](int64_t key) {
+        if (!Has(reference, key)) absent.push_back(key);
+      };
+      add_absent(reference.front().key - 1);  // wraps to kMax at kMin
+      add_absent(reference.back().key + 1);
+      for (size_t i = 0; i < std::min<size_t>(keys.size(), 5000); i++) {
+        if (keys[i] != kMax) add_absent(keys[i] + 1);
+        if (keys[i] != kMin) add_absent(keys[i] - 1);
+      }
+      while (absent.size() < 20000) add_absent(static_cast<int64_t>(rng.Next()));
+      ExpectHolds(table, reference, absent, where);
     }
   }
 }
 
-/// Duplicate keys whose copies span blocks match in block insertion order at
-/// every worker count — checked against a reference list built sequentially
-/// by walking the blocks in order, not only parallel against inline.
+/// Duplicate keys whose copies span blocks match in block order, in both
+/// layouts, at every worker count — checked against a reference list built
+/// sequentially by walking the blocks in order, not only parallel against
+/// inline. Keys come scattered over every block, or clustered the way
+/// frozen blocks keep sequential keys: each block draws from a window that
+/// overlaps its neighbours', so a key's copies straddle the dense build's
+/// key-range tasks and blocks outside a task's range are skipped.
 TEST(JoinHashTableTest, DuplicatesSpanningBlocksMatchInBlockOrderAtAnyWorkerCount) {
   constexpr int64_t kKeys = 3000;
   constexpr size_t kBlocks = 37;
-  common::Xorshift rng(7);
-  std::vector<std::vector<JoinEntry>> blocks(kBlocks);
-  std::vector<std::vector<uint64_t>> reference(kKeys);  // per key, in block order
-  uint64_t payload = 0;
-  for (size_t b = 0; b < kBlocks; b++) {
-    for (int i = 0; i < 400; i++) {
-      const auto key = static_cast<int64_t>(rng.Uniform(0, kKeys - 1)) - kKeys / 2;
-      blocks[b].push_back({key, payload});
-      reference[static_cast<size_t>(key + kKeys / 2)].push_back(payload);
-      payload++;
+  for (const int64_t stride : {int64_t{1}, int64_t{64}}) {
+    for (const bool clustered : {false, true}) {
+      common::Xorshift rng(7);
+      std::vector<std::vector<JoinEntry>> blocks(kBlocks);
+      uint64_t payload = 0;
+      for (size_t b = 0; b < kBlocks; b++) {
+        const auto window = static_cast<int64_t>(b) * (kKeys / static_cast<int64_t>(kBlocks));
+        for (int i = 0; i < 400; i++) {
+          const int64_t k = clustered ? window + static_cast<int64_t>(rng.Uniform(0, 160))
+                                      : static_cast<int64_t>(rng.Uniform(0, kKeys - 1));
+          blocks[b].push_back({(k - kKeys / 2) * stride, payload++});
+        }
+      }
+      const auto reference = ReferenceMatches(blocks);
+      std::vector<int64_t> absent;
+      for (int64_t k = -kKeys; k < 2 * kKeys; k++) {
+        if (!Has(reference, k * stride - 1)) absent.push_back(k * stride - 1);
+        if (!Has(reference, k * stride)) absent.push_back(k * stride);
+      }
+      const auto layout = stride == 1 ? JoinHashTable::Layout::kDense
+                                      : JoinHashTable::Layout::kHashed;
+      for (const uint32_t workers : {0u, 1u, 2u, 4u, 8u}) {
+        common::WorkerPool pool(workers);
+        const JoinHashTable table = BuildFromBlocks(blocks, workers == 0 ? nullptr : &pool);
+        const std::string where = std::string(Name(layout)) +
+                                  (clustered ? " clustered" : " scattered") + " at " +
+                                  std::to_string(workers) + " workers";
+        ASSERT_EQ(table.GetLayout(), layout) << where;
+        ExpectHolds(table, reference, absent, where);
+      }
+    }
+  }
+}
+
+/// The layout rule's boundary: N entries whose span (max − min) is 6N − 1
+/// build dense, and one more key of span builds hashed — and that hashed
+/// table is no smaller than the dense one, the memory-neutral half of the
+/// rule. Duplicates count toward N.
+TEST(JoinHashTableTest, DenseBelowTheSpanThresholdHashedAtIt) {
+  common::WorkerPool pool(4);
+  for (const uint64_t n : {uint64_t{2}, uint64_t{10}, uint64_t{5000}}) {
+    uint64_t dense_bytes = 0;
+    for (const uint64_t span : {JoinHashTable::kDenseSlotsPerEntry * n - 1,
+                                JoinHashTable::kDenseSlotsPerEntry * n}) {
+      // Keys 100 .. 97 + n, then 100 again, then 100 + span: n entries.
+      std::vector<std::vector<JoinEntry>> blocks(3);
+      for (uint64_t i = 0; i + 2 < n; i++) {
+        blocks[i % 2].push_back({static_cast<int64_t>(100 + i), i});
+      }
+      blocks[1].push_back({100, n - 2});
+      blocks[2].push_back({static_cast<int64_t>(100 + span), n - 1});
+      const JoinHashTable table = BuildFromBlocks(blocks, &pool);
+      const bool below = span < JoinHashTable::kDenseSlotsPerEntry * n;
+      const std::string where = "n=" + std::to_string(n) + " span=" + std::to_string(span);
+      ASSERT_EQ(table.GetLayout(),
+                below ? JoinHashTable::Layout::kDense : JoinHashTable::Layout::kHashed)
+          << where;
+      ExpectHolds(table, ReferenceMatches(blocks),
+                  {99, static_cast<int64_t>(100 + span - 1), static_cast<int64_t>(101 + span)},
+                  where);
+      if (below) {
+        dense_bytes = table.TableBytes();
+      } else {
+        EXPECT_GE(table.TableBytes(), dense_bytes) << where;
+      }
+    }
+  }
+}
+
+/// The keys at the ends of the int64 range, negative dense keys, and the
+/// empty table.
+TEST(JoinHashTableTest, ExtremeNegativeAndEmptyBuilds) {
+  common::WorkerPool pool(2);
+  struct Case {
+    const char *name;
+    std::vector<std::vector<JoinEntry>> blocks;
+    JoinHashTable::Layout layout;
+    std::vector<int64_t> absent;
+  };
+  const std::vector<Case> cases = {
+      {"a single entry at INT64_MIN",
+       {{{kMin, 7}}},
+       JoinHashTable::Layout::kDense,
+       {kMin + 1, kMax, 0, -1}},
+      {"INT64_MIN and INT64_MAX together (a span of 2^64 - 1)",
+       {{{kMax, 1}}, {{kMin, 2}, {kMax, 3}}},
+       JoinHashTable::Layout::kHashed,
+       {kMin + 1, kMax - 1, 0, -1}},
+      {"negative dense keys",
+       {{{-1000, 0}, {-998, 1}, {-1000, 2}}, {{-999, 3}, {-995, 4}, {-998, 5}}},
+       JoinHashTable::Layout::kDense,
+       {-1001, -997, -996, -994, 0, kMin, kMax}},
+  };
+  for (const Case &c : cases) {
+    for (common::WorkerPool *p : {static_cast<common::WorkerPool *>(nullptr), &pool}) {
+      const JoinHashTable table = BuildFromBlocks(c.blocks, p);
+      ASSERT_EQ(table.GetLayout(), c.layout) << c.name;
+      ExpectHolds(table, ReferenceMatches(c.blocks), c.absent, c.name);
     }
   }
 
-  for (const uint32_t workers : {0u, 1u, 2u, 4u, 8u}) {
-    common::WorkerPool pool(workers);
-    const JoinHashTable table = BuildFromBlocks(blocks, workers == 0 ? nullptr : &pool);
-    ASSERT_EQ(table.NumEntries(), payload);
-    for (int64_t k = 0; k < kKeys; k++) {
-      std::vector<uint64_t> matches;
-      table.ForEachMatch(k - kKeys / 2, [&](uint64_t p) { matches.push_back(p); });
-      ASSERT_EQ(matches, reference[static_cast<size_t>(k)])
-          << "key " << k - kKeys / 2 << " at " << workers << " workers";
-      EXPECT_EQ(table.Contains(k - kKeys / 2), !matches.empty());
-    }
+  for (const auto &blocks :
+       {std::vector<std::vector<JoinEntry>>{}, std::vector<std::vector<JoinEntry>>(5)}) {
+    const JoinHashTable table = BuildFromBlocks(blocks, &pool);
+    EXPECT_TRUE(table.Empty());
+    EXPECT_EQ(table.TableBytes(), 0u);
+    ExpectHolds(table, {}, {0, 1, -1, kMin, kMax}, "an empty build");
   }
 }
 

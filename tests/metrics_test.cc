@@ -337,6 +337,24 @@ class MetricsProfilingTest : public ::testing::Test {
     gc_.FullGC();
   }
 
+  /// Every HashJoinBuild in `profile`, in plan order, reports `layouts` and
+  /// a non-zero table size; no other operator reports a layout.
+  static void ExpectBuildLayouts(const op::PlanProfile &profile,
+                                 const std::vector<std::string> &layouts) {
+    std::vector<std::string> got;
+    for (const op::PipelineProfile &pipe : profile.pipelines) {
+      for (const op::OperatorProfile &op : pipe.operators) {
+        if (op.label != "HashJoinBuild") {
+          EXPECT_TRUE(op.layout.empty()) << op.label << " reported a layout";
+          continue;
+        }
+        got.push_back(op.layout);
+        EXPECT_GT(op.table_bytes, 0u) << "a " << op.layout << " build reported no table bytes";
+      }
+    }
+    EXPECT_EQ(got, layouts) << profile.ToString();
+  }
+
   void FreezeAll() {
     gc_.FullGC();
     for (catalog::SqlTable *table : {lineitem_, orders_, customer_}) {
@@ -503,6 +521,29 @@ TEST_F(MetricsProfilingTest, ExplainReportsQ3Operators) {
   };
   EXPECT_EQ(count(json, "\"finish_ns\":"), records) << json;
   EXPECT_EQ(count(explain, " finish="), records) << explain;
+
+  // Both builds join on surrogate keys handed out in sequence (c_custkey and
+  // l_orderkey), so both take the dense layout, and say so with their size.
+  ExpectBuildLayouts(profile, {"dense", "dense"});
+  EXPECT_EQ(count(explain, " layout=dense table_bytes="), 2u) << explain;
+  EXPECT_EQ(count(json, "\"layout\":\"dense\",\"table_bytes\":"), 2u) << json;
+}
+
+/// Q12's builds hold a few qualifying lineitems' order keys, spread thin
+/// over the order-key range, so both stay hashed.
+TEST_F(MetricsProfilingTest, ExplainReportsQ12BuildsHashed) {
+  GenerateTables(RowsForBlocks(1));
+  FreezeAll();
+
+  QueryRunner runner(&txn_manager_, 2);
+  runner.SetProfiling(true);
+  runner.RunQ12(orders_, lineitem_);
+  const op::PlanProfile &profile = runner.LastProfile();
+  ExpectBuildLayouts(profile, {"hashed", "hashed"});
+  EXPECT_NE(profile.ToString().find(" layout=hashed table_bytes="), std::string::npos)
+      << profile.ToString();
+  EXPECT_NE(profile.ToJson().find("\"layout\":\"hashed\",\"table_bytes\":"), std::string::npos)
+      << profile.ToJson();
 }
 
 /// A full query pass moves the global engine counters: the scan counters
