@@ -28,6 +28,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <variant>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "workload/tpch/query_runner.h"
@@ -43,6 +46,7 @@
 using namespace mainline;
 using workload::ExecMode;
 using workload::QueryRunner;
+namespace q = workload::tpch;
 
 namespace {
 
@@ -51,65 +55,61 @@ int64_t EnvInt(const char *name, int64_t def) {
   return value == nullptr ? def : std::atoll(value);
 }
 
-/// Run Q1 + Q6 + Q12 + Q14 + Q3 as inline plans, as `parallel`'s
-/// multi-threaded plans, and on the scalar reference; print the result rows,
-/// and verify the engines agree bit-exactly.
+/// Run every query as an inline plan, as `parallel`'s multi-threaded plan,
+/// and on the scalar reference; print the answers, and verify the engines
+/// agree bit-exactly.
 /// \param runner a one-thread runner: its plans run inline
-/// \return true if every aggregate matched.
-bool RunAndCheck(QueryRunner *runner, QueryRunner *parallel, catalog::SqlTable *table,
-                 catalog::SqlTable *orders, catalog::SqlTable *part,
-                 catalog::SqlTable *customer, const char *label) {
-  const auto q1 = runner->RunQ1(table);
-  const auto q1_ref = runner->RunQ1(table, {}, ExecMode::kScalar);
-  const auto q1_par = parallel->RunQ1(table);
-  const auto q6 = runner->RunQ6(table);
-  const auto q6_ref = runner->RunQ6(table, {}, ExecMode::kScalar);
-  const auto q6_par = parallel->RunQ6(table);
-  const auto q12 = runner->RunQ12(orders, table);
-  const auto q12_ref = runner->RunQ12(orders, table, {}, ExecMode::kScalar);
-  const auto q12_par = parallel->RunQ12(orders, table);
-  const auto q14 = runner->RunQ14(table, part);
-  const auto q14_ref = runner->RunQ14(table, part, {}, ExecMode::kScalar);
-  const auto q14_par = parallel->RunQ14(table, part);
-  const auto q3 = runner->RunQ3(customer, orders, table);
-  const auto q3_ref = runner->RunQ3(customer, orders, table, {}, ExecMode::kScalar);
-  const auto q3_par = parallel->RunQ3(customer, orders, table);
+/// \return true if every answer matched.
+bool RunAndCheck(QueryRunner *runner, QueryRunner *parallel, const q::Tables &tables,
+                 const char *label) {
+  bool ok = true;
+  q::Answer answers[std::size(q::kQueries)];
+  execution::ScanStats q1_stats;
+  for (const q::Query query : q::kQueries) {
+    const QueryRunner::Result plan = runner->Run(query, tables);
+    const q::Answer scalar = runner->Run(query, tables, ExecMode::kScalar).answer;
+    const q::Answer par = parallel->Run(query, tables).answer;
+    if (!(plan.answer == scalar && par == scalar)) {
+      std::printf("%s: engines DIVERGE\n", q::QueryName(query));
+      ok = false;
+    }
+    if (query == q::Query::kQ1) q1_stats = plan.stats;
+    answers[static_cast<size_t>(query)] = plan.answer;
+  }
+  const auto answer_of = [&](q::Query query) -> const q::Answer & {
+    return answers[static_cast<size_t>(query)];
+  };
 
   std::printf("\n-- %s: %llu rows, %llu blocks zero-copy, %llu blocks materialized --\n",
-              label, static_cast<unsigned long long>(q1.stats.rows),
-              static_cast<unsigned long long>(q1.stats.frozen_blocks),
-              static_cast<unsigned long long>(q1.stats.hot_blocks));
+              label, static_cast<unsigned long long>(q1_stats.rows),
+              static_cast<unsigned long long>(q1_stats.frozen_blocks),
+              static_cast<unsigned long long>(q1_stats.hot_blocks));
   std::printf("Q1  %-4s %-4s %14s %16s %16s %10s\n", "flag", "stat", "sum_qty",
               "sum_disc_price", "sum_charge", "count");
-  for (const auto &row : q1.rows) {
+  for (const q::Q1Row &row : std::get<std::vector<q::Q1Row>>(answer_of(q::Query::kQ1))) {
     std::printf("    %-4s %-4s %14.2f %16.2f %16.2f %10llu\n", row.returnflag.c_str(),
                 row.linestatus.c_str(), row.sum_qty, row.sum_disc_price, row.sum_charge,
                 static_cast<unsigned long long>(row.count));
   }
-  std::printf("Q6  revenue = %.4f\n", q6.revenue);
+  std::printf("Q6  revenue = %.4f\n", std::get<double>(answer_of(q::Query::kQ6)));
   std::printf("Q12 %-9s %16s %16s   (hash join ORDERS x LINEITEM)\n", "shipmode",
               "high_line_count", "low_line_count");
-  for (const auto &row : q12.rows) {
+  for (const q::Q12Row &row : std::get<std::vector<q::Q12Row>>(answer_of(q::Query::kQ12))) {
     std::printf("    %-9s %16llu %16llu\n", row.shipmode.c_str(),
                 static_cast<unsigned long long>(row.high_line_count),
                 static_cast<unsigned long long>(row.low_line_count));
   }
 
   std::printf("Q14 promo revenue = %.4f%%   (hash join LINEITEM x PART)\n",
-              q14.promo_revenue);
+              std::get<double>(answer_of(q::Query::kQ14)));
+  const auto &q3 = std::get<std::vector<q::Q3Row>>(answer_of(q::Query::kQ3));
   std::printf("Q3  %10s %14s %10s %9s   (CUSTOMER x ORDERS x LINEITEM, top %zu)\n",
-              "orderkey", "revenue", "orderdate", "priority", q3.rows.size());
-  for (const auto &row : q3.rows) {
+              "orderkey", "revenue", "orderdate", "priority", q3.size());
+  for (const q::Q3Row &row : q3) {
     std::printf("    %10lld %14.4f %10u %9d\n", static_cast<long long>(row.orderkey),
                 row.revenue, row.orderdate, row.shippriority);
   }
 
-  const bool ok = q1.rows == q1_ref.rows && q6.revenue == q6_ref.revenue &&
-                  q1_par.rows == q1_ref.rows && q6_par.revenue == q6_ref.revenue &&
-                  q12.rows == q12_ref.rows && q12_par.rows == q12_ref.rows &&
-                  q14.promo_revenue == q14_ref.promo_revenue &&
-                  q14_par.promo_revenue == q14_ref.promo_revenue &&
-                  q3.rows == q3_ref.rows && q3_par.rows == q3_ref.rows;
   std::printf("engines agree bit-exactly (inline + %u-thread plans vs scalar): %s\n",
               parallel->NumThreads(), ok ? "yes" : "NO — MISMATCH");
   return ok;
@@ -161,11 +161,11 @@ int main(int argc, char **argv) {
       &catalog, &txn_manager, num_customers, /*seed=*/17, txn_rows);
   gc.FullGC();
 
+  const q::Tables tables{lineitem, orders, part, customer};
   QueryRunner runner(&txn_manager, /*num_threads=*/1);
   QueryRunner parallel(&txn_manager,
                        static_cast<uint32_t>(EnvInt("MAINLINE_TPCH_THREADS", 0)));
-  bool ok = RunAndCheck(&runner, &parallel, lineitem, orders, part, customer,
-                        "hot tables (100% materialized)");
+  bool ok = RunAndCheck(&runner, &parallel, tables, "hot tables (100% materialized)");
 
   // The tables go cold; the transformation pipeline freezes them into
   // canonical Arrow, and the same queries now run in situ.
@@ -183,20 +183,18 @@ int main(int argc, char **argv) {
                   part->UnderlyingTable().NumBlocks() +
                   customer->UnderlyingTable().NumBlocks());
 
-  ok = RunAndCheck(&runner, &parallel, lineitem, orders, part, customer,
-                   "frozen tables (in-situ, zero-copy)") &&
-       ok;
+  ok = RunAndCheck(&runner, &parallel, tables, "frozen tables (in-situ, zero-copy)") && ok;
 
   if (explain) {
     // EXPLAIN ANALYZE: rerun Q3 over the frozen tables with per-operator
     // profiling on. The answer is bit-identical to the unprofiled runs
     // above; the extra output is the plan's per-operator record.
     parallel.SetProfiling(true);
-    const auto profiled = parallel.RunQ3(customer, orders, lineitem);
+    const QueryRunner::Result profiled = parallel.Run(q::Query::kQ3, tables);
     parallel.SetProfiling(false);
     std::printf("\n-- EXPLAIN ANALYZE: Q3, frozen tables, %u-thread plan --\n%s",
                 parallel.NumThreads(), parallel.LastProfile().ToString().c_str());
-    if (profiled.rows.empty()) {
+    if (q::IsEmpty(profiled.answer)) {
       std::printf("EXPLAIN ANALYZE run returned no rows\n");
       ok = false;
     }

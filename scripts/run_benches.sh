@@ -13,11 +13,9 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${REPO_ROOT}/build-bench"
 OUT_DIR="${1:-${REPO_ROOT}}"
 
-# figure16/17/19's morsel-parallel threads sweeps: make the defaults
-# explicit so the sweeps are always recorded in the BENCH_*.json snapshots.
+# figure16_queries' morsel-parallel threads sweep: make the default explicit
+# so the sweep is always recorded in the BENCH_*.json snapshot.
 export MAINLINE_F16_THREADS="${MAINLINE_F16_THREADS:-1,2,4,8}"
-export MAINLINE_F17_THREADS="${MAINLINE_F17_THREADS:-1,2,4,8}"
-export MAINLINE_F19_THREADS="${MAINLINE_F19_THREADS:-1,2,4,8}"
 
 # figure20's HTAP windows: record the shape explicitly so the snapshot is
 # reproducible (terminal count, window length, and analytical scale).

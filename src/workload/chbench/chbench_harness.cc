@@ -24,7 +24,14 @@ namespace mainline::workload::chbench {
 
 namespace {
 
-const char *const kQueryNames[4] = {"Q1", "Q6", "Q12", "Q14"};
+/// The analytics mix the coordinator cycles through, in order.
+constexpr tpch::Query kMix[4] = {tpch::Query::kQ1, tpch::Query::kQ6, tpch::Query::kQ12,
+                                 tpch::Query::kQ14};
+
+/// "chbench.q1_us" and so on.
+std::string LatencyHistogram(tpch::Query query) {
+  return std::string("chbench.") + tpch::QueryName(query) + "_us";
+}
 
 /// Query latency buckets: 100 us to 5 s (15 bounds + overflow, within
 /// Histogram::kMaxBuckets).
@@ -45,9 +52,7 @@ ChBenchHarness::ChBenchHarness(catalog::Catalog *catalog,
   oracle_checks_counter_ = registry.RegisterCounter("chbench.oracle_checks");
   oracle_mismatches_counter_ = registry.RegisterCounter("chbench.oracle_mismatches");
   for (uint32_t q = 0; q < 4; q++) {
-    query_us_[q] = registry.RegisterHistogram(
-        std::string("chbench.q") + (q == 0 ? "1" : q == 1 ? "6" : q == 2 ? "12" : "14") + "_us",
-        kLatencyBoundsUs);
+    query_us_[q] = registry.RegisterHistogram(LatencyHistogram(kMix[q]), kLatencyBoundsUs);
   }
 }
 
@@ -148,43 +153,12 @@ void ChBenchHarness::RunQuerySample(uint32_t which, common::WorkerPool *pool,
   // One snapshot for plan and oracle: whatever the terminals commit while
   // this sample runs, both sides answer as of this transaction's start, so
   // bit-equality is meaningful under full write concurrency.
+  const tpch::Tables tables{lineitem_, orders_, part_, nullptr};
   transaction::TransactionContext *txn = txn_manager_->BeginTransaction();
-  uint64_t latency_us = 0;
-  bool mismatch = false;
-  switch (which) {
-    case 0: {
-      const common::Timer timer;
-      const std::vector<tpch::Q1Row> rows =
-          tpch::RunQ1Parallel(lineitem_, txn, tpch::Q1Params(), pool);
-      latency_us = timer.Elapsed<>();
-      if (check) mismatch = rows != tpch::RunQ1Scalar(lineitem_, txn, tpch::Q1Params());
-      break;
-    }
-    case 1: {
-      const common::Timer timer;
-      const double revenue = tpch::RunQ6Parallel(lineitem_, txn, tpch::Q6Params(), pool);
-      latency_us = timer.Elapsed<>();
-      if (check) mismatch = revenue != tpch::RunQ6Scalar(lineitem_, txn, tpch::Q6Params());
-      break;
-    }
-    case 2: {
-      const common::Timer timer;
-      const std::vector<tpch::Q12Row> rows =
-          tpch::RunQ12Parallel(orders_, lineitem_, txn, tpch::Q12Params(), pool);
-      latency_us = timer.Elapsed<>();
-      if (check) {
-        mismatch = rows != tpch::RunQ12Scalar(orders_, lineitem_, txn, tpch::Q12Params());
-      }
-      break;
-    }
-    default: {
-      const common::Timer timer;
-      const double promo = tpch::RunQ14Parallel(lineitem_, part_, txn, tpch::Q14Params(), pool);
-      latency_us = timer.Elapsed<>();
-      if (check) mismatch = promo != tpch::RunQ14Scalar(lineitem_, part_, txn, tpch::Q14Params());
-      break;
-    }
-  }
+  const common::Timer timer;
+  const tpch::Answer answer = tpch::RunPlan(kMix[which], tables, txn, pool);
+  const uint64_t latency_us = timer.Elapsed<>();
+  const bool mismatch = check && answer != tpch::RunScalar(kMix[which], tables, txn);
   txn_manager_->Commit(txn);
 
   query_us_[which]->Observe(latency_us);
@@ -220,7 +194,7 @@ Result ChBenchHarness::Run() {
 
   Result result;
   result.queries.resize(4);
-  for (uint32_t q = 0; q < 4; q++) result.queries[q].name = kQueryNames[q];
+  for (uint32_t q = 0; q < 4; q++) result.queries[q].name = tpch::QueryName(kMix[q]);
   std::vector<TerminalStats> terminal_stats(config_.terminals);
 
   const metrics::MetricsSnapshot before = metrics::MetricsRegistry::Global().Snapshot();
@@ -285,13 +259,12 @@ Result ChBenchHarness::Run() {
   result.txns_per_second =
       static_cast<double>(result.tpcc_committed + result.feed_txns) / result.seconds;
 
-  const char *const histogram_names[4] = {"chbench.q1_us", "chbench.q6_us", "chbench.q12_us",
-                                          "chbench.q14_us"};
   for (uint32_t q = 0; q < 4; q++) {
     QueryStats &stats = result.queries[q];
-    stats.p50_us = delta.ValueAtQuantile(histogram_names[q], 0.50);
-    stats.p95_us = delta.ValueAtQuantile(histogram_names[q], 0.95);
-    stats.p99_us = delta.ValueAtQuantile(histogram_names[q], 0.99);
+    const std::string histogram = LatencyHistogram(kMix[q]);
+    stats.p50_us = delta.ValueAtQuantile(histogram, 0.50);
+    stats.p95_us = delta.ValueAtQuantile(histogram, 0.95);
+    stats.p99_us = delta.ValueAtQuantile(histogram, 0.99);
     result.oracle_checks += stats.oracle_checks;
     result.oracle_mismatches += stats.oracle_mismatches;
   }

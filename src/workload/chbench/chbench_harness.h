@@ -157,9 +157,9 @@ class ChBenchHarness {
   /// read by the coordinator only after the pool quiesces).
   void RunTerminal(uint32_t index, const std::atomic<bool> *stop, TerminalStats *out);
 
-  /// Run one sample of query `which` (0..3) under a fresh snapshot,
-  /// recording latency and — every `oracle_every`-th run — the same-snapshot
-  /// oracle verdict into `stats`.
+  /// Run one sample of the mix's `which`-th query (q1, q6, q12, q14) under a
+  /// fresh snapshot, recording latency and — every `oracle_every`-th run —
+  /// the same-snapshot oracle verdict into `stats`.
   void RunQuerySample(uint32_t which, common::WorkerPool *pool, QueryStats *stats);
 
   catalog::Catalog *catalog_;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 
+#include "common/macros.h"
 #include "execution/operators/aggregate_op.h"
 #include "execution/operators/expr.h"
 #include "execution/operators/filter_op.h"
@@ -109,7 +112,7 @@ double FinalizeQ14(double total_revenue, double promo_revenue) {
 
 /// Run `plan` inline (null pool) or morsel-parallel, recording its
 /// per-operator profile into `profile` when one is asked for.
-void RunPlan(op::PhysicalPlan *plan, transaction::TransactionContext *txn,
+void Execute(op::PhysicalPlan *plan, transaction::TransactionContext *txn,
              common::WorkerPool *pool, ScanStats *stats, op::PlanProfile *profile) {
   if (profile != nullptr) plan->SetProfiling(true);
   plan->Run(txn, pool, stats);
@@ -151,7 +154,7 @@ std::vector<Q1Row> RunQ1Parallel(catalog::SqlTable *table,
            op::ColumnRef::Batch(price), op::ColumnRef::Batch(disc), op::ColumnRef::Batch(tax))),
        op::AggSpec::Sum(op::Expr::Column(op::ColumnRef::Batch(disc))),
        op::AggSpec::Count()});
-  RunPlan(&plan, txn, pool, stats, profile);
+  Execute(&plan, txn, pool, stats, profile);
 
   std::vector<Q1Row> rows;
   rows.reserve(agg->Result().size());
@@ -181,7 +184,7 @@ double RunQ6Parallel(catalog::SqlTable *table, transaction::TransactionContext *
   op::AggregateOp *agg = builder.Aggregate(
       {}, {op::AggSpec::Sum(
               op::Expr::Mul(op::ColumnRef::Batch(price), op::ColumnRef::Batch(disc)))});
-  RunPlan(&plan, txn, pool, stats, profile);
+  Execute(&plan, txn, pool, stats, profile);
   return agg->Result().front().values[0].f64;
 }
 
@@ -217,7 +220,7 @@ std::vector<Q12Row> RunQ12Parallel(catalog::SqlTable *orders, catalog::SqlTable 
   builder.Scan(lineitem, kQ12LineitemProjection).Filter(line_filters).JoinProbe(lkey, build);
   op::AggregateOp *agg =
       builder.Aggregate({mode}, {op::AggSpec::SumPayload(), op::AggSpec::Count()});
-  RunPlan(&plan, txn, pool, stats, profile);
+  Execute(&plan, txn, pool, stats, profile);
 
   std::vector<Q12Row> rows;
   rows.reserve(agg->Result().size());
@@ -256,7 +259,7 @@ double RunQ14Parallel(catalog::SqlTable *lineitem, catalog::SqlTable *part,
       {}, {op::AggSpec::Sum(op::Expr::Column(op::ColumnRef::Computed(0))),
            op::AggSpec::Sum(op::Expr::Column(op::ColumnRef::Computed(0)),
                             /*payload_gate=*/true)});
-  RunPlan(&plan, txn, pool, stats, profile);
+  Execute(&plan, txn, pool, stats, profile);
 
   return FinalizeQ14(agg->Result().front().values[0].f64,
                      agg->Result().front().values[1].f64);
@@ -301,7 +304,7 @@ std::vector<Q3Row> RunQ3Parallel(catalog::SqlTable *customer, catalog::SqlTable 
       {op::SortKey::MatchPayloadF64(/*descending=*/true), op::SortKey::U32Column(odate)},
       {op::OutputCol::Int64Column(okey), op::OutputCol::MatchPayloadF64(),
        op::OutputCol::U32Column(odate), op::OutputCol::Int32Column(oprio)});
-  RunPlan(&plan, txn, pool, stats, profile);
+  Execute(&plan, txn, pool, stats, profile);
 
   std::vector<Q3Row> rows;
   rows.reserve(topk->Result().size());
@@ -674,6 +677,62 @@ std::vector<Q3Row> RunQ3Scalar(catalog::SqlTable *customer, catalog::SqlTable *o
   rows.reserve(candidates.size());
   for (const Candidate &candidate : candidates) rows.push_back(candidate.row);
   return rows;
+}
+
+// ---------------------------------------------------------------------------
+// The query table: one dispatch over the typed functions above.
+// ---------------------------------------------------------------------------
+
+const char *QueryName(Query query) {
+  static constexpr const char *kNames[] = {"q1", "q3", "q6", "q12", "q14"};
+  return kNames[static_cast<size_t>(query)];
+}
+
+bool IsEmpty(const Answer &answer) {
+  return std::visit(
+      [](const auto &value) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(value)>, double>) {
+          return value == 0;
+        } else {
+          return value.empty();
+        }
+      },
+      answer);
+}
+
+Answer RunPlan(Query query, const Tables &tables, transaction::TransactionContext *txn,
+               common::WorkerPool *pool, ScanStats *stats, op::PlanProfile *profile) {
+  switch (query) {
+    case Query::kQ1:
+      return RunQ1Parallel(tables.lineitem, txn, {}, pool, stats, profile);
+    case Query::kQ3:
+      return RunQ3Parallel(tables.customer, tables.orders, tables.lineitem, txn, {}, pool,
+                           stats, profile);
+    case Query::kQ6:
+      return RunQ6Parallel(tables.lineitem, txn, {}, pool, stats, profile);
+    case Query::kQ12:
+      return RunQ12Parallel(tables.orders, tables.lineitem, txn, {}, pool, stats, profile);
+    case Query::kQ14:
+      return RunQ14Parallel(tables.lineitem, tables.part, txn, {}, pool, stats, profile);
+  }
+  MAINLINE_UNREACHABLE("unknown query");
+}
+
+Answer RunScalar(Query query, const Tables &tables, transaction::TransactionContext *txn,
+                 ScanStats *stats) {
+  switch (query) {
+    case Query::kQ1:
+      return RunQ1Scalar(tables.lineitem, txn, {}, stats);
+    case Query::kQ3:
+      return RunQ3Scalar(tables.customer, tables.orders, tables.lineitem, txn, {}, stats);
+    case Query::kQ6:
+      return RunQ6Scalar(tables.lineitem, txn, {}, stats);
+    case Query::kQ12:
+      return RunQ12Scalar(tables.orders, tables.lineitem, txn, {}, stats);
+    case Query::kQ14:
+      return RunQ14Scalar(tables.lineitem, tables.part, txn, {}, stats);
+  }
+  MAINLINE_UNREACHABLE("unknown query");
 }
 
 }  // namespace mainline::workload::tpch

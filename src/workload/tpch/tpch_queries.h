@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/worker_pool.h"
@@ -226,5 +227,44 @@ std::vector<Q1Row> RunQ1Scalar(catalog::SqlTable *table, transaction::Transactio
 /// Scalar tuple-at-a-time Q6 reference.
 double RunQ6Scalar(catalog::SqlTable *table, transaction::TransactionContext *txn,
                    const Q6Params &params, ScanStats *stats = nullptr);
+
+/// The queries above as one table, for callers that run "every query": they
+/// loop over kQueries and call RunPlan/RunScalar, which dispatch to the
+/// typed functions with default parameters.
+enum class Query : uint8_t { kQ1, kQ3, kQ6, kQ12, kQ14 };
+
+inline constexpr Query kQueries[] = {Query::kQ1, Query::kQ3, Query::kQ6, Query::kQ12,
+                                     Query::kQ14};
+
+/// "q1", "q3", "q6", "q12" or "q14".
+const char *QueryName(Query query);
+
+/// The tables the queries read. Each query needs only its own: Q1 and Q6
+/// read lineitem, Q12 adds orders, Q14 adds part, Q3 adds orders and
+/// customer; the rest may stay null.
+struct Tables {
+  catalog::SqlTable *lineitem = nullptr;
+  catalog::SqlTable *orders = nullptr;
+  catalog::SqlTable *part = nullptr;
+  catalog::SqlTable *customer = nullptr;
+};
+
+/// Any query's result: Q1 and Q3 rows, Q6's revenue or Q14's promo share,
+/// Q12 rows. A plan agrees with its oracle when their answers compare ==.
+using Answer = std::variant<std::vector<Q1Row>, std::vector<Q3Row>, double, std::vector<Q12Row>>;
+
+/// True when `answer` holds no rows, or is a zero revenue or share: a result
+/// that cannot tell one query's answer from another's.
+bool IsEmpty(const Answer &answer);
+
+/// `query`'s plan over `tables`: the RunQxParallel contract.
+Answer RunPlan(Query query, const Tables &tables, transaction::TransactionContext *txn,
+               common::WorkerPool *pool, ScanStats *stats = nullptr,
+               op::PlanProfile *profile = nullptr);
+
+/// `query`'s scalar oracle over `tables`. Its stats count every table the
+/// query reads once, whereas a plan may scan one twice (Q12's LINEITEM).
+Answer RunScalar(Query query, const Tables &tables, transaction::TransactionContext *txn,
+                 ScanStats *stats = nullptr);
 
 }  // namespace mainline::workload::tpch

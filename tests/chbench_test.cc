@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 
 #include "catalog/catalog.h"
 #include "gc/garbage_collector.h"
+#include "metrics/metrics_registry.h"
 #include "storage/raw_block.h"
 #include "storage/record_buffer.h"
 #include "transaction/transaction_manager.h"
@@ -72,6 +74,27 @@ class ChBenchTest : public ::testing::Test {
     EXPECT_GT(result.frozen_pct, 0.0);
   }
 
+  /// Run one window and check it is sound, and that each query's latency
+  /// histogram in the window's metrics delta counted exactly its runs.
+  Result RunSoundWindow(ChBenchHarness *harness) {
+    metrics::MetricsRegistry &registry = metrics::MetricsRegistry::Global();
+    const metrics::MetricsSnapshot before = registry.Snapshot();
+    const Result result = harness->Run();
+    const metrics::MetricsSnapshot delta = registry.Snapshot().Delta(before);
+    ExpectWindowIsSound(result);
+    const char *const names[] = {"q1", "q6", "q12", "q14"};
+    for (size_t q = 0; q < result.queries.size(); q++) {
+      EXPECT_EQ(result.queries[q].name, names[q]);
+      if (!registry.Enabled()) continue;  // MAINLINE_METRICS=0 disables collection
+      const std::string histogram = std::string("chbench.") + names[q] + "_us";
+      const auto found = delta.histograms.find(histogram);
+      EXPECT_TRUE(found != delta.histograms.end()) << histogram;
+      if (found == delta.histograms.end()) continue;
+      EXPECT_EQ(found->second.total, result.queries[q].runs) << histogram;
+    }
+    return result;
+  }
+
   storage::BlockStore block_store_;
   storage::RecordBufferSegmentPool buffer_pool_;
   catalog::Catalog catalog_;
@@ -84,8 +107,7 @@ TEST_F(ChBenchTest, AdaptiveWindowIsBitExactUnderConcurrency) {
   config.adaptive = true;
   ChBenchHarness harness(&catalog_, &txn_manager_, &gc_, config);
   harness.Setup();
-  const Result result = harness.Run();
-  ExpectWindowIsSound(result);
+  const Result result = RunSoundWindow(&harness);
 
   // The controller's last word stays inside its configured band.
   EXPECT_GE(result.final_period, config.policy.min_period);
@@ -98,8 +120,7 @@ TEST_F(ChBenchTest, FixedCadenceWindowIsBitExactUnderConcurrency) {
   config.fixed_period = std::chrono::milliseconds(5);
   ChBenchHarness harness(&catalog_, &txn_manager_, &gc_, config);
   harness.Setup();
-  const Result result = harness.Run();
-  ExpectWindowIsSound(result);
+  const Result result = RunSoundWindow(&harness);
   EXPECT_EQ(result.final_period, config.fixed_period);
 }
 

@@ -80,20 +80,14 @@ class ExecutionTest : public ::testing::TestWithParam<GatherMode> {
   /// bit-identical (floating-point == on every aggregate).
   void ExpectEnginesAgree(catalog::SqlTable *table, ScanStats *q6_stats_out = nullptr) {
     QueryRunner runner(&txn_manager_, /*num_threads=*/1);
-    const auto q1_vec = runner.RunQ1(table);
-    const auto q1_scalar = runner.RunQ1(table, {}, ExecMode::kScalar);
-    ASSERT_EQ(q1_vec.rows.size(), q1_scalar.rows.size());
-    for (size_t i = 0; i < q1_vec.rows.size(); i++) {
-      EXPECT_TRUE(q1_vec.rows[i] == q1_scalar.rows[i])
-          << "Q1 group " << q1_vec.rows[i].returnflag << "/" << q1_vec.rows[i].linestatus
-          << " diverged from the scalar reference";
+    for (const q::Query query : {q::Query::kQ1, q::Query::kQ6}) {
+      const auto plan = runner.Run(query, {.lineitem = table});
+      const auto scalar = runner.Run(query, {.lineitem = table}, ExecMode::kScalar);
+      EXPECT_TRUE(plan.answer == scalar.answer)
+          << q::QueryName(query) << " diverged from the scalar reference";
+      EXPECT_EQ(plan.stats.rows, scalar.stats.rows);
+      if (query == q::Query::kQ6 && q6_stats_out != nullptr) *q6_stats_out = plan.stats;
     }
-
-    const auto q6_vec = runner.RunQ6(table);
-    const auto q6_scalar = runner.RunQ6(table, {}, ExecMode::kScalar);
-    EXPECT_EQ(q6_vec.revenue, q6_scalar.revenue);
-    EXPECT_EQ(q6_vec.stats.rows, q6_scalar.stats.rows);
-    if (q6_stats_out != nullptr) *q6_stats_out = q6_vec.stats;
   }
 
   storage::BlockStore block_store_;
@@ -256,15 +250,16 @@ TEST_P(ExecutionTest, VectorOpsPrimitivesMatchScalarReference) {
 
 TEST_P(ExecutionTest, Q1AggregatesAreInternallyConsistent) {
   catalog::SqlTable *table = Generate(5000);
-  QueryRunner runner(&txn_manager_, /*num_threads=*/1);
 
   // With the cutoff above the generator's date range, Q1 groups partition
   // every row.
   q::Q1Params all_rows;
   all_rows.shipdate_max = 1u << 30;
-  const auto result = runner.RunQ1(table, all_rows);
+  auto *txn = txn_manager_.BeginTransaction();
+  const std::vector<q::Q1Row> rows = q::RunQ1Parallel(table, txn, all_rows, /*pool=*/nullptr);
+  txn_manager_.Commit(txn);
   uint64_t grouped = 0;
-  for (const q::Q1Row &row : result.rows) {
+  for (const q::Q1Row &row : rows) {
     grouped += row.count;
     EXPECT_TRUE(row.returnflag == "R" || row.returnflag == "A" || row.returnflag == "N");
     EXPECT_TRUE(row.linestatus == "O" || row.linestatus == "F");
@@ -274,8 +269,8 @@ TEST_P(ExecutionTest, Q1AggregatesAreInternallyConsistent) {
   }
   EXPECT_EQ(grouped, 5000u);
   // Groups arrive sorted by (returnflag, linestatus).
-  for (size_t i = 1; i < result.rows.size(); i++) {
-    const auto &a = result.rows[i - 1], &b = result.rows[i];
+  for (size_t i = 1; i < rows.size(); i++) {
+    const auto &a = rows[i - 1], &b = rows[i];
     EXPECT_TRUE(a.returnflag < b.returnflag ||
                 (a.returnflag == b.returnflag && a.linestatus < b.linestatus));
   }

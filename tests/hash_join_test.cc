@@ -8,6 +8,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -150,8 +151,10 @@ TEST(JoinHashTableTest, BloomFilterHasNoFalseNegativesAndAbsentKeysNeverMatch) {
       const auto add_absent = [&](int64_t key) {
         if (!Has(reference, key)) absent.push_back(key);
       };
-      add_absent(reference.front().key - 1);  // wraps to kMax at kMin
-      add_absent(reference.back().key + 1);
+      // Unsigned arithmetic, so kMin - 1 wraps to kMax (and kMax + 1 to kMin)
+      // without signed overflow.
+      add_absent(static_cast<int64_t>(static_cast<uint64_t>(reference.front().key) - 1));
+      add_absent(static_cast<int64_t>(static_cast<uint64_t>(reference.back().key) + 1));
       for (size_t i = 0; i < std::min<size_t>(keys.size(), 5000); i++) {
         if (keys[i] != kMax) add_absent(keys[i] + 1);
         if (keys[i] != kMin) add_absent(keys[i] - 1);
@@ -453,18 +456,20 @@ TEST_P(HashJoinTest, EmptyBuildAndProbeSides) {
       for (const ExecMode mode : {ExecMode::kPlan, ExecMode::kScalar}) check(&runner, mode);
     }
   };
-  each_engine([&](QueryRunner *runner, ExecMode mode) {
-    EXPECT_TRUE(runner->RunQ12(orders_, lineitem_, {}, mode).rows.empty());
-  });
+  const auto expect_empty = [&](const q::Tables &tables) {
+    each_engine([&](QueryRunner *runner, ExecMode mode) {
+      EXPECT_TRUE(runner->Run(q::Query::kQ12, tables, mode).answer ==
+                  q::Answer(std::vector<q::Q12Row>{}));
+    });
+  };
+  expect_empty({.lineitem = lineitem_, .orders = orders_});
 
   catalog::SqlTable *no_lines =
       catalog_.GetTable(catalog_.CreateTable("lineitem_empty", tpch::LineItemSchema()));
   catalog::SqlTable *some_orders =
       tpch::GenerateOrders(&catalog_, &txn_manager_, 500, 11, 0, "orders_filled");
   gc_.FullGC();
-  each_engine([&](QueryRunner *runner, ExecMode mode) {
-    EXPECT_TRUE(runner->RunQ12(some_orders, no_lines, {}, mode).rows.empty());
-  });
+  expect_empty({.lineitem = no_lines, .orders = some_orders});
   gc_.FullGC();
 }
 
@@ -498,16 +503,19 @@ TEST_P(HashJoinTest, DuplicateOrdersDoubleTheCounts) {
   gc_.FullGC();
 
   QueryRunner runner(&txn_manager_, 4);
-  const auto once = runner.RunQ12(orders_, lineitem_);
-  const auto twice = runner.RunQ12(doubled, lineitem_);
-  const auto twice_scalar = runner.RunQ12(doubled, lineitem_, {}, ExecMode::kScalar);
-  ASSERT_FALSE(once.rows.empty());
-  ASSERT_EQ(once.rows.size(), twice.rows.size());
-  EXPECT_TRUE(twice.rows == twice_scalar.rows);
-  for (size_t i = 0; i < once.rows.size(); i++) {
-    EXPECT_EQ(twice.rows[i].shipmode, once.rows[i].shipmode);
-    EXPECT_EQ(twice.rows[i].high_line_count, 2 * once.rows[i].high_line_count);
-    EXPECT_EQ(twice.rows[i].low_line_count, 2 * once.rows[i].low_line_count);
+  const q::Tables doubled_tables{.lineitem = lineitem_, .orders = doubled};
+  const auto once_answer = runner.Run(q::Query::kQ12, {.lineitem = lineitem_, .orders = orders_});
+  const auto twice_answer = runner.Run(q::Query::kQ12, doubled_tables);
+  EXPECT_TRUE(twice_answer.answer ==
+              runner.Run(q::Query::kQ12, doubled_tables, ExecMode::kScalar).answer);
+  const auto &once = std::get<std::vector<q::Q12Row>>(once_answer.answer);
+  const auto &twice = std::get<std::vector<q::Q12Row>>(twice_answer.answer);
+  ASSERT_FALSE(once.empty());
+  ASSERT_EQ(once.size(), twice.size());
+  for (size_t i = 0; i < once.size(); i++) {
+    EXPECT_EQ(twice[i].shipmode, once[i].shipmode);
+    EXPECT_EQ(twice[i].high_line_count, 2 * once[i].high_line_count);
+    EXPECT_EQ(twice[i].low_line_count, 2 * once[i].low_line_count);
   }
   gc_.FullGC();
 }
@@ -568,14 +576,16 @@ TEST_P(HashJoinTest, QueryRunnerRunsQ12InAllModes) {
 
   QueryRunner runner(&txn_manager_, /*num_threads=*/1);
   QueryRunner parallel(&txn_manager_, /*num_threads=*/2);
-  const auto vec = runner.RunQ12(orders_, lineitem_);
-  const auto scalar = runner.RunQ12(orders_, lineitem_, {}, ExecMode::kScalar);
-  const auto par = parallel.RunQ12(orders_, lineitem_);
-  ASSERT_FALSE(vec.rows.empty());
-  EXPECT_TRUE(vec.rows == scalar.rows);
-  EXPECT_TRUE(par.rows == scalar.rows);
+  const q::Tables tables{.lineitem = lineitem_, .orders = orders_};
+  const auto vec = runner.Run(q::Query::kQ12, tables);
+  const auto scalar = runner.Run(q::Query::kQ12, tables, ExecMode::kScalar);
+  const auto par = parallel.Run(q::Query::kQ12, tables);
+  EXPECT_TRUE(vec.answer == scalar.answer);
+  EXPECT_TRUE(par.answer == scalar.answer);
   // Two ship modes, counts bounded by qualifying lineitems.
-  EXPECT_LE(vec.rows.size(), 2u);
+  const auto &rows = std::get<std::vector<q::Q12Row>>(vec.answer);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_LE(rows.size(), 2u);
   // The stats span every scan of the plan: LINEITEM for the semi-join key
   // set, ORDERS for the reduced build, and LINEITEM again for the probe.
   uint64_t line_rows = 0, order_rows = 0;
@@ -642,11 +652,13 @@ TEST_P(HashJoinTest, Q12BuildsOnlyTheOrdersAQualifyingLineitemReaches) {
 
   const auto check = [&](const char *label) {
     const auto [reached, order_rows] = expected_build_rows();
-    QueryRunner runner(&txn_manager_, /*num_threads=*/2);
-    runner.SetProfiling(true);
-    const auto result = runner.RunQ12(orders_, lineitem_, params);
-    ASSERT_FALSE(result.rows.empty());
-    const op::PlanProfile &profile = runner.LastProfile();
+    common::WorkerPool pool(2);
+    op::PlanProfile profile;
+    auto *txn = txn_manager_.BeginTransaction();
+    const std::vector<q::Q12Row> rows =
+        q::RunQ12Parallel(orders_, lineitem_, txn, params, &pool, nullptr, &profile);
+    txn_manager_.Commit(txn);
+    ASSERT_FALSE(rows.empty());
     ASSERT_EQ(profile.pipelines.size(), 3u) << label;
     const std::vector<op::OperatorProfile> &orders_ops = profile.pipelines[1].operators;
     ASSERT_EQ(orders_ops.size(), 2u) << label;

@@ -372,16 +372,17 @@ class MetricsProfilingTest : public ::testing::Test {
   /// bit-identical results and a self-consistent profile.
   void ExpectProfiledBitExact(uint32_t num_threads) {
     QueryRunner runner(&txn_manager_, num_threads);
+    const tpch::Tables tables{.lineitem = lineitem_, .orders = orders_};
 
     runner.SetProfiling(false);
-    const auto q6_plain = runner.RunQ6(lineitem_);
-    const auto q12_plain = runner.RunQ12(orders_, lineitem_);
+    const auto q6_plain = runner.Run(tpch::Query::kQ6, tables);
+    const auto q12_plain = runner.Run(tpch::Query::kQ12, tables);
     EXPECT_TRUE(runner.LastProfile().pipelines.empty());
 
     runner.SetProfiling(true);
     EXPECT_TRUE(runner.Profiling());
-    const auto q6_prof = runner.RunQ6(lineitem_);
-    EXPECT_EQ(q6_prof.revenue, q6_plain.revenue)
+    const auto q6_prof = runner.Run(tpch::Query::kQ6, tables);
+    EXPECT_TRUE(q6_prof.answer == q6_plain.answer)
         << "profiling changed Q6's answer at " << num_threads << " threads";
     EXPECT_EQ(q6_prof.stats.rows, q6_plain.stats.rows);
 
@@ -401,13 +402,9 @@ class MetricsProfilingTest : public ::testing::Test {
     EXPECT_EQ(q6_pipe.operators[1].rows_out, 0u);  // sink
     EXPECT_GT(q6_pipe.operators[0].chunks, 0u);
 
-    const auto q12_prof = runner.RunQ12(orders_, lineitem_);
-    ASSERT_EQ(q12_prof.rows.size(), q12_plain.rows.size())
+    const auto q12_prof = runner.Run(tpch::Query::kQ12, tables);
+    EXPECT_TRUE(q12_prof.answer == q12_plain.answer)
         << "profiling changed Q12's answer at " << num_threads << " threads";
-    for (size_t i = 0; i < q12_prof.rows.size(); i++) {
-      EXPECT_TRUE(q12_prof.rows[i] == q12_plain.rows[i])
-          << "Q12 row " << i << " diverged under profiling at " << num_threads << " threads";
-    }
 
     // Q12 is three pipelines: the LINEITEM key-set build, the ORDERS build
     // behind a semi-join probe of that key set, then the LINEITEM probe.
@@ -439,8 +436,7 @@ class MetricsProfilingTest : public ::testing::Test {
 
     // Toggling back off both stops recording and clears the stale record.
     runner.SetProfiling(false);
-    const auto q6_again = runner.RunQ6(lineitem_);
-    EXPECT_EQ(q6_again.revenue, q6_plain.revenue);
+    EXPECT_TRUE(runner.Run(tpch::Query::kQ6, tables).answer == q6_plain.answer);
   }
 
   storage::BlockStore block_store_;
@@ -473,15 +469,13 @@ TEST_F(MetricsProfilingTest, ExplainReportsQ3Operators) {
 
   QueryRunner runner(&txn_manager_, 2);
   runner.SetProfiling(true);
+  const tpch::Tables tables{.lineitem = lineitem_, .orders = orders_, .customer = customer_};
   const auto plain = [&] {
     QueryRunner reference(&txn_manager_, 2);
-    return reference.RunQ3(customer_, orders_, lineitem_);
+    return reference.Run(tpch::Query::kQ3, tables);
   }();
-  const auto profiled = runner.RunQ3(customer_, orders_, lineitem_);
-  ASSERT_EQ(profiled.rows.size(), plain.rows.size());
-  for (size_t i = 0; i < profiled.rows.size(); i++) {
-    EXPECT_TRUE(profiled.rows[i] == plain.rows[i]) << "Q3 row " << i << " diverged";
-  }
+  const auto profiled = runner.Run(tpch::Query::kQ3, tables);
+  EXPECT_TRUE(profiled.answer == plain.answer) << "profiling changed Q3's answer";
 
   const op::PlanProfile &profile = runner.LastProfile();
   ASSERT_EQ(profile.pipelines.size(), 3u);
@@ -537,7 +531,7 @@ TEST_F(MetricsProfilingTest, ExplainReportsQ12BuildsHashed) {
 
   QueryRunner runner(&txn_manager_, 2);
   runner.SetProfiling(true);
-  runner.RunQ12(orders_, lineitem_);
+  runner.Run(tpch::Query::kQ12, {.lineitem = lineitem_, .orders = orders_});
   const op::PlanProfile &profile = runner.LastProfile();
   ExpectBuildLayouts(profile, {"hashed", "hashed"});
   EXPECT_NE(profile.ToString().find(" layout=hashed table_bytes="), std::string::npos)
@@ -557,7 +551,7 @@ TEST_F(MetricsProfilingTest, EngineCountersAdvanceAcrossAQuery) {
 
   const MetricsSnapshot before = registry.Snapshot();
   QueryRunner runner(&txn_manager_, 2);
-  const auto q6 = runner.RunQ6(lineitem_);
+  const auto q6 = runner.Run(tpch::Query::kQ6, {.lineitem = lineitem_});
   const MetricsSnapshot delta = registry.Snapshot().Delta(before);
 
   EXPECT_EQ(delta.counters.at("scan.rows"), q6.stats.rows);

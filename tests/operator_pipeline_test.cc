@@ -9,7 +9,9 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -23,6 +25,7 @@
 #include "transform/block_transformer.h"
 #include "transform/transform_pipeline.h"
 #include "workload/row_util.h"
+#include "workload/tpch/customer.h"
 #include "workload/tpch/lineitem.h"
 #include "workload/tpch/orders.h"
 #include "workload/tpch/part.h"
@@ -927,13 +930,15 @@ TEST_P(OperatorPipelineTest, QueryRunnerRunsQ14InAllModes) {
 
   QueryRunner runner(&txn_manager_, /*num_threads=*/1);
   QueryRunner parallel(&txn_manager_, /*num_threads=*/2);
-  const auto vec = runner.RunQ14(lineitem_, part_);
-  const auto scalar = runner.RunQ14(lineitem_, part_, {}, ExecMode::kScalar);
-  const auto par = parallel.RunQ14(lineitem_, part_);
-  EXPECT_EQ(vec.promo_revenue, scalar.promo_revenue);
-  EXPECT_EQ(par.promo_revenue, scalar.promo_revenue);
-  EXPECT_GT(vec.promo_revenue, 0.0) << "the generated workload should join and find promos";
-  EXPECT_LT(vec.promo_revenue, 100.0);
+  const q::Tables tables{.lineitem = lineitem_, .part = part_};
+  const auto vec = runner.Run(q::Query::kQ14, tables);
+  const auto scalar = runner.Run(q::Query::kQ14, tables, ExecMode::kScalar);
+  const auto par = parallel.Run(q::Query::kQ14, tables);
+  EXPECT_TRUE(vec.answer == scalar.answer);
+  EXPECT_TRUE(par.answer == scalar.answer);
+  const double promo_revenue = std::get<double>(vec.answer);
+  EXPECT_GT(promo_revenue, 0.0) << "the generated workload should join and find promos";
+  EXPECT_LT(promo_revenue, 100.0);
 
   uint64_t expected_rows = 0;
   auto *txn = txn_manager_.BeginTransaction();
@@ -964,10 +969,65 @@ TEST_P(OperatorPipelineTest, Q14EmptySidesYieldZero) {
   for (const uint32_t threads : {1u, 2u}) {
     QueryRunner runner(&txn_manager_, threads);
     for (const ExecMode mode : {ExecMode::kPlan, ExecMode::kScalar}) {
-      EXPECT_EQ(runner.RunQ14(lineitem_, no_parts, {}, mode).promo_revenue, 0.0);
-      EXPECT_EQ(runner.RunQ14(no_lines, some_parts, {}, mode).promo_revenue, 0.0);
+      EXPECT_TRUE(runner.Run(q::Query::kQ14, {.lineitem = lineitem_, .part = no_parts}, mode)
+                      .answer == q::Answer(0.0));
+      EXPECT_TRUE(runner.Run(q::Query::kQ14, {.lineitem = no_lines, .part = some_parts}, mode)
+                      .answer == q::Answer(0.0));
     }
   }
+  gc_.FullGC();
+}
+
+/// The query table routes every Query to its own typed functions: RunPlan
+/// (inline and on two workers) and RunScalar must each equal that query's
+/// typed scalar oracle, over hot and then frozen tables. Plan-versus-scalar
+/// agreement alone would miss a dispatch that swapped two queries answering
+/// the same type, such as Q6 and Q14.
+TEST_P(OperatorPipelineTest, QueryTableRoutesEveryQueryToItsTypedFunctions) {
+  GenerateTpch(RowsForBlocks(1));
+  // An ORDERS table whose custkeys a CUSTOMER table two thirds its size
+  // partly covers, so Q3 both joins and drops rows; Q12 reads it too.
+  const uint64_t num_customers = 2000;
+  catalog::SqlTable *orders = tpch::GenerateOrders(&catalog_, &txn_manager_, 3000, /*seed=*/11,
+                                                   /*batch_size=*/4096, "orders_q3",
+                                                   num_customers + num_customers / 2);
+  catalog::SqlTable *customer = tpch::GenerateCustomer(&catalog_, &txn_manager_, num_customers,
+                                                       /*seed=*/17, /*batch_size=*/4096);
+  gc_.FullGC();
+  const q::Tables tables{.lineitem = lineitem_, .orders = orders, .part = part_,
+                         .customer = customer};
+
+  using Oracle = std::function<q::Answer(transaction::TransactionContext *)>;
+  const std::vector<std::tuple<q::Query, const char *, Oracle>> typed = {
+      {q::Query::kQ1, "q1", [&](auto *txn) { return q::RunQ1Scalar(lineitem_, txn, {}); }},
+      {q::Query::kQ3, "q3",
+       [&](auto *txn) { return q::RunQ3Scalar(customer, orders, lineitem_, txn, {}); }},
+      {q::Query::kQ6, "q6", [&](auto *txn) { return q::RunQ6Scalar(lineitem_, txn, {}); }},
+      {q::Query::kQ12, "q12",
+       [&](auto *txn) { return q::RunQ12Scalar(orders, lineitem_, txn, {}); }},
+      {q::Query::kQ14, "q14",
+       [&](auto *txn) { return q::RunQ14Scalar(lineitem_, part_, txn, {}); }},
+  };
+  ASSERT_EQ(typed.size(), std::size(q::kQueries));
+
+  const auto check = [&](const char *label) {
+    common::WorkerPool pool(2);
+    auto *txn = txn_manager_.BeginTransaction();
+    for (size_t i = 0; i < typed.size(); i++) {
+      const auto &[query, name, oracle] = typed[i];
+      EXPECT_EQ(q::kQueries[i], query);
+      EXPECT_STREQ(q::QueryName(query), name);
+      const q::Answer expected = oracle(txn);
+      EXPECT_FALSE(q::IsEmpty(expected)) << label << " " << name;
+      EXPECT_TRUE(q::RunScalar(query, tables, txn) == expected) << label << " " << name;
+      EXPECT_TRUE(q::RunPlan(query, tables, txn, nullptr) == expected) << label << " " << name;
+      EXPECT_TRUE(q::RunPlan(query, tables, txn, &pool) == expected) << label << " " << name;
+    }
+    txn_manager_.Commit(txn);
+  };
+  check("hot");
+  for (catalog::SqlTable *table : {lineitem_, orders, part_, customer}) Freeze(table);
+  check("frozen");
   gc_.FullGC();
 }
 

@@ -264,23 +264,23 @@ TEST_P(ParallelExecutionTest, QueryRunnerParallelModeAgreesAndResizes) {
 
   QueryRunner runner(&txn_manager_, /*num_threads=*/2);
   EXPECT_EQ(runner.NumThreads(), 2u);
-  const auto q1_par = runner.RunQ1(table);
-  const auto q1_ref = runner.RunQ1(table, {}, ExecMode::kScalar);
-  EXPECT_TRUE(q1_par.rows == q1_ref.rows);
+  const q::Tables tables{.lineitem = table};
+  const auto q1_par = runner.Run(q::Query::kQ1, tables);
+  const auto q1_ref = runner.Run(q::Query::kQ1, tables, ExecMode::kScalar);
+  EXPECT_TRUE(q1_par.answer == q1_ref.answer);
   EXPECT_EQ(q1_par.stats.rows, q1_ref.stats.rows);
 
   runner.SetNumThreads(4);
   EXPECT_EQ(runner.NumThreads(), 4u);
-  const auto q6_par = runner.RunQ6(table);
-  const auto q6_ref = runner.RunQ6(table, {}, ExecMode::kScalar);
-  EXPECT_EQ(q6_par.revenue, q6_ref.revenue);
+  const auto q6_par = runner.Run(q::Query::kQ6, tables);
+  const auto q6_ref = runner.Run(q::Query::kQ6, tables, ExecMode::kScalar);
+  EXPECT_TRUE(q6_par.answer == q6_ref.answer);
 
   runner.SetNumThreads(0);  // hardware concurrency, still exact
-  const auto q6_hw = runner.RunQ6(table);
-  EXPECT_EQ(q6_hw.revenue, q6_ref.revenue);
+  EXPECT_TRUE(runner.Run(q::Query::kQ6, tables).answer == q6_ref.answer);
 
   runner.SetNumThreads(1);  // inline, no pool, still exact
-  EXPECT_EQ(runner.RunQ6(table).revenue, q6_ref.revenue);
+  EXPECT_TRUE(runner.Run(q::Query::kQ6, tables).answer == q6_ref.answer);
   gc_.FullGC();
 }
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -545,27 +546,35 @@ TEST_P(Q3TopKTest, Q3HandComputedMicroCase) {
       {12, 100.0, 9100, 2},
   };
 
+  const q::Tables tables{.lineitem = lineitem_, .orders = orders_, .customer = customer_};
   const auto check = [&](const char *label) {
     for (const uint32_t threads : {1u, 4u}) {
       QueryRunner runner(&txn_manager_, threads);
       for (const ExecMode mode : {ExecMode::kPlan, ExecMode::kScalar}) {
-        const auto result = runner.RunQ3(customer_, orders_, lineitem_, {}, mode);
-        EXPECT_TRUE(result.rows == expected)
-            << label << " mode " << static_cast<int>(mode) << " at " << threads
-            << " threads: got " << result.rows.size() << " rows";
-
-        q::Q3Params limited;
-        limited.limit = 2;
-        const auto top2 = runner.RunQ3(customer_, orders_, lineitem_, limited, mode);
-        EXPECT_TRUE(top2.rows ==
-                    std::vector<q::Q3Row>(expected.begin(), expected.begin() + 2))
-            << label << " limit 2";
-
-        q::Q3Params none;
-        none.limit = 0;
-        EXPECT_TRUE(runner.RunQ3(customer_, orders_, lineitem_, none, mode).rows.empty())
-            << label << " limit 0";
+        EXPECT_TRUE(runner.Run(q::Query::kQ3, tables, mode).answer == q::Answer(expected))
+            << label << " mode " << static_cast<int>(mode) << " at " << threads << " threads";
       }
+
+      // Non-default limits go through the typed plan and oracle; one thread
+      // runs the plan inline, as the runner does.
+      common::WorkerPool workers(threads);
+      common::WorkerPool *pool = threads > 1 ? &workers : nullptr;
+      auto *txn = txn_manager_.BeginTransaction();
+      q::Q3Params limited;
+      limited.limit = 2;
+      const std::vector<q::Q3Row> top2(expected.begin(), expected.begin() + 2);
+      EXPECT_TRUE(q::RunQ3Parallel(customer_, orders_, lineitem_, txn, limited, pool) == top2)
+          << label << " limit 2";
+      EXPECT_TRUE(q::RunQ3Scalar(customer_, orders_, lineitem_, txn, limited) == top2)
+          << label << " limit 2";
+
+      q::Q3Params none;
+      none.limit = 0;
+      EXPECT_TRUE(q::RunQ3Parallel(customer_, orders_, lineitem_, txn, none, pool).empty())
+          << label << " limit 0";
+      EXPECT_TRUE(q::RunQ3Scalar(customer_, orders_, lineitem_, txn, none).empty())
+          << label << " limit 0";
+      txn_manager_.Commit(txn);
     }
   };
 
@@ -590,12 +599,17 @@ TEST_P(Q3TopKTest, Q3EmptyTablesYieldNothing) {
 
   for (const uint32_t threads : {1u, 2u}) {
     QueryRunner runner(&txn_manager_, threads);
+    const auto rows = [&](catalog::SqlTable *customer, catalog::SqlTable *order,
+                          catalog::SqlTable *lineitem, ExecMode mode) {
+      const q::Tables tables{.lineitem = lineitem, .orders = order, .customer = customer};
+      return std::get<std::vector<q::Q3Row>>(runner.Run(q::Query::kQ3, tables, mode).answer);
+    };
     for (const ExecMode mode : {ExecMode::kPlan, ExecMode::kScalar}) {
-      EXPECT_TRUE(runner.RunQ3(no_customers, orders, lines, {}, mode).rows.empty());
-      EXPECT_TRUE(runner.RunQ3(customers, no_orders, lines, {}, mode).rows.empty());
-      EXPECT_TRUE(runner.RunQ3(customers, orders, no_lines, {}, mode).rows.empty());
+      EXPECT_TRUE(rows(no_customers, orders, lines, mode).empty());
+      EXPECT_TRUE(rows(customers, no_orders, lines, mode).empty());
+      EXPECT_TRUE(rows(customers, orders, no_lines, mode).empty());
       // Sanity: the non-empty combination does produce the row.
-      EXPECT_EQ(runner.RunQ3(customers, orders, lines, {}, mode).rows.size(), 1u);
+      EXPECT_EQ(rows(customers, orders, lines, mode).size(), 1u);
     }
   }
   gc_.FullGC();
