@@ -8,13 +8,15 @@
 // Expected shape (paper): near-linear scaling; at most ~10% throughput loss
 // with transformation enabled (dictionary slightly worse than gather); block
 // coverage reaches high %frozen for gather, lagging for dictionary at higher
-// worker counts.
+// worker counts. The last column is the memory the TPC-C indexes report
+// (Index::MemoryBytes()) at the end of each cell.
 
 #include <atomic>
 #include <thread>
 
 #include "bench_util.h"
 #include "gc/gc_thread.h"
+#include "index/index.h"
 #include "transform/transform_pipeline.h"
 #include "workload/tpcc/tpcc_workload.h"
 
@@ -27,6 +29,7 @@ struct RunResult {
   double ktps = 0;
   double frozen_pct = 0;
   double cooling_pct = 0;
+  double index_mb = 0;  // Index::MemoryBytes() summed over the TPC-C indexes
 };
 
 RunResult RunTPCC(uint32_t workers, Mode mode, int seconds) {
@@ -92,6 +95,11 @@ RunResult RunTPCC(uint32_t workers, Mode mode, int seconds) {
     engine.gc.SetAccessObserver(nullptr);
   }
   result.ktps = static_cast<double>(committed.load()) / seconds / 1000.0;
+  for (const index::Index *idx :
+       {db.warehouse_pk, db.district_pk, db.customer_pk, db.customer_name_idx, db.new_order_pk,
+        db.order_pk, db.order_customer_idx, db.order_line_pk, db.item_pk, db.stock_pk}) {
+    result.index_mb += static_cast<double>(idx->MemoryBytes()) / 1e6;
+  }
 
   uint64_t frozen = 0, cooling = 0, total = 0;
   // Coverage over the transformation-target tables except read-only ITEM,
@@ -122,16 +130,17 @@ int main() {
 
   std::printf(
       "== Figure 10: TPC-C, one warehouse per worker, %d s per cell ==\n"
-      "%-9s %16s %16s %16s %22s %22s\n",
+      "%-9s %16s %16s %16s %22s %22s %24s\n",
       seconds, "#workers", "none (K txn/s)", "gather (K txn/s)", "dict (K txn/s)",
-      "gather %frozen/%cool", "dict %frozen/%cool");
+      "gather %frozen/%cool", "dict %frozen/%cool", "index MB none/gath/dict");
   for (uint32_t workers = 1; workers <= max_workers; workers *= 2) {
     const RunResult none = RunTPCC(workers, Mode::kDisabled, seconds);
     const RunResult gather = RunTPCC(workers, Mode::kGather, seconds);
     const RunResult dict = RunTPCC(workers, Mode::kDictionary, seconds);
-    std::printf("%-9u %16.1f %16.1f %16.1f %14.1f / %5.1f %14.1f / %5.1f\n", workers,
-                none.ktps, gather.ktps, dict.ktps, gather.frozen_pct, gather.cooling_pct,
-                dict.frozen_pct, dict.cooling_pct);
+    std::printf("%-9u %16.1f %16.1f %16.1f %14.1f / %5.1f %14.1f / %5.1f %8.1f/%6.1f/%6.1f\n",
+                workers, none.ktps, gather.ktps, dict.ktps, gather.frozen_pct,
+                gather.cooling_pct, dict.frozen_pct, dict.cooling_pct, none.index_mb,
+                gather.index_mb, dict.index_mb);
   }
   return 0;
 }

@@ -12,7 +12,8 @@
 
 namespace mainline::index {
 
-/// A concurrent B+-tree with reader-writer latch crabbing.
+/// A concurrent B+-tree over keys at most `W` bytes wide, with
+/// reader-writer latch crabbing. Nodes hold each key in exactly `W` bytes.
 ///
 /// Substitutes for the paper's OpenBw-Tree, a latch-free Bw-Tree: a latched
 /// B+-tree is far less code, and the experiments exercise indexes only as a
@@ -20,15 +21,23 @@ namespace mainline::index {
 /// preserves.
 ///
 /// Concurrency protocol:
+///  - Every descent reads `root_` under the root latch held shared, latches
+///    the root node, then releases the root latch. Only growing the tree by
+///    a level takes the root latch exclusive.
 ///  - Readers descend with shared-latch crabbing (latch child, release
 ///    parent). Range scans traverse the leaf chain hand-over-hand
-///    left-to-right, which is deadlock-free because splits never latch
-///    their neighbors.
-///  - Writers descend with exclusive-latch crabbing and split full nodes
+///    left-to-right, which is deadlock-free because no writer holding a leaf
+///    waits for a node left of it.
+///  - Insert, InsertOverwrite and Delete descend the same way, shared on
+///    inner nodes, and latch only the leaf exclusive. A write that fits in
+///    its leaf touches nothing else, so it needs no more.
+///  - An insert whose leaf is full (about one in 32) releases it and starts
+///    again from the root with exclusive-latch crabbing, splitting full nodes
 ///    preemptively on the way down, so an insertion never propagates back up.
 ///  - Deletion is lazy: keys are removed from leaves but nodes are never
 ///    merged (the common strategy for latch-based trees; structurally empty
-///    leaves remain valid routing targets).
+///    leaves remain valid routing targets), so a delete never falls back.
+///  - Latches are taken top-down, and left-to-right between leaves.
 ///
 /// Hand-over-hand latching acquires a child before releasing its parent and
 /// returns latched nodes across function boundaries — a protocol Clang's
@@ -37,29 +46,43 @@ namespace mainline::index {
 /// NO_THREAD_SAFETY_ANALYSIS helpers; the invariants they rely on are the
 /// documented crabbing protocol above, checked by the TSan stress lane
 /// instead.
+template <uint32_t W>
 class BPlusTree final : public Index {
+  using Key = FixedKey<W>;
+
  public:
   static constexpr uint16_t kLeafCapacity = 64;
   static constexpr uint16_t kInnerCapacity = 64;  // max children per inner node
 
-  BPlusTree() : root_(new LeafNode) {}
+  BPlusTree() : root_(NewLeaf()) {}
   DISALLOW_COPY_AND_MOVE(BPlusTree)
 
   ~BPlusTree() override { FreeSubtree(root_); }
 
   bool Insert(const IndexKey &key, storage::TupleSlot value) override {
-    return InsertImpl(key, value);
+    Key k;
+    return Key::From(key, &k) && Write(k, value, false);
   }
 
-  bool Delete(const IndexKey &key) override { return DeleteImpl(key); }
+  bool InsertOverwrite(const IndexKey &key, storage::TupleSlot value) override {
+    Key k;
+    return Key::From(key, &k) && Write(k, value, true);
+  }
+
+  bool Delete(const IndexKey &key) override {
+    Key k;
+    return Key::From(key, &k) && DeleteImpl(k);
+  }
 
   bool Find(const IndexKey &key, storage::TupleSlot *out) const override {
-    return FindImpl(key, out);
+    Key k;
+    return Key::From(key, &k) && FindImpl(k, out);
   }
 
   void ScanAscending(const IndexKey &lo, const IndexKey &hi, uint32_t limit,
                      std::vector<storage::TupleSlot> *out) const override {
-    ScanAscendingImpl(lo, hi, limit, out);
+    Key l, h;
+    if (Key::From(lo, &l) && Key::From(hi, &h)) ScanAscendingImpl(l, h, limit, out);
   }
 
   void ScanDescending(const IndexKey &lo, const IndexKey &hi, uint32_t limit,
@@ -80,6 +103,20 @@ class BPlusTree final : public Index {
   // moment it is read; callers use it for diagnostics and sizing only.
   uint64_t Size() const override { return size_.load(std::memory_order_relaxed); }
 
+  uint64_t MemoryBytes() const override {
+    return LeafCount() * LeafBytes() + InnerCount() * InnerBytes();
+  }
+
+  /// Node census behind MemoryBytes(). Nodes are never freed before the
+  /// tree is, so the counts only grow.
+  // relaxed: counts published for diagnostics only; the latches order the
+  // nodes themselves.
+  uint64_t LeafCount() const { return leaves_.load(std::memory_order_relaxed); }
+  // relaxed: as LeafCount.
+  uint64_t InnerCount() const { return inners_.load(std::memory_order_relaxed); }
+  static constexpr size_t LeafBytes() { return sizeof(LeafNode); }
+  static constexpr size_t InnerBytes() { return sizeof(InnerNode); }
+
   /// \return the height of the tree (diagnostics; not thread-safe, so the
   /// unlatched walk from root_ is exempted from capability analysis).
   uint32_t Height() const NO_THREAD_SAFETY_ANALYSIS {
@@ -93,9 +130,28 @@ class BPlusTree final : public Index {
   }
 
  private:
-  // Exclusive-crabbing insert: holds at most two node latches at once
-  // (parent + child), releasing the parent only after the child is held.
-  bool InsertImpl(const IndexKey &key, storage::TupleSlot value) NO_THREAD_SAFETY_ANALYSIS {
+  enum class Outcome { kInserted, kPresent, kFull };
+
+  // Insert, or with `overwrite` replace, under one exclusive leaf latch.
+  // The leaf comes back latched from DescendForWrite and is released here,
+  // which the analysis cannot pair with its acquisition.
+  bool Write(const Key &key, storage::TupleSlot value, bool overwrite) NO_THREAD_SAFETY_ANALYSIS {
+    LeafNode *leaf = DescendForWrite(key);
+    Outcome outcome = LeafWrite(leaf, key, value, overwrite);
+    leaf->latch.UnlockExclusive();
+    if (outcome == Outcome::kFull) outcome = WriteSplitting(key, value, overwrite);
+    if (outcome != Outcome::kInserted) return overwrite;
+    // relaxed: the counter is a diagnostic tally, not a synchronization
+    // point — the leaf latch above ordered the structural change.
+    size_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  // Exclusive-crabbing write that splits full nodes on the way down: holds
+  // at most two node latches at once (parent + child), releasing the parent
+  // only after the child is held. The leaf it reaches is never full.
+  Outcome WriteSplitting(const Key &key, storage::TupleSlot value,
+                         bool overwrite) NO_THREAD_SAFETY_ANALYSIS {
     while (true) {
       root_latch_.LockShared();
       Node *node = root_;
@@ -129,19 +185,15 @@ class BPlusTree final : public Index {
         node = child;
       }
       auto *leaf = static_cast<LeafNode *>(node);
-      const bool inserted = LeafInsert(leaf, key, value);
+      const Outcome outcome = LeafWrite(leaf, key, value, overwrite);
       leaf->latch.UnlockExclusive();
-      // relaxed: the counter is a diagnostic tally, not a synchronization
-      // point — the leaf latch above ordered the structural change.
-      if (inserted) size_.fetch_add(1, std::memory_order_relaxed);
-      return inserted;
+      return outcome;
     }
   }
 
-  // Remove via exclusive crab-down; the leaf comes back latched and is
-  // released here, which the analysis cannot pair with its acquisition.
-  bool DeleteImpl(const IndexKey &key) NO_THREAD_SAFETY_ANALYSIS {
-    LeafNode *leaf = DescendExclusive(key);
+  // Remove under the leaf's exclusive latch; same cross-function hand-off.
+  bool DeleteImpl(const Key &key) NO_THREAD_SAFETY_ANALYSIS {
+    LeafNode *leaf = DescendForWrite(key);
     const uint16_t pos = LowerBound(leaf->keys, leaf->count, key);
     bool found = pos < leaf->count && leaf->keys[pos] == key;
     if (found) {
@@ -159,7 +211,7 @@ class BPlusTree final : public Index {
   }
 
   // Point lookup via shared crab-down; same cross-function latch hand-off.
-  bool FindImpl(const IndexKey &key, storage::TupleSlot *out) const NO_THREAD_SAFETY_ANALYSIS {
+  bool FindImpl(const Key &key, storage::TupleSlot *out) const NO_THREAD_SAFETY_ANALYSIS {
     const LeafNode *leaf = DescendShared(key);
     const uint16_t pos = LowerBound(leaf->keys, leaf->count, key);
     const bool found = pos < leaf->count && leaf->keys[pos] == key;
@@ -169,7 +221,7 @@ class BPlusTree final : public Index {
   }
 
   // Leaf-chain traversal: hand-over-hand left-to-right across siblings.
-  void ScanAscendingImpl(const IndexKey &lo, const IndexKey &hi, uint32_t limit,
+  void ScanAscendingImpl(const Key &lo, const Key &hi, uint32_t limit,
                          std::vector<storage::TupleSlot> *out) const NO_THREAD_SAFETY_ANALYSIS {
     const LeafNode *leaf = DescendShared(lo);
     uint16_t pos = LowerBound(leaf->keys, leaf->count, lo);
@@ -206,22 +258,20 @@ class BPlusTree final : public Index {
 
   struct LeafNode : Node {
     LeafNode() : Node(true) {}
-    IndexKey keys[kLeafCapacity];
+    Key keys[kLeafCapacity];
     storage::TupleSlot values[kLeafCapacity];
     LeafNode *next = nullptr;
   };
 
   struct InnerNode : Node {
     InnerNode() : Node(false) {}
-    IndexKey keys[kInnerCapacity - 1];
+    Key keys[kInnerCapacity - 1];
     Node *children[kInnerCapacity];
 
     /// \return index of the child subtree that covers `key` (keys equal to a
     /// separator route right, matching leaf-split copy-up semantics).
-    uint16_t ChildIndex(const IndexKey &key) const {
-      uint16_t idx = 0;
-      while (idx < count && !(key < keys[idx])) idx++;
-      return idx;
+    uint16_t ChildIndex(const Key &key) const {
+      return static_cast<uint16_t>(std::upper_bound(keys, keys + this->count, key) - keys);
     }
   };
 
@@ -229,13 +279,21 @@ class BPlusTree final : public Index {
     return node->leaf ? node->count == kLeafCapacity : node->count == kInnerCapacity - 1;
   }
 
-  static uint16_t LowerBound(const IndexKey *keys, uint16_t count, const IndexKey &key) {
+  static uint16_t LowerBound(const Key *keys, uint16_t count, const Key &key) {
     return static_cast<uint16_t>(std::lower_bound(keys, keys + count, key) - keys);
   }
 
-  static bool LeafInsert(LeafNode *leaf, const IndexKey &key, storage::TupleSlot value) {
+  /// Insert `key` into `leaf` (held exclusive), or with `overwrite` replace
+  /// its value if present. A full leaf is left unchanged unless the key is
+  /// already there.
+  static Outcome LeafWrite(LeafNode *leaf, const Key &key, storage::TupleSlot value,
+                           bool overwrite) {
     const uint16_t pos = LowerBound(leaf->keys, leaf->count, key);
-    if (pos < leaf->count && leaf->keys[pos] == key) return false;  // duplicate
+    if (pos < leaf->count && leaf->keys[pos] == key) {
+      if (overwrite) leaf->values[pos] = value;
+      return Outcome::kPresent;
+    }
+    if (IsFull(leaf)) return Outcome::kFull;
     for (uint16_t i = leaf->count; i > pos; i--) {
       leaf->keys[i] = leaf->keys[i - 1];
       leaf->values[i] = leaf->values[i - 1];
@@ -243,17 +301,29 @@ class BPlusTree final : public Index {
     leaf->keys[pos] = key;
     leaf->values[pos] = value;
     leaf->count++;
-    return true;
+    return Outcome::kInserted;
+  }
+
+  LeafNode *NewLeaf() {
+    // relaxed: census tally only (see LeafCount).
+    leaves_.fetch_add(1, std::memory_order_relaxed);
+    return new LeafNode;
+  }
+
+  InnerNode *NewInner() {
+    // relaxed: census tally only (see LeafCount).
+    inners_.fetch_add(1, std::memory_order_relaxed);
+    return new InnerNode;
   }
 
   /// Split the full `child` (held exclusive) of `inner` (held exclusive,
   /// non-full) at child index `idx`.
   void SplitChild(InnerNode *inner, uint16_t idx, Node *child) {
-    IndexKey separator;
+    Key separator;
     Node *right_node;
     if (child->leaf) {
       auto *leaf = static_cast<LeafNode *>(child);
-      auto *right = new LeafNode;
+      auto *right = NewLeaf();
       const uint16_t mid = leaf->count / 2;
       for (uint16_t i = mid; i < leaf->count; i++) {
         right->keys[i - mid] = leaf->keys[i];
@@ -267,7 +337,7 @@ class BPlusTree final : public Index {
       right_node = right;
     } else {
       auto *node = static_cast<InnerNode *>(child);
-      auto *right = new InnerNode;
+      auto *right = NewInner();
       const uint16_t mid = node->count / 2;
       separator = node->keys[mid];  // push-up
       for (uint16_t i = mid + 1; i < node->count; i++) right->keys[i - mid - 1] = node->keys[i];
@@ -297,7 +367,7 @@ class BPlusTree final : public Index {
     if (!IsFull(old_root)) return;  // somebody else grew it
     // Wait for in-flight operations already past the root latch.
     old_root->latch.LockExclusive();
-    auto *new_root = new InnerNode;
+    auto *new_root = NewInner();
     new_root->children[0] = old_root;
     SplitChild(new_root, 0, old_root);
     old_root->latch.UnlockExclusive();
@@ -306,7 +376,7 @@ class BPlusTree final : public Index {
 
   /// Shared-crab down to the leaf covering `key`; returns it latched shared
   /// (the deliberately unbalanced hand-off capability analysis cannot model).
-  const LeafNode *DescendShared(const IndexKey &key) const NO_THREAD_SAFETY_ANALYSIS {
+  const LeafNode *DescendShared(const Key &key) const NO_THREAD_SAFETY_ANALYSIS {
     root_latch_.LockShared();
     const Node *node = root_;
     node->latch.LockShared();
@@ -321,21 +391,30 @@ class BPlusTree final : public Index {
     return static_cast<const LeafNode *>(node);
   }
 
-  /// Exclusive-crab down to the leaf covering `key` (no splitting); returns
-  /// it latched exclusive.
-  LeafNode *DescendExclusive(const IndexKey &key) NO_THREAD_SAFETY_ANALYSIS {
+  /// Shared-crab down the inner nodes to the leaf covering `key` (no
+  /// splitting); returns the leaf latched exclusive. `leaf` is fixed at
+  /// construction, so a node's kind is known before it is latched.
+  LeafNode *DescendForWrite(const Key &key) NO_THREAD_SAFETY_ANALYSIS {
     root_latch_.LockShared();
     Node *node = root_;
-    node->latch.LockExclusive();
+    LatchForWrite(node);
     root_latch_.UnlockShared();
     while (!node->leaf) {
       auto *inner = static_cast<InnerNode *>(node);
       Node *child = inner->children[inner->ChildIndex(key)];
-      child->latch.LockExclusive();
-      node->latch.UnlockExclusive();
+      LatchForWrite(child);
+      inner->latch.UnlockShared();
       node = child;
     }
     return static_cast<LeafNode *>(node);
+  }
+
+  static void LatchForWrite(Node *node) NO_THREAD_SAFETY_ANALYSIS {
+    if (node->leaf) {
+      node->latch.LockExclusive();
+    } else {
+      node->latch.LockShared();
+    }
   }
 
   void FreeSubtree(Node *node) {
@@ -348,6 +427,9 @@ class BPlusTree final : public Index {
     }
   }
 
+  // Declared before root_, whose initializer counts the first leaf.
+  std::atomic<uint64_t> leaves_{0};
+  std::atomic<uint64_t> inners_{0};
   mutable common::SharedLatch root_latch_;
   Node *root_ GUARDED_BY(root_latch_);
   std::atomic<uint64_t> size_{0};

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string_view>
 #include <type_traits>
 
@@ -63,14 +62,22 @@ class IndexKey {
   const byte *Data() const { return data_.data(); }
   uint32_t Size() const { return size_; }
 
-  size_t Hash() const {
-    // FNV-1a over the full (zero-padded) key.
-    uint64_t h = 1469598103934665603ULL;
-    for (const byte b : data_) {
-      h ^= static_cast<uint8_t>(b);
-      h *= 1099511628211ULL;
+  /// Hash of the full zero-padded key, a 64-bit word at a time, ending in
+  /// MurmurHash3's 64-bit finalizer. Equal keys hash equally, so one hash
+  /// serves every probe of an operation.
+  uint64_t Hash() const {
+    uint64_t h = 0;
+    for (uint32_t i = 0; i < kMaxSize; i += 8) {
+      uint64_t word;
+      std::memcpy(&word, data_.data() + i, sizeof(word));
+      h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
+      h ^= h >> 32;
     }
-    return h;
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 33;
+    h *= 0xC4CEB9FE1A85EC53ULL;
+    return h ^ (h >> 33);
   }
 
  private:
@@ -83,11 +90,35 @@ class IndexKey {
   uint32_t size_ = 0;
 };
 
-}  // namespace mainline::index
+/// \return `key_width` rounded up to the next supported index width: a
+/// multiple of 8, at least 8 and at most IndexKey::kMaxSize.
+constexpr uint32_t RoundUpKeyWidth(uint32_t key_width) {
+  return std::clamp<uint32_t>((key_width + 7) / 8 * 8, 8, IndexKey::kMaxSize);
+}
 
-namespace std {
-template <>
-struct hash<mainline::index::IndexKey> {
-  size_t operator()(const mainline::index::IndexKey &key) const { return key.Hash(); }
+/// An IndexKey stored at an index's own width `W`: its first `W` bytes. For
+/// keys no wider than `W` the bytes past `W` are zero padding, so a `W`-byte
+/// memcmp orders and equates exactly as IndexKey's full compare does.
+template <uint32_t W>
+struct FixedKey {
+  static_assert(W % 8 == 0 && W >= 8 && W <= IndexKey::kMaxSize);
+
+  /// Copy `key` into `out`. \return false, leaving `out` untouched, if `key`
+  /// is wider than `W`: a wider key is rejected, never truncated.
+  static bool From(const IndexKey &key, FixedKey *out) {
+    if (key.Size() > W) return false;
+    std::memcpy(out->bytes.data(), key.Data(), W);
+    return true;
+  }
+
+  bool operator<(const FixedKey &other) const {
+    return std::memcmp(bytes.data(), other.bytes.data(), W) < 0;
+  }
+  bool operator==(const FixedKey &other) const {
+    return std::memcmp(bytes.data(), other.bytes.data(), W) == 0;
+  }
+
+  std::array<byte, W> bytes;
 };
-}  // namespace std
+
+}  // namespace mainline::index

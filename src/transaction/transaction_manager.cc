@@ -19,11 +19,15 @@ TransactionManager::TransactionManager(storage::RecordBufferSegmentPool *buffer_
   if (log_manager_ != nullptr) {
     // The log manager sees only record vectors and opaque handles; this sink
     // turns a finished submission's handle back into its transaction and
-    // forwards it to the GC queue.
+    // forwards it to the GC queue. Its redo records are serialized by then
+    // and the GC reads only undo records, so the redo segments go back to
+    // the pool now instead of waiting out the GC backlog.
     log_manager_->SetFinishedCallback(
         +[](void *context, void *handle) {
-          static_cast<TransactionManager *>(context)->TransactionFinished(
-              static_cast<TransactionContext *>(handle));
+          auto *txn = static_cast<TransactionContext *>(handle);
+          txn->redo_records_.clear();
+          txn->redo_buffer_.Release();
+          static_cast<TransactionManager *>(context)->TransactionFinished(txn);
         },
         this);
   }
@@ -51,6 +55,12 @@ TransactionManager::~TransactionManager() {
 TransactionContext *TransactionManager::BeginTransaction() {
   timestamp_t start;
   {
+    // Under commit_latch_, a start timestamp cannot fall between a commit's
+    // timestamp draw and the stamping of its undo records: a snapshot taken
+    // after that commit time would otherwise see the commit's versions as
+    // uncommitted, read past them, and later overwrite them without a
+    // conflict (a lost update).
+    common::SpinLatch::ScopedSpinLatch commit_guard(&commit_latch_);
     common::SpinLatch::ScopedSpinLatch guard(&curr_running_latch_);
     start = time_++;
     curr_running_.insert(start);

@@ -51,7 +51,7 @@ class TransactionManager {
   /// Begin a new transaction.
   /// \return the new transaction's context; ownership passes to the GC (or to
   /// this manager if GC is disabled) once the transaction finishes.
-  TransactionContext *BeginTransaction();
+  TransactionContext *BeginTransaction() EXCLUDES(commit_latch_, curr_running_latch_);
 
   /// Commit `txn`. If logging is enabled, `callback(arg)` fires once the
   /// commit record is persistent; otherwise it fires before returning.
@@ -95,11 +95,15 @@ class TransactionManager {
   void TransactionFinished(TransactionContext *txn);
 
   std::atomic<timestamp_t> time_{kInitialTimestamp + 1};
-  common::SpinLatch curr_running_latch_;
+  // Latch order: commit_latch_, then curr_running_latch_ (BeginTransaction
+  // holds both; nothing takes them the other way round).
+  common::SpinLatch curr_running_latch_ ACQUIRED_AFTER(commit_latch_);
   std::multiset<timestamp_t> curr_running_ GUARDED_BY(curr_running_latch_);
   // Serializes the commit critical section (timestamp draw + delta
-  // stamping); it guards an ordering invariant, not data — the fields it
-  // orders are the delta records' atomics. Referenced by Commit's EXCLUDES.
+  // stamping) against itself and against start-timestamp draws; it guards an
+  // ordering invariant, not data — the fields it orders are the delta
+  // records' atomics. Referenced by Commit's and BeginTransaction's EXCLUDES.
+  // Latch order: commit_latch_ first, then curr_running_latch_.
   common::SpinLatch commit_latch_;
   common::SpinLatch completed_latch_;
   std::vector<TransactionContext *> completed_txns_ GUARDED_BY(completed_latch_);

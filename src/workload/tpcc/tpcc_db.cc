@@ -8,6 +8,7 @@
 #include "common/worker_pool.h"
 #include "index/bplus_tree.h"
 #include "index/hash_index.h"
+#include "index/index_key.h"
 #include "storage/projected_row.h"
 #include "storage/storage_defs.h"
 #include "workload/row_util.h"
@@ -61,24 +62,26 @@ Database::Database(catalog::Catalog *catalog, const Config &config_in) : config(
   item = catalog->GetTable(catalog->CreateTable("item", ItemSchema()));
   stock = catalog->GetTable(catalog->CreateTable("stock", StockSchema()));
 
-  auto mk_hash = [&](const char *name, catalog::SqlTable *table) {
-    catalog->RegisterIndex(name, table->Oid(), std::make_unique<index::HashIndex>());
+  // Each index stores its keys at the width its key builder produces.
+  auto mk_hash = [&](const char *name, catalog::SqlTable *table, const index::IndexKey &key) {
+    catalog->RegisterIndex(name, table->Oid(), index::MakeIndex<index::HashIndex>(key.Size()));
     return catalog->GetIndex(name);
   };
-  auto mk_btree = [&](const char *name, catalog::SqlTable *table) {
-    catalog->RegisterIndex(name, table->Oid(), std::make_unique<index::BPlusTree>());
+  auto mk_btree = [&](const char *name, catalog::SqlTable *table, const index::IndexKey &key) {
+    catalog->RegisterIndex(name, table->Oid(), index::MakeIndex<index::BPlusTree>(key.Size()));
     return catalog->GetIndex(name);
   };
-  warehouse_pk = mk_hash("warehouse_pk", warehouse);
-  district_pk = mk_hash("district_pk", district);
-  customer_pk = mk_hash("customer_pk", customer);
-  customer_name_idx = mk_btree("customer_name_idx", customer);
-  new_order_pk = mk_btree("new_order_pk", new_order);
-  order_pk = mk_hash("order_pk", order);
-  order_customer_idx = mk_btree("order_customer_idx", order);
-  order_line_pk = mk_btree("order_line_pk", order_line);
-  item_pk = mk_hash("item_pk", item);
-  stock_pk = mk_hash("stock_pk", stock);
+  warehouse_pk = mk_hash("warehouse_pk", warehouse, WarehouseKey(0));
+  district_pk = mk_hash("district_pk", district, DistrictKey(0, 0));
+  customer_pk = mk_hash("customer_pk", customer, CustomerKey(0, 0, 0));
+  customer_name_idx =
+      mk_btree("customer_name_idx", customer, CustomerNameKey(0, 0, "", "", 0));
+  new_order_pk = mk_btree("new_order_pk", new_order, NewOrderKey(0, 0, 0));
+  order_pk = mk_hash("order_pk", order, OrderKey(0, 0, 0));
+  order_customer_idx = mk_btree("order_customer_idx", order, OrderCustomerKey(0, 0, 0, 0));
+  order_line_pk = mk_btree("order_line_pk", order_line, OrderLineKey(0, 0, 0, 0));
+  item_pk = mk_hash("item_pk", item, ItemKey(0));
+  stock_pk = mk_hash("stock_pk", stock, StockKey(0, 0));
 }
 
 void Database::Load(transaction::TransactionManager *txn_manager, uint32_t num_threads) {

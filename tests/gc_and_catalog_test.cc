@@ -80,7 +80,7 @@ TEST(CatalogTest, TablesAndIndexesByNameAndOid) {
   EXPECT_EQ(catalog.GetTable("missing"), nullptr);
   EXPECT_EQ(catalog.GetTableOid("missing"), catalog::table_oid_t(0));
 
-  catalog.RegisterIndex("t1_pk", oid, std::make_unique<index::BPlusTree>());
+  catalog.RegisterIndex("t1_pk", oid, index::MakeIndex<index::BPlusTree>(8));
   EXPECT_NE(catalog.GetIndex("t1_pk"), nullptr);
   EXPECT_EQ(catalog.GetIndex("nope"), nullptr);
   EXPECT_EQ(catalog.TableMap().size(), 1u);

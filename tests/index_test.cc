@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,32 @@ using storage::TupleSlot;
 namespace {
 IndexKey Key(int64_t k) { return IndexKey().AddSigned(k); }
 TupleSlot Slot(uint64_t v) { return TupleSlot::FromRawBytes(v << 20); }
+
+/// A key of `W` or `W - 4` bytes (by the parity of `k`), distinct for every
+/// `k`. Its leading 8-byte fields take few values, so order is often decided
+/// past the first word, and odd keys exercise zero padding up to `W`.
+template <uint32_t W>
+IndexKey WideKey(uint64_t k) {
+  IndexKey key;
+  for (uint32_t field = 0; field + 8 < W; field += 8) {
+    key.AddUnsigned<uint64_t>((k / 7 + field) % 3);
+  }
+  if (k % 2 == 1) return key.AddUnsigned(static_cast<uint32_t>(k));
+  return key.AddUnsigned<uint64_t>(k);
+}
+
+/// The zero-padded `W` bytes an index of width `W` stores; std::string
+/// compares them as unsigned bytes, like memcmp.
+template <uint32_t W>
+std::string Bytes(const IndexKey &key) {
+  return std::string(reinterpret_cast<const char *>(key.Data()), W);
+}
+
+std::vector<TupleSlot> Slots(const std::vector<uint64_t> &values) {
+  std::vector<TupleSlot> slots;
+  for (const uint64_t v : values) slots.push_back(Slot(v));
+  return slots;
+}
 }  // namespace
 
 TEST(IndexKeyTest, OrderPreservingEncodings) {
@@ -35,10 +64,39 @@ TEST(IndexKeyTest, OrderPreservingEncodings) {
   EXPECT_LT(IndexKey().AddString("BAR", 8), IndexKey().AddString("BARN", 8));
 }
 
+TEST(IndexKeyTest, HashCoversTheWholeKey) {
+  EXPECT_EQ(Key(42).Hash(), Key(42).Hash());
+  EXPECT_NE(Key(42).Hash(), Key(43).Hash());
+  // Keys differing only in their last byte, or only in their width's
+  // padding, hash differently.
+  IndexKey a, b;
+  a.AddString("", 63).AddUnsigned<uint8_t>(1);
+  b.AddString("", 63).AddUnsigned<uint8_t>(2);
+  EXPECT_NE(a.Hash(), b.Hash());
+  EXPECT_NE(IndexKey().AddUnsigned<uint8_t>(0).Hash(), IndexKey().AddString("a", 1).Hash());
+}
+
+TEST(IndexKeyTest, FixedWidthCompareMatchesFullCompare) {
+  common::Xorshift rng(3);
+  for (int i = 0; i < 2000; i++) {
+    const IndexKey a = WideKey<40>(rng.Uniform(0, 200)), b = WideKey<40>(rng.Uniform(0, 200));
+    index::FixedKey<40> fa, fb;
+    ASSERT_TRUE(index::FixedKey<40>::From(a, &fa));
+    ASSERT_TRUE(index::FixedKey<40>::From(b, &fb));
+    ASSERT_EQ(fa < fb, a < b);
+    ASSERT_EQ(fa == fb, a == b);
+  }
+  EXPECT_EQ(index::RoundUpKeyWidth(0), 8u);
+  EXPECT_EQ(index::RoundUpKeyWidth(4), 8u);
+  EXPECT_EQ(index::RoundUpKeyWidth(12), 16u);
+  EXPECT_EQ(index::RoundUpKeyWidth(40), 40u);
+  EXPECT_EQ(index::RoundUpKeyWidth(64), 64u);
+}
+
 /// Model-based test: a B+-tree must agree with std::map over a random
 /// workload of inserts, deletes, lookups and range scans.
 TEST(BPlusTreeTest, AgreesWithStdMap) {
-  BPlusTree tree;
+  BPlusTree<8> tree;
   std::map<int64_t, uint64_t> model;
   common::Xorshift rng(1234);
 
@@ -81,7 +139,7 @@ TEST(BPlusTreeTest, AgreesWithStdMap) {
 }
 
 TEST(BPlusTreeTest, DescendingScanWithLimit) {
-  BPlusTree tree;
+  BPlusTree<8> tree;
   for (int64_t i = 0; i < 1000; i++) tree.Insert(Key(i), Slot(static_cast<uint64_t>(i)));
   std::vector<TupleSlot> result;
   tree.ScanDescending(Key(100), Key(200), 3, &result);
@@ -92,7 +150,7 @@ TEST(BPlusTreeTest, DescendingScanWithLimit) {
 }
 
 TEST(BPlusTreeTest, GrowsPastManySplits) {
-  BPlusTree tree;
+  BPlusTree<8> tree;
   constexpr int64_t kKeys = 200000;
   for (int64_t i = 0; i < kKeys; i++) {
     ASSERT_TRUE(tree.Insert(Key(i * 7 % kKeys), Slot(static_cast<uint64_t>(i))));
@@ -110,7 +168,7 @@ TEST(BPlusTreeTest, GrowsPastManySplits) {
 /// Concurrency: disjoint key ranges inserted in parallel, then everything
 /// must be present and ordered; readers scan while writers insert.
 TEST(BPlusTreeTest, ConcurrentInsertsAndScans) {
-  BPlusTree tree;
+  BPlusTree<8> tree;
   constexpr int kThreads = 8;
   constexpr int64_t kPerThread = 20000;
   std::vector<std::thread> threads;
@@ -146,21 +204,71 @@ TEST(BPlusTreeTest, ConcurrentInsertsAndScans) {
   }
 }
 
+/// MemoryBytes() is the node census: ascending inserts split the rightmost
+/// leaf in half every 32 keys once the root has split.
+TEST(BPlusTreeTest, MemoryBytesCountsNodes) {
+  using Tree = BPlusTree<16>;
+  Tree tree;
+  EXPECT_LE(Tree::LeafBytes(), 1700u);  // 64 16-byte keys + 64 slots + header
+  EXPECT_EQ(tree.MemoryBytes(), Tree::LeafBytes());
+  for (int64_t i = 0; i < 64; i++) ASSERT_TRUE(tree.Insert(Key(i), Slot(1)));
+  EXPECT_EQ(tree.LeafCount(), 1u);
+  EXPECT_EQ(tree.InnerCount(), 0u);
+  ASSERT_TRUE(tree.Insert(Key(64), Slot(1)));
+  EXPECT_EQ(tree.LeafCount(), 2u);
+  EXPECT_EQ(tree.InnerCount(), 1u);
+  EXPECT_EQ(tree.MemoryBytes(), 2 * Tree::LeafBytes() + Tree::InnerBytes());
+  for (int64_t n = 66; n <= 5000; n++) {
+    ASSERT_TRUE(tree.Insert(Key(n - 1), Slot(1)));
+    ASSERT_EQ(tree.LeafCount(), static_cast<uint64_t>(2 + (n - 65) / 32)) << "after " << n;
+    // The root has 64 children at 64 leaves; the 65th splits it.
+    if (tree.LeafCount() <= 64) {
+      ASSERT_EQ(tree.InnerCount(), 1u);
+    }
+    if (tree.LeafCount() == 65) {
+      ASSERT_EQ(tree.InnerCount(), 3u);
+    }
+  }
+  EXPECT_EQ(tree.MemoryBytes(),
+            tree.LeafCount() * Tree::LeafBytes() + tree.InnerCount() * Tree::InnerBytes());
+  // Deletes never free nodes.
+  const uint64_t bytes = tree.MemoryBytes();
+  for (int64_t i = 0; i < 5000; i++) ASSERT_TRUE(tree.Delete(Key(i)));
+  EXPECT_EQ(tree.MemoryBytes(), bytes);
+}
+
 TEST(HashIndexTest, BasicAndOverwrite) {
-  HashIndex idx;
+  HashIndex<8> idx;
   EXPECT_TRUE(idx.Insert(Key(1), Slot(10)));
   EXPECT_FALSE(idx.Insert(Key(1), Slot(11)));  // duplicate
-  idx.InsertOverwrite(Key(1), Slot(12));
+  EXPECT_TRUE(idx.InsertOverwrite(Key(1), Slot(12)));
   TupleSlot found;
   ASSERT_TRUE(idx.Find(Key(1), &found));
   EXPECT_EQ(found, Slot(12));
   EXPECT_TRUE(idx.Delete(Key(1)));
   EXPECT_FALSE(idx.Delete(Key(1)));
   EXPECT_FALSE(idx.Find(Key(1), &found));
+  EXPECT_TRUE(idx.InsertOverwrite(Key(1), Slot(13)));  // absent: inserts
+  ASSERT_TRUE(idx.Find(Key(1), &found));
+  EXPECT_EQ(found, Slot(13));
+}
+
+/// MemoryBytes() sums the shards' array capacities: 256 shards of 8
+/// entries at first, each entry a 16-byte key plus hash and slot.
+TEST(HashIndexTest, MemoryBytesSumsShardCapacities) {
+  HashIndex<16> idx;
+  const uint64_t base = sizeof(HashIndex<16>);
+  EXPECT_EQ(idx.MemoryBytes(), base + 256 * 8 * 32);
+  for (uint64_t k = 0; k < 20000; k++) ASSERT_TRUE(idx.Insert(WideKey<16>(k), Slot(k)));
+  const uint64_t entries = (idx.MemoryBytes() - base) / 32;
+  EXPECT_EQ((idx.MemoryBytes() - base) % 32, 0u);
+  // Load stays at most 1/2 and, with each shard a power of two, above 1/8.
+  EXPECT_GE(entries, 2 * 20000u);
+  EXPECT_LE(entries, 8 * 20000u);
 }
 
 TEST(HashIndexTest, ConcurrentMixedOps) {
-  HashIndex idx;
+  HashIndex<8> idx;
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
@@ -178,6 +286,265 @@ TEST(HashIndexTest, ConcurrentMixedOps) {
     });
   }
   for (auto &thread : threads) thread.join();
+}
+
+// ---------------------------------------------------------------------------
+// Both index types against a shadow std::map, at the widths TPC-C uses.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Random inserts, duplicate inserts, overwrites, deletes, finds and (for
+/// ordered indexes) ascending and descending scans, each checked against a
+/// shadow std::map keyed by the stored bytes. The key space is large enough
+/// to double every hash shard several times and split the B+-tree into three
+/// levels; deletes empty parts of it again.
+template <uint32_t W>
+void CheckAgainstShadowMap(index::Index *idx, bool ordered) {
+  constexpr uint64_t kKeySpace = 12000;
+  std::map<std::string, uint64_t> shadow;
+  common::Xorshift rng(W);
+  for (uint64_t op = 0; op < 120000; op++) {
+    const uint64_t k = rng.Uniform(0, kKeySpace - 1);
+    const IndexKey key = WideKey<W>(k);
+    const std::string bytes = Bytes<W>(key);
+    // Insert-heavy first, delete-heavy later, so arrays grow and then thin.
+    const uint64_t inserts = op < 60000 ? 5 : 2;
+    const uint64_t dice = rng.Uniform(0, 9);
+    if (dice < inserts) {
+      ASSERT_EQ(idx->Insert(key, Slot(op)), shadow.emplace(bytes, op).second) << "insert " << k;
+    } else if (dice == inserts) {
+      ASSERT_TRUE(idx->InsertOverwrite(key, Slot(op))) << "overwrite " << k;
+      shadow[bytes] = op;
+    } else if (dice <= inserts + 2) {
+      TupleSlot found;
+      const auto it = shadow.find(bytes);
+      ASSERT_EQ(idx->Find(key, &found), it != shadow.end()) << "find " << k;
+      if (it != shadow.end()) {
+        ASSERT_EQ(found, Slot(it->second)) << "find " << k;
+      }
+    } else if (dice < 9 || !ordered) {
+      ASSERT_EQ(idx->Delete(key), shadow.erase(bytes) > 0) << "delete " << k;
+    } else {
+      // A range spanning up to ~150 stored keys, so scans cross leaves.
+      auto it = shadow.lower_bound(bytes);
+      for (uint64_t steps = rng.Uniform(0, 150); steps > 0 && it != shadow.end(); steps--) ++it;
+      const IndexKey &lo = key;
+      const IndexKey hi = it == shadow.end() ? key : IndexKey().AddString(it->first, W);
+      const auto limit = static_cast<uint32_t>(rng.Uniform(0, 3) == 0 ? 0 : rng.Uniform(1, 80));
+      std::vector<uint64_t> expected;
+      for (auto e = shadow.lower_bound(bytes); e != shadow.end() && e->first <= Bytes<W>(hi); ++e) {
+        expected.push_back(e->second);
+      }
+      std::vector<TupleSlot> ascending, descending;
+      idx->ScanAscending(lo, hi, limit, &ascending);
+      idx->ScanDescending(lo, hi, limit, &descending);
+      const size_t take = limit == 0 ? expected.size() : std::min<size_t>(limit, expected.size());
+      ASSERT_EQ(ascending, Slots({expected.begin(), expected.begin() + take})) << "scan " << k;
+      ASSERT_EQ(descending, Slots({expected.rbegin(), expected.rbegin() + take})) << "scan " << k;
+    }
+  }
+  ASSERT_EQ(idx->Size(), shadow.size());
+  for (uint64_t k = 0; k < kKeySpace; k++) {
+    TupleSlot found;
+    const auto it = shadow.find(Bytes<W>(WideKey<W>(k)));
+    ASSERT_EQ(idx->Find(WideKey<W>(k), &found), it != shadow.end()) << "final find " << k;
+    if (it != shadow.end()) {
+      ASSERT_EQ(found, Slot(it->second));
+    }
+  }
+  if (ordered) {
+    std::vector<TupleSlot> all;
+    idx->ScanAscending(WideKey<W>(0), IndexKey().AddString("\xff\xff\xff\xff\xff\xff\xff\xff", W),
+                       0, &all);
+    std::vector<uint64_t> expected;
+    for (const auto &[bytes, value] : shadow) expected.push_back(value);
+    ASSERT_EQ(all, Slots(expected));
+  }
+}
+
+}  // namespace
+
+TEST(IndexOracleTest, BPlusTreeWidth8) {
+  BPlusTree<8> tree;
+  CheckAgainstShadowMap<8>(&tree, true);
+  EXPECT_GE(tree.Height(), 3u);
+}
+TEST(IndexOracleTest, BPlusTreeWidth16) {
+  BPlusTree<16> tree;
+  CheckAgainstShadowMap<16>(&tree, true);
+  EXPECT_GE(tree.Height(), 3u);
+}
+TEST(IndexOracleTest, BPlusTreeWidth40) {
+  BPlusTree<40> tree;
+  CheckAgainstShadowMap<40>(&tree, true);
+  EXPECT_GE(tree.Height(), 3u);
+}
+TEST(IndexOracleTest, HashIndexWidth8) {
+  HashIndex<8> idx;
+  const uint64_t initial = idx.MemoryBytes();
+  CheckAgainstShadowMap<8>(&idx, false);
+  EXPECT_GE(idx.MemoryBytes() - sizeof(idx), 8 * (initial - sizeof(idx)));  // 3+ doublings
+}
+TEST(IndexOracleTest, HashIndexWidth16) {
+  HashIndex<16> idx;
+  const uint64_t initial = idx.MemoryBytes();
+  CheckAgainstShadowMap<16>(&idx, false);
+  EXPECT_GE(idx.MemoryBytes() - sizeof(idx), 8 * (initial - sizeof(idx)));
+}
+TEST(IndexOracleTest, HashIndexWidth40) {
+  HashIndex<40> idx;
+  const uint64_t initial = idx.MemoryBytes();
+  CheckAgainstShadowMap<40>(&idx, false);
+  EXPECT_GE(idx.MemoryBytes() - sizeof(idx), 8 * (initial - sizeof(idx)));
+}
+
+/// A key wider than the index's width is rejected, never truncated, even
+/// when its first `W` bytes equal a stored key.
+TEST(IndexWidthTest, RejectsWiderKeys) {
+  for (const bool ordered : {true, false}) {
+    std::unique_ptr<index::Index> idx = ordered ? index::MakeIndex<BPlusTree>(8)
+                                                : index::MakeIndex<HashIndex>(8);
+    const IndexKey stored = Key(5);
+    const IndexKey wide = IndexKey().AddSigned<int64_t>(5).AddSigned<int32_t>(0);
+    ASSERT_TRUE(idx->Insert(stored, Slot(1)));
+    TupleSlot found;
+    EXPECT_FALSE(idx->Insert(wide, Slot(2)));
+    EXPECT_FALSE(idx->InsertOverwrite(wide, Slot(3)));
+    EXPECT_FALSE(idx->Find(wide, &found));
+    EXPECT_FALSE(idx->Delete(wide));
+    EXPECT_EQ(idx->Size(), 1u);
+    ASSERT_TRUE(idx->Find(stored, &found));
+    EXPECT_EQ(found, Slot(1));
+    if (ordered) {
+      std::vector<TupleSlot> scan;
+      idx->ScanAscending(Key(0), wide, 0, &scan);
+      idx->ScanAscending(wide, Key(9), 0, &scan);
+      idx->ScanDescending(Key(0), wide, 0, &scan);
+      EXPECT_TRUE(scan.empty());
+      idx->ScanAscending(Key(0), Key(9), 0, &scan);
+      EXPECT_EQ(scan.size(), 1u);
+    }
+  }
+  // Narrower keys are zero-padded to the width: a 12-byte key in a 16-byte
+  // index.
+  std::unique_ptr<index::Index> idx = index::MakeIndex<BPlusTree>(12);
+  const IndexKey narrow = IndexKey().AddSigned<int32_t>(1).AddSigned<int64_t>(2);
+  EXPECT_TRUE(idx->Insert(narrow, Slot(4)));
+  EXPECT_TRUE(idx->Insert(IndexKey().AddSigned<int32_t>(1).AddSigned<int64_t>(2).AddSigned<int32_t>(0),
+                          Slot(5)));  // 16 bytes: a different key
+  EXPECT_EQ(idx->Size(), 2u);
+}
+
+/// InsertOverwrite is one replace-or-insert: a reader never misses a key
+/// that is present before and after each overwrite.
+template <typename IndexT>
+void CheckOverwriteIsAtomic() {
+  IndexT idx;
+  // Neighbours share the key's leaf and shard.
+  for (int64_t k = 0; k < 64; k++) ASSERT_TRUE(idx.Insert(Key(k), Slot(0)));
+  constexpr uint64_t kOverwrites = 100000;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> misses{0};
+  std::thread reader([&] {
+    TupleSlot found;
+    while (!done.load()) {
+      if (!idx.Find(Key(31), &found)) misses.fetch_add(1);
+    }
+  });
+  for (uint64_t i = 1; i <= kOverwrites; i++) idx.InsertOverwrite(Key(31), Slot(i));
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(misses.load(), 0u);
+  TupleSlot found;
+  ASSERT_TRUE(idx.Find(Key(31), &found));
+  EXPECT_EQ(found, Slot(kOverwrites));
+  EXPECT_EQ(idx.Size(), 64u);
+}
+
+TEST(IndexOverwriteTest, BPlusTreeReaderNeverMissesTheKey) {
+  CheckOverwriteIsAtomic<BPlusTree<8>>();
+}
+TEST(IndexOverwriteTest, HashIndexReaderNeverMissesTheKey) {
+  CheckOverwriteIsAtomic<HashIndex<8>>();
+}
+
+/// Concurrent writers against a deterministic oracle: inserters add the even
+/// keys over interleaved ranges (forcing leaf splits everywhere) while
+/// deleters remove a third of the pre-loaded odd keys and scanners check
+/// that every scan comes back in key order.
+template <typename IndexT, uint32_t W>
+void CheckConcurrentAgainstOracle(bool ordered) {
+  constexpr uint64_t kKeys = 24000;  // keys 0..kKeys-1
+  constexpr int kInserters = 3, kDeleters = 2, kScanners = 2;
+  IndexT idx;
+  for (uint64_t k = 1; k < kKeys; k += 2) ASSERT_TRUE(idx.Insert(WideKey<W>(k), Slot(k)));
+  auto deleted = [](uint64_t k) { return k % 2 == 1 && (k / 2) % 3 == 0; };
+
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kInserters; t++) {
+    writers.emplace_back([&, t] {
+      for (uint64_t k = 2 * static_cast<uint64_t>(t); k < kKeys; k += 2 * kInserters) {
+        ASSERT_TRUE(idx.Insert(WideKey<W>(k), Slot(k)));
+      }
+    });
+  }
+  for (int t = 0; t < kDeleters; t++) {
+    writers.emplace_back([&, t] {
+      for (uint64_t k = 1 + 6 * static_cast<uint64_t>(t); k < kKeys; k += 6 * kDeleters) {
+        ASSERT_TRUE(deleted(k));
+        ASSERT_TRUE(idx.Delete(WideKey<W>(k)));
+      }
+    });
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> scanners;
+  for (int t = 0; ordered && t < kScanners; t++) {
+    scanners.emplace_back([&, t] {
+      common::Xorshift rng(static_cast<uint64_t>(t));
+      while (!stop.load()) {
+        const uint64_t lo = rng.Uniform(0, kKeys - 1), hi = rng.Uniform(lo, kKeys - 1);
+        std::vector<TupleSlot> result;
+        idx.ScanAscending(WideKey<W>(lo), WideKey<W>(hi), 0, &result);
+        // Every returned slot names its key; keys must come back ascending.
+        for (size_t i = 1; i < result.size(); i++) {
+          const uint64_t prev = result[i - 1].RawBytes() >> 20, cur = result[i].RawBytes() >> 20;
+          ASSERT_LT(Bytes<W>(WideKey<W>(prev)), Bytes<W>(WideKey<W>(cur)));
+        }
+      }
+    });
+  }
+  for (auto &thread : writers) thread.join();
+  stop.store(true);
+  for (auto &thread : scanners) thread.join();
+
+  std::map<std::string, uint64_t> oracle;
+  for (uint64_t k = 0; k < kKeys; k++) {
+    if (!deleted(k)) oracle.emplace(Bytes<W>(WideKey<W>(k)), k);
+  }
+  ASSERT_EQ(idx.Size(), oracle.size());
+  for (uint64_t k = 0; k < kKeys; k++) {
+    TupleSlot found;
+    ASSERT_EQ(idx.Find(WideKey<W>(k), &found), !deleted(k)) << "key " << k;
+    if (!deleted(k)) {
+      ASSERT_EQ(found, Slot(k));
+    }
+  }
+  if (ordered) {
+    std::vector<TupleSlot> all;
+    idx.ScanAscending(IndexKey(), IndexKey().AddString("\xff\xff\xff\xff\xff\xff\xff\xff", W), 0,
+                      &all);
+    std::vector<uint64_t> expected;
+    for (const auto &[bytes, k] : oracle) expected.push_back(k);
+    ASSERT_EQ(all, Slots(expected));
+  }
+}
+
+TEST(IndexConcurrencyTest, BPlusTreeSplitsUnderDeletesAndScans) {
+  CheckConcurrentAgainstOracle<BPlusTree<16>, 16>(true);
+}
+TEST(IndexConcurrencyTest, HashIndexGrowsUnderDeletes) {
+  CheckConcurrentAgainstOracle<HashIndex<16>, 16>(false);
 }
 
 }  // namespace mainline

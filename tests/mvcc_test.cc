@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
+#include "common/cpu_relax.h"
 #include "gc/garbage_collector.h"
 #include "storage/data_table.h"
 #include "storage/storage_util.h"
@@ -266,6 +268,66 @@ TEST_F(MVCCTest, ConcurrentCounterNoLostUpdates) {
   auto *reader = txn_manager_.BeginTransaction();
   EXPECT_EQ(Read(reader, slot).second, committed.load());
   txn_manager_.Commit(reader);
+  gc_.FullGC();
+}
+
+// A transaction that begins while another is inside its commit — after the
+// commit timestamp is drawn, before the undo records are stamped with it —
+// must not read around that commit and then overwrite it. A writer that
+// updates many rows makes the stamping loop long. A second thread begins as
+// soon as the writer's commit timestamp is drawn (CurrentTime() moves),
+// reads the row the writer stamps last, and writes it back incremented once
+// the commit has returned. The row must count every committed increment.
+TEST_F(MVCCTest, BeginNeverLandsInsideACommit) {
+  constexpr int kRows = 4096;
+  constexpr int kRounds = 40;
+  std::vector<TupleSlot> slots;
+  for (int i = 0; i < kRows; i++) slots.push_back(InsertTuple(0, 0));
+  const TupleSlot last = slots.back();
+
+  std::atomic<transaction::timestamp_t> armed_at{0};
+  std::atomic<int> committing{-1}, committed{-1}, reader_done{-1};
+  int reader_commits = 0;
+  std::thread reader([&] {
+    std::vector<byte> local(initializer_.ProjectedRowSize() + 8);
+    for (int round = 0; round < kRounds; round++) {
+      while (committing.load() < round) std::this_thread::yield();
+      const transaction::timestamp_t armed = armed_at.load();
+      while (txn_manager_.CurrentTime() <= armed) common::CpuRelax();
+      auto *txn = txn_manager_.BeginTransaction();
+      ProjectedRow *row = initializer_.InitializeRow(local.data());
+      EXPECT_TRUE(table_.Select(txn, last, row));
+      const int64_t value = *reinterpret_cast<int64_t *>(row->AccessForceNotNull(0));
+      while (committed.load() < round) std::this_thread::yield();
+      *reinterpret_cast<int64_t *>(row->AccessForceNotNull(0)) = value + 1;
+      if (table_.Update(txn, last, *row)) {
+        txn_manager_.Commit(txn);
+        reader_commits++;
+      } else {
+        txn_manager_.Abort(txn);
+      }
+      reader_done.store(round);
+    }
+  });
+  for (int round = 0; round < kRounds; round++) {
+    while (reader_done.load() < round - 1) std::this_thread::yield();
+    auto *txn = txn_manager_.BeginTransaction();
+    for (const TupleSlot slot : slots) {
+      const auto [visible, value] = Read(txn, slot);
+      EXPECT_TRUE(visible);
+      EXPECT_TRUE(WriteCol0(txn, slot, value + 1));
+    }
+    armed_at.store(txn_manager_.CurrentTime());
+    committing.store(round);
+    txn_manager_.Commit(txn);
+    committed.store(round);
+  }
+  reader.join();
+
+  auto *check = txn_manager_.BeginTransaction();
+  EXPECT_EQ(Read(check, last).second, kRounds + reader_commits);
+  EXPECT_EQ(Read(check, slots.front()).second, kRounds);
+  txn_manager_.Commit(check);
   gc_.FullGC();
 }
 
