@@ -15,7 +15,9 @@
 namespace mainline::common {
 
 /// A fixed-size pool of worker threads consuming a shared task queue.
-/// Used by benchmarks and the parallel transformation pipeline.
+/// Query scans, join builds, export copies and loaders fan their work out
+/// over it through RunTasks below; benchmarks also run long-lived terminal
+/// tasks on it.
 class WorkerPool {
  public:
   explicit WorkerPool(uint32_t num_workers) {
@@ -106,5 +108,19 @@ class WorkerPool {
   uint64_t outstanding_ GUARDED_BY(mutex_) = 0;
   bool shutdown_ GUARDED_BY(mutex_) = false;
 };
+
+/// Run `task(i)` for every i in [0, n) over `pool`'s workers and wait for all
+/// of them. Runs inline on the calling thread when there is no pool, the pool
+/// has no workers, or there is only one task; a task the pool rejects (it
+/// shut down mid-submit) also runs inline, so no index is lost. The wait is
+/// WaitUntilAllFinished, so the pool must be otherwise idle.
+template <typename Task>
+void RunTasks(WorkerPool *pool, uint64_t n, const Task &task) {
+  const bool parallel = pool != nullptr && pool->NumWorkers() != 0 && n > 1;
+  for (uint64_t i = 0; i < n; i++) {
+    if (!parallel || !pool->SubmitTask([&task, i] { task(i); })) task(i);
+  }
+  if (parallel) pool->WaitUntilAllFinished();
+}
 
 }  // namespace mainline::common

@@ -9,17 +9,6 @@
 
 namespace mainline::execution {
 
-/// Which access path produced a batch — the dichotomy the whole system is
-/// built around (Figure 1): in-situ reads of Arrow-frozen blocks vs
-/// transactional materialization of hot ones.
-enum class AccessPath : uint8_t {
-  /// Zero-copy view into frozen block storage, held under the block's
-  /// read lock.
-  kFrozenInSitu = 0,
-  /// Freshly built arrays holding a transactional snapshot of a hot block.
-  kHotMaterialized,
-};
-
 /// A uniform columnar view of one block's visible tuples, produced by
 /// ScanBlock: column `i` is the `i`-th column of the scan projection,
 /// exposed as an arrowlite array regardless of which path produced it
@@ -44,7 +33,6 @@ class ColumnVectorBatch {
       Release();
       batch_ = std::move(other.batch_);
       locked_block_ = other.locked_block_;
-      path_ = other.path_;
       other.batch_ = nullptr;
       other.locked_block_ = nullptr;
     }
@@ -53,11 +41,9 @@ class ColumnVectorBatch {
 
   /// Rebind to a new block's data. `locked_block` is the block whose read
   /// lock this batch now owns (frozen path), or nullptr (materialized path).
-  void Reset(std::shared_ptr<arrowlite::RecordBatch> batch, AccessPath path,
-             storage::RawBlock *locked_block) {
+  void Reset(std::shared_ptr<arrowlite::RecordBatch> batch, storage::RawBlock *locked_block) {
     Release();
     batch_ = std::move(batch);
-    path_ = path;
     locked_block_ = locked_block;
   }
 
@@ -78,12 +64,9 @@ class ColumnVectorBatch {
 
   const std::shared_ptr<arrowlite::RecordBatch> &Batch() const { return batch_; }
 
-  AccessPath Path() const { return path_; }
-
  private:
   std::shared_ptr<arrowlite::RecordBatch> batch_;
   storage::RawBlock *locked_block_ = nullptr;
-  AccessPath path_ = AccessPath::kHotMaterialized;
 };
 
 }  // namespace mainline::execution

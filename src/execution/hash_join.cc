@@ -11,18 +11,6 @@ namespace {
 /// does not hold the step up, without splitting it into crumbs.
 constexpr uint64_t kTasksPerWorker = 4;
 
-/// Run `task(t)` for every t in [0, tasks) over `pool` and wait for all of
-/// them; inline without a pool (or when a racing shutdown rejects a submit).
-/// The pool the scan used is idle again by the time a build runs.
-template <typename Task>
-void RunTasks(common::WorkerPool *pool, uint64_t tasks, const Task &task) {
-  const bool parallel = pool != nullptr && pool->NumWorkers() != 0 && tasks > 1;
-  for (uint64_t t = 0; t < tasks; t++) {
-    if (!parallel || !pool->SubmitTask([&task, t] { task(t); })) task(t);
-  }
-  if (parallel) pool->WaitUntilAllFinished();
-}
-
 /// How many tasks to split `items` units of work into.
 uint64_t NumTasks(common::WorkerPool *pool, uint64_t items) {
   const uint64_t workers = pool == nullptr ? 0 : pool->NumWorkers();
@@ -84,7 +72,7 @@ void JoinHashTable::BuildDense(const std::vector<BlockEntries> &per_block,
 
   // 1: count each range's keys into its slice of the offsets.
   std::vector<uint64_t> range_start(ranges);
-  RunTasks(pool, ranges, [&](uint64_t r) {
+  common::RunTasks(pool, ranges, [&](uint64_t r) {
     const uint64_t lo = range_begin(r), hi = range_begin(r + 1);
     std::fill(&offsets_[lo], &offsets_[hi], 0);
     uint64_t total = 0;
@@ -100,7 +88,7 @@ void JoinHashTable::BuildDense(const std::vector<BlockEntries> &per_block,
   // 3: counts become start offsets, then each payload goes to its key's
   // next free position. That leaves offsets[slot] at the key's end — the
   // next key's start — so the slice shifts back by one.
-  RunTasks(pool, ranges, [&](uint64_t r) {
+  common::RunTasks(pool, ranges, [&](uint64_t r) {
     const uint64_t lo = range_begin(r), hi = range_begin(r + 1);
     auto next = static_cast<uint32_t>(range_start[r]);
     for (uint64_t slot = lo; slot < hi; slot++) next += std::exchange(offsets_[slot], next);
@@ -144,7 +132,7 @@ void JoinHashTable::BuildHashed(std::vector<BlockEntries> *per_block, common::Wo
   const uint64_t num_blocks = per_block->size();
   std::vector<PartitionBounds> bounds(num_blocks);
   const uint64_t runs = NumTasks(pool, num_blocks);
-  RunTasks(pool, runs, [&](uint64_t run) {
+  common::RunTasks(pool, runs, [&](uint64_t run) {
     std::vector<JoinEntry> grouped;
     for (uint64_t b = num_blocks * run / runs; b < num_blocks * (run + 1) / runs; b++) {
       std::vector<JoinEntry> &entries = (*per_block)[b].entries;
@@ -170,7 +158,7 @@ void JoinHashTable::BuildHashed(std::vector<BlockEntries> *per_block, common::Wo
   for (const PartitionBounds &block : bounds) {
     for (uint32_t p = 0; p < kNumPartitions; p++) counts[p] += block[p + 1] - block[p];
   }
-  RunTasks(pool, kNumPartitions, [&](uint64_t p) {
+  common::RunTasks(pool, kNumPartitions, [&](uint64_t p) {
     if (counts[p] != 0) {
       partitions_[p].BuildFrom(*per_block, bounds, static_cast<uint32_t>(p), counts[p]);
     }

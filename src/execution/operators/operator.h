@@ -33,8 +33,8 @@ struct JoinMatch {
 /// vector filters refine, the match list a join probe produces, and the
 /// computed columns projections append. A chunk lives on the scanning worker
 /// for exactly one block; operators must never retain pointers into it past
-/// Push (frozen-path batches release their block read lock when the chunk is
-/// recycled).
+/// Push (frozen-path batches release their block read lock as soon as the
+/// chunk has been pushed).
 class Chunk {
  public:
   /// Ordinal of the source block in the scan's block-list snapshot. Sink
@@ -56,7 +56,7 @@ class Chunk {
   std::vector<ComputedColumn> computed;
   size_t num_computed = 0;
 
-  /// Shrink thresholds for Reset: a pooled chunk keeps its containers'
+  /// Shrink thresholds for Reset: a scan worker's chunk keeps its containers'
   /// capacity across blocks, but one pathological block (a skewed join key
   /// exploding the match list, a plan stacking projections) must not pin
   /// worst-case buffers for the rest of the run. Capacity at or below the
@@ -68,9 +68,9 @@ class Chunk {
   static constexpr size_t kMaxRetainedComputedColumns = 8;
 
   /// Rebind to a new block, keeping the containers' capacity — including the
-  /// computed columns' value buffers (chunks are pooled across blocks so the
-  /// steady-state per-block cost is an InitFull, not allocations) — up to the
-  /// shrink thresholds above.
+  /// computed columns' value buffers (a worker reuses its chunk across blocks
+  /// so the steady-state per-block cost is an InitFull, not allocations) — up
+  /// to the shrink thresholds above.
   void Reset(size_t ordinal, const ColumnVectorBatch *new_batch) {
     block_ordinal = ordinal;
     batch = new_batch;

@@ -85,7 +85,7 @@ class OperatorProfiler {
 
   /// Worker thread, after Push returns: nanoseconds spent (inclusive).
   void RecordElapsed(uint64_t ns) {
-    // relaxed: per-shard tally; the pool quiesce (WaitUntilAllFinished)
+    // relaxed: per-shard tally; the pool quiesce (common::RunTasks' wait)
     // orders every increment before the driving thread aggregates.
     shards_[metrics::ThreadShardIndex()].ns.fetch_add(ns, std::memory_order_relaxed);
   }

@@ -1,73 +1,64 @@
 #include "execution/operators/scan_source.h"
 
-#include <memory>
-#include <utility>
+#include <algorithm>
+#include <atomic>
+#include <string>
 
-#include "common/spin_latch.h"
-#include "execution/parallel_scanner.h"
+#include "metrics/engine_metrics.h"
+#include "storage/data_table.h"
+#include "storage/raw_block.h"
 
 namespace mainline::execution::op {
-
-namespace {
-
-/// RAII check-out of a pooled chunk: acquired from the free list (or
-/// freshly allocated) on construction, and returned — with its batch
-/// pointer dropped — on destruction. Unwinding through a throwing operator
-/// takes the same path as a normal push, so the free list stays intact and
-/// no dangling batch pointer survives the callback that owns the batch.
-class ChunkCheckout {
- public:
-  ChunkCheckout(common::SpinLatch *latch, std::vector<std::unique_ptr<Chunk>> *free_chunks)
-      : latch_(latch), free_chunks_(free_chunks) {
-    latch_->Lock();
-    if (!free_chunks_->empty()) {
-      chunk_ = std::move(free_chunks_->back());
-      free_chunks_->pop_back();
-    }
-    latch_->Unlock();
-    if (chunk_ == nullptr) chunk_ = std::make_unique<Chunk>();
-  }
-
-  ~ChunkCheckout() {
-    chunk_->batch = nullptr;  // the batch dies with the scan callback
-    latch_->Lock();
-    free_chunks_->push_back(std::move(chunk_));
-    latch_->Unlock();
-  }
-
-  DISALLOW_COPY_AND_MOVE(ChunkCheckout)
-
-  Chunk *Get() { return chunk_.get(); }
-
- private:
-  common::SpinLatch *latch_;
-  std::vector<std::unique_ptr<Chunk>> *free_chunks_;
-  std::unique_ptr<Chunk> chunk_;
-};
-
-}  // namespace
 
 void ScanSource::Run(transaction::TransactionContext *txn, common::WorkerPool *pool,
                      Operator *root, const std::function<void(size_t)> &prepare,
                      ScanStats *stats, PipelineProfile *profile) {
-  ParallelTableScanner scanner(table_, txn, projection_);
-  prepare(scanner.NumBlocks());
+  MAINLINE_ASSERT(!projection_.empty(), "scan projection must name at least one column");
+  MAINLINE_ASSERT(std::is_sorted(projection_.begin(), projection_.end()) &&
+                      std::adjacent_find(projection_.begin(), projection_.end()) ==
+                          projection_.end(),
+                  "scan projection must be sorted ascending and duplicate-free");
+  MAINLINE_ASSERT(projection_.back() < table_->GetSchema().NumColumns(),
+                  "scan projection column out of range");
+  const std::vector<storage::RawBlock *> blocks = table_->UnderlyingTable().Blocks();
+  prepare(blocks.size());
 
-  // A tiny free list of reusable chunks: a worker checks one out per block
-  // and returns it after the push, so concurrent workers never share a chunk
-  // and a sequential scan reuses a single one for the whole table.
-  common::SpinLatch latch;
-  std::vector<std::unique_ptr<Chunk>> free_chunks;
-  scanner.Scan(pool, [&](size_t ordinal, ColumnVectorBatch *batch) {
-    ChunkCheckout checkout(&latch, &free_chunks);
-    checkout.Get()->Reset(ordinal, batch);
-    root->Consume(checkout.Get());
+  // One task per pool worker, each draining the shared cursor into its own
+  // chunk, batch and stats slot: morsel dispatch is the atomic fetch_add,
+  // not the task queue, so the queue sees O(workers) entries rather than
+  // O(blocks), and workers share nothing but the read-only transaction.
+  const uint32_t workers = pool == nullptr ? 0 : pool->NumWorkers();
+  std::vector<ScanStats> worker_stats(std::max<uint32_t>(1, workers));
+  std::atomic<size_t> cursor{0};
+  common::RunTasks(pool, worker_stats.size(), [&](uint64_t worker) {
+    ScanStats *slot = &worker_stats[worker];
+    Chunk chunk;
+    ColumnVectorBatch batch;
+    while (true) {
+      // relaxed: morsel dispatch needs only a unique ordinal per worker;
+      // block contents are synchronized by the storage layer, not by this
+      // counter.
+      const size_t ordinal = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (ordinal >= blocks.size()) break;
+      if (!ScanBlock(table_, txn, projection_, blocks[ordinal], &batch, slot)) continue;
+      chunk.Reset(ordinal, &batch);
+      root->Consume(&chunk);
+      batch.Release();
+    }
   });
-  if (stats != nullptr) stats->Add(scanner.Stats());
+
+  ScanStats total;
+  for (const ScanStats &worker : worker_stats) total.Add(worker);
+  metrics::ScanMetrics &scan_metrics = metrics::Scan();
+  scan_metrics.morsel_scans->Add(1);
+  scan_metrics.rows->Add(total.rows);
+  scan_metrics.frozen_blocks->Add(total.frozen_blocks);
+  scan_metrics.hot_blocks->Add(total.hot_blocks);
+  if (stats != nullptr) stats->Add(total);
   if (profile != nullptr) {
     profile->source = "table#" + std::to_string(table_->Oid().UnderlyingValue());
-    profile->num_blocks = scanner.NumBlocks();
-    profile->scan = scanner.Stats();
+    profile->num_blocks = blocks.size();
+    profile->scan = total;
   }
 }
 

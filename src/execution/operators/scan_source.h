@@ -13,16 +13,20 @@
 
 namespace mainline::execution::op {
 
-/// The source of a pipeline: wraps the dual hot/frozen access path of
-/// ParallelTableScanner and streams one Chunk per non-empty
-/// block into an operator chain — inline on the calling thread when no pool
-/// is given, morsel-parallel over the pool's workers otherwise. Either way
-/// the chunks carry block ordinals from the same snapshot, so sinks that
-/// merge per-ordinal partials in block order produce identical results.
+/// The source of a pipeline: a morsel-driven parallel scan that streams one
+/// Chunk per non-empty block into an operator chain. Run snapshots the block
+/// list once, and a shared atomic cursor hands out block-granular morsels to
+/// the workers of a common::WorkerPool, or to the calling thread alone when
+/// the pool is null or has no workers. Blocks are the natural morsel: each
+/// carries its own access controller (Section 4.1), so ScanBlock's dual
+/// access path needs no cross-worker coordination.
 ///
-/// Chunks are pooled across blocks (a scan reuses at most one chunk per
-/// worker), so steady-state per-block cost is re-initializing the selection
-/// vector, not allocating one.
+/// Chunks carry block ordinals (positions in the snapshot) at any worker
+/// count, so sinks that merge per-ordinal partials in block order produce
+/// results independent of the worker count and bit-identical to a
+/// sequential scan. Each worker reuses one chunk and one batch for all of
+/// its blocks, so the steady-state per-block cost is re-initializing the
+/// selection vector, not allocating one.
 class ScanSource {
  public:
   /// \param table table to scan
@@ -43,8 +47,9 @@ class ScanSource {
   /// Run the scan to completion. `prepare(num_blocks)` fires once after the
   /// block list is snapshotted and before the first chunk; then every
   /// non-empty block is pushed into `root` (worker threads when `pool` has
-  /// workers; the calling thread otherwise). `txn` must stay read-only for
-  /// the duration (workers share it). Scan counters accumulate into `stats`
+  /// workers; the calling thread otherwise). The pool must be otherwise idle
+  /// (common::RunTasks waits on the whole pool). `txn` must stay read-only
+  /// for the duration (workers share it). Scan counters accumulate into `stats`
   /// (may be nullptr). When `profile` is non-null its source, block count,
   /// and this run's scan stats (alone, not accumulated) are filled in.
   void Run(transaction::TransactionContext *txn, common::WorkerPool *pool, Operator *root,

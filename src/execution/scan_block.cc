@@ -39,7 +39,7 @@ bool ScanBlock(catalog::SqlTable *table, transaction::TransactionContext *txn,
         return false;
       }
       stats->rows += static_cast<uint64_t>(batch->num_rows());
-      out->Reset(std::move(batch), AccessPath::kFrozenInSitu, block);
+      out->Reset(std::move(batch), block);
       return true;
     }
     // Frozen but no Arrow metadata: should not happen, but the
@@ -54,7 +54,7 @@ bool ScanBlock(catalog::SqlTable *table, transaction::TransactionContext *txn,
   stats->hot_blocks++;
   if (batch->num_rows() == 0) return false;
   stats->rows += static_cast<uint64_t>(batch->num_rows());
-  out->Reset(std::move(batch), AccessPath::kHotMaterialized, nullptr);
+  out->Reset(std::move(batch), nullptr);
   return true;
 }
 

@@ -31,7 +31,7 @@ struct ScanStats {
 };
 
 /// Scan one block of a SqlTable with the paper's dual access path (Section
-/// 4.1) — the unit of work ParallelTableScanner's morsels are built from. A
+/// 4.1): the morsel op::ScanSource::Run hands to each worker. A
 /// block that is frozen is read in situ: its buffers are wrapped into
 /// zero-copy Arrow arrays under the block's read lock, with no per-tuple work
 /// at all. A hot (or cooling/freezing) block falls back to early

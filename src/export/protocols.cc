@@ -305,35 +305,29 @@ std::vector<PlannedBlock> PlanBlocks(catalog::SqlTable *table,
 template <typename Message>
 void CopyBlocks(common::WorkerPool *pool, ClientBuffer *client,
                 const std::vector<PlannedBlock> &plan) {
-  const auto copy = [client, &plan](size_t first, size_t last) {
-    for (size_t i = first; i < last; i++) {
-      plan[i].WriteTo<Message>(client);
-      plan[i].locked->controller.ReleaseRead();
-    }
-  };
-  // One lane, or a pool without workers: copy on the calling thread.
-  const uint64_t lanes = std::min<uint64_t>(pool->NumWorkers(), plan.size());
-  if (lanes <= 1) {
-    copy(0, plan.size());
-    return;
-  }
+  // Lane l copies the blocks whose messages start in its l-th of the bytes;
+  // a lane is kept as one past its last block, and empty lanes are dropped.
+  const uint64_t lanes =
+      std::max<uint64_t>(1, std::min<uint64_t>(pool->NumWorkers(), plan.size()));
   uint64_t bytes = 0;
   for (const PlannedBlock &block : plan) bytes += block.size;
-  // Lane l copies the blocks whose messages start in its l-th of the bytes.
-  size_t first = 0;
+  std::vector<size_t> lane_ends;
+  size_t last = 0;
   uint64_t start = 0;
   for (uint64_t lane = 0; lane < lanes; lane++) {
     const uint64_t lane_end = bytes * (lane + 1) / lanes;
-    size_t last = first;
+    const size_t first = last;
     while (last < plan.size() && (lane + 1 == lanes || start < lane_end)) {
       start += plan[last++].size;
     }
-    if (first == last) continue;
-    // A pool shut down under us rejects the task: copy its blocks inline.
-    if (!pool->SubmitTask([copy, first, last] { copy(first, last); })) copy(first, last);
-    first = last;
+    if (last != first) lane_ends.push_back(last);
   }
-  pool->WaitUntilAllFinished();
+  common::RunTasks(pool, lane_ends.size(), [client, &plan, &lane_ends](uint64_t lane) {
+    for (size_t i = lane == 0 ? 0 : lane_ends[lane - 1]; i < lane_ends[lane]; i++) {
+      plan[i].WriteTo<Message>(client);
+      plan[i].locked->controller.ReleaseRead();
+    }
+  });
 }
 
 }  // namespace

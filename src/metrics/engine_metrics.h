@@ -63,7 +63,7 @@ struct ScanMetrics {
   Counter *rows;           ///< scan.rows — tuples surfaced to consumers
   Counter *frozen_blocks;  ///< scan.frozen_blocks — blocks read zero-copy
   Counter *hot_blocks;     ///< scan.hot_blocks — blocks materialized transactionally
-  Counter *morsel_scans;   ///< scan.morsel_scans — ParallelTableScanner::Scan calls
+  Counter *morsel_scans;   ///< scan.morsel_scans — op::ScanSource::Run calls
 };
 ScanMetrics &Scan();
 

@@ -140,13 +140,45 @@ std::shared_ptr<arrowlite::RecordBatch> ArrowReader::FromFrozenBlock(
 
 namespace {
 
-template <typename T>
-void AppendFixed(arrowlite::FixedBuilder<T> *builder, const byte *value) {
-  if (value == nullptr) {
-    builder->AppendNull();
-  } else {
-    builder->Append(*reinterpret_cast<const T *>(value));
+/// One visible row of a hot block: its slot offset, and where its values come
+/// from — the column snapshot, or a ProjectedRow resolved through Select.
+struct RowRef {
+  uint32_t offset;
+  int32_t slow;  // index into the slow-path rows, or -1 to read the snapshot
+};
+
+/// Write every visible row's `kWidth`-byte value straight into the array's
+/// value buffer. Null slots stay zero (Buffer::Allocate zero-fills), and the
+/// validity bitmap is only built once the first null shows up: a column
+/// without nulls gets none, as Arrow allows.
+template <size_t kWidth, typename ValueOf>
+std::shared_ptr<arrowlite::Array> BuildFixed(arrowlite::Type type,
+                                             const std::vector<RowRef> &visible,
+                                             const ValueOf &value_of) {
+  const auto rows = static_cast<uint32_t>(visible.size());
+  auto values = arrowlite::Buffer::Allocate(uint64_t{rows} * kWidth);
+  byte *out = values->mutable_data();
+  std::shared_ptr<arrowlite::Buffer> validity;
+  int64_t null_count = 0;
+  for (uint32_t i = 0; i < rows; i++) {
+    const byte *value = value_of(visible[i]);
+    if (value != nullptr) {
+      std::memcpy(out + kWidth * i, value, kWidth);
+      continue;
+    }
+    if (validity == nullptr) {
+      // Every row valid, then clear the nulls one by one. Bits past the last
+      // row stay zero, as the builders leave them.
+      validity = arrowlite::Buffer::Allocate((rows + 7) / 8);
+      uint8_t *bits = validity->mutable_data_as<uint8_t>();
+      std::memset(bits, 0xFF, rows / 8);
+      if (rows % 8 != 0) bits[rows / 8] = static_cast<uint8_t>((1u << (rows % 8)) - 1);
+    }
+    validity->mutable_data_as<uint8_t>()[i / 8] &= static_cast<uint8_t>(~(1u << (i % 8)));
+    null_count++;
   }
+  return arrowlite::Array::MakeFixed(type, rows, std::move(values), std::move(validity),
+                                     null_count);
 }
 
 }  // namespace
@@ -164,47 +196,6 @@ std::shared_ptr<arrowlite::RecordBatch> ArrowReader::MaterializeBlock(
   for (const uint16_t i : positions) col_ids.emplace_back(i);
   const storage::ProjectedRowInitializer initializer =
       storage::ProjectedRowInitializer::Create(layout, std::move(col_ids));
-
-  // One builder per column, dispatched by width.
-  std::vector<std::unique_ptr<arrowlite::FixedBuilder<uint8_t>>> b1;
-  std::vector<std::unique_ptr<arrowlite::FixedBuilder<uint16_t>>> b2;
-  std::vector<std::unique_ptr<arrowlite::FixedBuilder<uint32_t>>> b4;
-  std::vector<std::unique_ptr<arrowlite::FixedBuilder<uint64_t>>> b8;
-  std::vector<std::unique_ptr<arrowlite::StringBuilder>> bs;
-  struct Dispatch {
-    int kind;
-    size_t idx;
-  };
-  std::vector<Dispatch> dispatch;
-  for (const uint16_t i : positions) {
-    const catalog::Column &col = schema.GetColumn(i);
-    if (col.IsVarlen()) {
-      dispatch.push_back({4, bs.size()});
-      bs.push_back(std::make_unique<arrowlite::StringBuilder>());
-      continue;
-    }
-    // Fixed values are moved with unsigned carriers of matching width; the
-    // logical Arrow type tags the resulting array.
-    const arrowlite::Type arrow_type = ToArrowType(col.Type());
-    switch (col.AttrSize()) {
-      case 1:
-        dispatch.push_back({0, b1.size()});
-        b1.push_back(std::make_unique<arrowlite::FixedBuilder<uint8_t>>(arrow_type));
-        break;
-      case 2:
-        dispatch.push_back({1, b2.size()});
-        b2.push_back(std::make_unique<arrowlite::FixedBuilder<uint16_t>>(arrow_type));
-        break;
-      case 4:
-        dispatch.push_back({2, b4.size()});
-        b4.push_back(std::make_unique<arrowlite::FixedBuilder<uint32_t>>(arrow_type));
-        break;
-      default:
-        dispatch.push_back({3, b8.size()});
-        b8.push_back(std::make_unique<arrowlite::FixedBuilder<uint64_t>>(arrow_type));
-        break;
-    }
-  }
 
   const uint32_t limit = block->insert_head.load(std::memory_order_acquire);
 
@@ -250,10 +241,6 @@ std::shared_ptr<arrowlite::RecordBatch> ArrowReader::MaterializeBlock(
   // Validate slot-by-slot, building the visible-row list in slot order: a
   // chain-free slot is visible iff its allocation bit is set; a slot with a
   // version chain resolves through Select into its own kept-alive buffer.
-  struct RowRef {
-    uint32_t offset;
-    int32_t slow;  // index into slow_rows, or -1 to read the column snapshot
-  };
   std::vector<RowRef> visible;
   visible.reserve(limit);
   std::vector<std::vector<byte>> slow_buffers;
@@ -286,10 +273,16 @@ std::shared_ptr<arrowlite::RecordBatch> ArrowReader::MaterializeBlock(
 
   // Emit column-at-a-time: each projected column walks the visible-row list
   // in one tight loop, reading the snapshot for fast rows and the
-  // materialized ProjectedRow for slow ones.
+  // materialized ProjectedRow for slow ones, and writing the array's buffers
+  // directly. Fixed values are moved as raw bytes of their width; the
+  // logical Arrow type tags the resulting array.
+  std::vector<std::shared_ptr<arrowlite::Array>> columns;
+  std::vector<arrowlite::Field> fields;
+  columns.reserve(positions.size());
+  fields.reserve(positions.size());
   for (uint16_t p = 0; p < positions.size(); p++) {
-    const storage::col_id_t col(positions[p]);
-    const uint32_t attr_size = layout.AttrSize(col);
+    const catalog::Column &col = schema.GetColumn(positions[p]);
+    const uint32_t attr_size = layout.AttrSize(storage::col_id_t(positions[p]));
     const byte *values = snap[p].values.data();
     const uint8_t *valid = snap[p].valid.data();
     const auto value_of = [&](const RowRef &r) -> const byte * {
@@ -297,58 +290,28 @@ std::shared_ptr<arrowlite::RecordBatch> ArrowReader::MaterializeBlock(
       const bool present = (valid[r.offset / 8] >> (r.offset % 8)) & 1u;
       return present ? values + static_cast<size_t>(attr_size) * r.offset : nullptr;
     };
-    const Dispatch d = dispatch[p];
-    switch (d.kind) {
-      case 0:
-        for (const RowRef &r : visible) AppendFixed(b1[d.idx].get(), value_of(r));
-        break;
-      case 1:
-        for (const RowRef &r : visible) AppendFixed(b2[d.idx].get(), value_of(r));
-        break;
-      case 2:
-        for (const RowRef &r : visible) AppendFixed(b4[d.idx].get(), value_of(r));
-        break;
-      case 3:
-        for (const RowRef &r : visible) AppendFixed(b8[d.idx].get(), value_of(r));
-        break;
-      case 4:
-        for (const RowRef &r : visible) {
-          const byte *value = value_of(r);
-          if (value == nullptr) {
-            bs[d.idx]->AppendNull();
-          } else {
-            bs[d.idx]->Append(
-                reinterpret_cast<const storage::VarlenEntry *>(value)->StringView());
-          }
+    const arrowlite::Type type = ToArrowType(col.Type());
+    if (col.IsVarlen()) {
+      arrowlite::StringBuilder builder;
+      for (const RowRef &r : visible) {
+        const byte *value = value_of(r);
+        if (value == nullptr) {
+          builder.AppendNull();
+        } else {
+          builder.Append(reinterpret_cast<const storage::VarlenEntry *>(value)->StringView());
         }
-        break;
+      }
+      columns.push_back(builder.Finish());
+    } else if (attr_size == 1) {
+      columns.push_back(BuildFixed<1>(type, visible, value_of));
+    } else if (attr_size == 2) {
+      columns.push_back(BuildFixed<2>(type, visible, value_of));
+    } else if (attr_size == 4) {
+      columns.push_back(BuildFixed<4>(type, visible, value_of));
+    } else {
+      columns.push_back(BuildFixed<8>(type, visible, value_of));
     }
-  }
-
-  std::vector<std::shared_ptr<arrowlite::Array>> columns;
-  std::vector<arrowlite::Field> fields;
-  fields.reserve(positions.size());
-  for (uint16_t p = 0; p < positions.size(); p++) {
-    const Dispatch d = dispatch[p];
-    switch (d.kind) {
-      case 0:
-        columns.push_back(b1[d.idx]->Finish());
-        break;
-      case 1:
-        columns.push_back(b2[d.idx]->Finish());
-        break;
-      case 2:
-        columns.push_back(b4[d.idx]->Finish());
-        break;
-      case 3:
-        columns.push_back(b8[d.idx]->Finish());
-        break;
-      case 4:
-        columns.push_back(bs[d.idx]->Finish());
-        break;
-    }
-    const catalog::Column &col = schema.GetColumn(positions[p]);
-    fields.emplace_back(col.Name(), ToArrowType(col.Type()), col.Nullable());
+    fields.emplace_back(col.Name(), type, col.Nullable());
   }
   return std::make_shared<arrowlite::RecordBatch>(
       std::make_shared<arrowlite::Schema>(std::move(fields)), rows, std::move(columns));

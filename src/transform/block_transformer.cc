@@ -33,7 +33,7 @@ bool BlockTransformer::CompactGroup(storage::DataTable *table,
   bool committed = false;
   {
     common::ScopedTimer<std::chrono::microseconds> timer(&elapsed_us);
-    const CompactionPlan plan = CompactionPlanner::Plan(*table, group, optimal_planner_);
+    const CompactionPlan plan = CompactionPlanner::Plan(*table, group, /*optimal=*/false);
 
     transaction::TransactionContext *txn = txn_manager_->BeginTransaction();
     const storage::ProjectedRowInitializer &initializer = table->FullRowInitializer();

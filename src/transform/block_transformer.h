@@ -67,8 +67,8 @@ class BlockTransformer {
                                           transaction::TransactionContext *)>;
 
   BlockTransformer(transaction::TransactionManager *txn_manager, gc::GarbageCollector *gc,
-                   GatherMode mode = GatherMode::kVarlenGather, bool optimal_planner = false)
-      : txn_manager_(txn_manager), gc_(gc), mode_(mode), optimal_planner_(optimal_planner) {}
+                   GatherMode mode = GatherMode::kVarlenGather)
+      : txn_manager_(txn_manager), gc_(gc), mode_(mode) {}
 
   DISALLOW_COPY_AND_MOVE(BlockTransformer)
 
@@ -122,7 +122,6 @@ class BlockTransformer {
   transaction::TransactionManager *txn_manager_;
   gc::GarbageCollector *gc_;
   GatherMode mode_;
-  bool optimal_planner_;
   bool pump_gc_ = true;
   MoveCallback move_callback_;
 };

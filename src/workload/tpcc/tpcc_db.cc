@@ -86,15 +86,11 @@ Database::Database(catalog::Catalog *catalog, const Config &config_in) : config(
 
 void Database::Load(transaction::TransactionManager *txn_manager, uint32_t num_threads) {
   LoadItems(txn_manager);
-  if (num_threads <= 1) {
-    for (int32_t w = 1; w <= config.num_warehouses; w++) LoadWarehouse(txn_manager, w);
-    return;
-  }
-  common::WorkerPool pool(num_threads);
-  for (int32_t w = 1; w <= config.num_warehouses; w++) {
-    pool.SubmitTask([this, txn_manager, w] { LoadWarehouse(txn_manager, w); });
-  }
-  pool.WaitUntilAllFinished();
+  // One thread (or none asked for) loads every warehouse on this one.
+  common::WorkerPool pool(num_threads <= 1 ? 0 : num_threads);
+  common::RunTasks(&pool, static_cast<uint64_t>(config.num_warehouses), [&](uint64_t w) {
+    LoadWarehouse(txn_manager, static_cast<int32_t>(w) + 1);
+  });
 }
 
 void Database::LoadItems(transaction::TransactionManager *txn_manager) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -13,7 +14,7 @@
 #include "common/rand_util.h"
 #include "common/selection_vector.h"
 #include "workload/tpch/query_runner.h"
-#include "execution/parallel_scanner.h"
+#include "execution/operators/scan_source.h"
 #include "execution/scan_block.h"
 #include "workload/tpch/tpch_queries.h"
 #include "execution/vector_ops.h"
@@ -28,16 +29,41 @@
 
 namespace mainline {
 
-using execution::AccessPath;
 using execution::ColumnVectorBatch;
 using workload::ExecMode;
 using workload::QueryRunner;
-using execution::ParallelTableScanner;
 using execution::ScanStats;
+using execution::op::Chunk;
+using execution::op::ScanSource;
 using storage::BlockState;
 using storage::ProjectedRow;
 using transform::GatherMode;
 namespace q = workload::tpch;
+
+namespace {
+
+/// Test sink: hands every chunk a ScanSource pushes to a callback.
+class RecordingSink final : public execution::op::Operator {
+ public:
+  explicit RecordingSink(std::function<void(const Chunk &)> record)
+      : record_(std::move(record)) {}
+
+  void Push(Chunk *chunk) override { record_(*chunk); }
+
+ private:
+  std::function<void(const Chunk &)> record_;
+};
+
+/// Run `source` to completion with `record` as its only operator.
+ScanStats RunScan(ScanSource *source, transaction::TransactionContext *txn,
+                  common::WorkerPool *pool, std::function<void(const Chunk &)> record) {
+  RecordingSink sink(std::move(record));
+  ScanStats stats;
+  source->Run(txn, pool, &sink, [](size_t) {}, &stats);
+  return stats;
+}
+
+}  // namespace
 
 /// End-to-end coverage of the in-situ execution layer: the dual-path block
 /// scan and the Q1/Q6 plans must agree bit-exactly with the
@@ -112,27 +138,29 @@ TEST_P(ExecutionTest, ProjectionResolutionAndScannerView) {
       workload::tpch::L_SHIPDATE};
   EXPECT_TRUE(cols == expected);
 
-  // A hot-table scan surfaces every row through the materialized path.
+  // A hot-table scan surfaces every row through the materialized path:
+  // freshly built arrays that own their buffers.
   auto *txn = txn_manager_.BeginTransaction();
-  ParallelTableScanner scanner(table, txn, cols);
-  EXPECT_EQ(scanner.BatchIndex(workload::tpch::L_SHIPDATE), 3);
+  ScanSource source(table, cols);
+  EXPECT_EQ(source.BatchIndex(workload::tpch::L_SHIPDATE), 3);
   uint64_t rows = 0;
-  scanner.Scan(/*pool=*/nullptr, [&](size_t, ColumnVectorBatch *batch) {
-    EXPECT_EQ(batch->Path(), AccessPath::kHotMaterialized);
-    EXPECT_EQ(batch->Batch()->num_columns(), 4);
-    const arrowlite::Array &qty = batch->Column(0);
-    for (int64_t i = 0; i < batch->NumRows(); i++) {
+  const ScanStats stats = RunScan(&source, txn, /*pool=*/nullptr, [&](const Chunk &chunk) {
+    const ColumnVectorBatch &batch = *chunk.batch;
+    EXPECT_EQ(batch.Batch()->num_columns(), 4);
+    const arrowlite::Array &qty = batch.Column(0);
+    EXPECT_TRUE(qty.buffer(0)->owned());
+    for (int64_t i = 0; i < batch.NumRows(); i++) {
       const double v = qty.Value<double>(i);
       EXPECT_GE(v, 1.0);
       EXPECT_LE(v, 50.0);
     }
-    rows += static_cast<uint64_t>(batch->NumRows());
+    rows += static_cast<uint64_t>(batch.NumRows());
   });
   txn_manager_.Commit(txn);
   EXPECT_EQ(rows, 2000u);
-  EXPECT_EQ(scanner.Stats().rows, 2000u);
-  EXPECT_EQ(scanner.Stats().frozen_blocks, 0u);
-  EXPECT_GT(scanner.Stats().hot_blocks, 0u);
+  EXPECT_EQ(stats.rows, 2000u);
+  EXPECT_EQ(stats.frozen_blocks, 0u);
+  EXPECT_GT(stats.hot_blocks, 0u);
   gc_.FullGC();
 }
 
@@ -207,25 +235,25 @@ TEST_P(ExecutionTest, VectorOpsPrimitivesMatchScalarReference) {
 
     // Vectorized: FilterStringEq + AccumulateSum/Count/AccumulateMinMax.
     auto *txn = txn_manager_.BeginTransaction();
-    ParallelTableScanner scanner(table, txn,
-                                 {workload::tpch::L_QUANTITY, workload::tpch::L_RETURNFLAG,
-                                  workload::tpch::L_SHIPDATE});
+    ScanSource source(table, {workload::tpch::L_QUANTITY, workload::tpch::L_RETURNFLAG,
+                              workload::tpch::L_SHIPDATE});
     double sum_qty = 0;
     uint64_t count = 0, none_count = 0;
     uint32_t min_ship = ~0u, max_ship = 0;
     common::SelectionVector sel;
-    scanner.Scan(/*pool=*/nullptr, [&](size_t, ColumnVectorBatch *batch) {
-      sel.InitFull(static_cast<uint32_t>(batch->NumRows()));
-      ops::FilterStringEq(batch->Column(1), &sel, "R");
-      ops::AccumulateSum<double>(batch->Column(0), sel, &sum_qty);
+    RunScan(&source, txn, /*pool=*/nullptr, [&](const Chunk &chunk) {
+      const ColumnVectorBatch &batch = *chunk.batch;
+      sel.InitFull(static_cast<uint32_t>(batch.NumRows()));
+      ops::FilterStringEq(batch.Column(1), &sel, "R");
+      ops::AccumulateSum<double>(batch.Column(0), sel, &sum_qty);
       count += ops::Count(sel);
       if (!sel.Empty()) {
-        ops::AccumulateMinMax<uint32_t>(batch->Column(2), sel, &min_ship, &max_ship);
+        ops::AccumulateMinMax<uint32_t>(batch.Column(2), sel, &min_ship, &max_ship);
       }
       // A flag value that exists in no row: the filter must empty the
       // selection (on the dictionary path: probe miss).
-      sel.InitFull(static_cast<uint32_t>(batch->NumRows()));
-      ops::FilterStringEq(batch->Column(1), &sel, "Z");
+      sel.InitFull(static_cast<uint32_t>(batch.NumRows()));
+      ops::FilterStringEq(batch.Column(1), &sel, "Z");
       none_count += ops::Count(sel);
     });
     txn_manager_.Commit(txn);

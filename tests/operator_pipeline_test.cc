@@ -1148,8 +1148,8 @@ namespace {
 /// Simulates a pathological block — a join-key explosion inflating the match
 /// list, a plan stacking projections — then asserts the next blocks' chunks
 /// came back shrunk to the retention thresholds. An inline run reuses ONE
-/// pooled chunk for every block, so ordinal k observes the Reset after
-/// ordinal k-1's inflation.
+/// chunk for every block, so ordinal k observes the Reset after ordinal
+/// k-1's inflation.
 class InflateOp final : public op::Operator {
  public:
   void Push(op::Chunk *chunk) override {
@@ -1201,7 +1201,7 @@ class ThrowOnceOp final : public op::Operator {
 
 }  // namespace
 
-/// The chunk pool's shrink policy: one block inflating the match list or the
+/// The reused chunk's shrink policy: one block inflating the match list or the
 /// computed-column stack beyond Chunk's retention thresholds must not pin
 /// that capacity for the rest of the run (see InflateOp above).
 TEST_P(OperatorPipelineTest, ChunkPoolShrinksPathologicalCapacity) {
@@ -1226,15 +1226,15 @@ TEST_P(OperatorPipelineTest, ChunkPoolShrinksPathologicalCapacity) {
   op::PhysicalPlan plan;
   op::Pipeline *pipe = plan.AddPipeline(table, {0, 1});
   InflateOp *inflate = pipe->Add<InflateOp>();
-  plan.Run(txn, nullptr, nullptr);  // inline: one pooled chunk, blocks in order
+  plan.Run(txn, nullptr, nullptr);  // inline: one reused chunk, blocks in order
   txn_manager_.Commit(txn);
   EXPECT_GE(inflate->blocks_seen_, 4u);
   gc_.FullGC();
 }
 
 /// An operator throwing mid-scan must unwind cleanly through the scan
-/// source's chunk checkout (the chunk returns to the pool with its batch
-/// pointer dropped), and the table must stay fully scannable afterward.
+/// source (the worker's batch releases its block read lock on the way out),
+/// and the table must stay fully scannable afterward.
 TEST_P(OperatorPipelineTest, ScanSurvivesThrowingOperator) {
   constexpr uint64_t kRows = 2000;
   catalog::SqlTable *table = MakeMicroTable("throwing", kRows);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,7 +10,7 @@
 #include "catalog/catalog.h"
 #include "common/rand_util.h"
 #include "common/worker_pool.h"
-#include "execution/parallel_scanner.h"
+#include "execution/operators/scan_source.h"
 #include "workload/tpch/query_runner.h"
 #include "workload/tpch/tpch_queries.h"
 #include "gc/garbage_collector.h"
@@ -21,15 +22,48 @@
 
 namespace mainline {
 
-using execution::ColumnVectorBatch;
 using workload::ExecMode;
-using execution::ParallelTableScanner;
 using workload::QueryRunner;
 using execution::ScanStats;
+using execution::op::Chunk;
+using execution::op::ScanSource;
 using storage::BlockState;
 using storage::ProjectedRow;
 using transform::GatherMode;
 namespace q = workload::tpch;
+
+namespace {
+
+/// Test sink: hands every chunk a ScanSource pushes to a callback.
+class RecordingSink final : public execution::op::Operator {
+ public:
+  explicit RecordingSink(std::function<void(const Chunk &)> record)
+      : record_(std::move(record)) {}
+
+  void Push(Chunk *chunk) override { record_(*chunk); }
+
+ private:
+  std::function<void(const Chunk &)> record_;
+};
+
+/// Run a scan of `projection` to completion with `record` as its only
+/// operator; `num_blocks` receives the snapshot's block count.
+ScanStats RunScan(catalog::SqlTable *table, transaction::TransactionContext *txn,
+                  std::vector<uint16_t> projection, common::WorkerPool *pool,
+                  std::function<void(const Chunk &)> record, size_t *num_blocks = nullptr) {
+  ScanSource source(table, std::move(projection));
+  RecordingSink sink(std::move(record));
+  ScanStats stats;
+  source.Run(
+      txn, pool, &sink,
+      [num_blocks](size_t n) {
+        if (num_blocks != nullptr) *num_blocks = n;
+      },
+      &stats);
+  return stats;
+}
+
+}  // namespace
 
 /// Coverage of the morsel-parallel execution layer: for every worker count,
 /// the parallel engine must return results BIT-IDENTICAL to the scalar
@@ -152,71 +186,63 @@ TEST_P(ParallelExecutionTest, MatchesScalarAcrossFreezeStatesAndThreadCounts) {
   gc_.FullGC();
 }
 
-/// The scanner's bookkeeping: every non-empty block ordinal is consumed
-/// exactly once, per-worker stats sum to the merged stats, and the morsel
-/// cursor covers the whole table no matter how many workers race on it.
+/// The scan's bookkeeping: every non-empty block ordinal is consumed
+/// exactly once, the stats cover every row, and the morsel cursor covers the
+/// whole table no matter how many workers race on it.
 TEST_P(ParallelExecutionTest, MorselsCoverEveryBlockExactlyOnce) {
   const uint64_t expect_rows = RowsForBlocks(2);
   catalog::SqlTable *table = Generate(expect_rows);
+  const size_t num_blocks = table->UnderlyingTable().NumBlocks();
 
   auto *txn = txn_manager_.BeginTransaction();
-  ParallelTableScanner scanner(
-      table, txn,
-      {workload::tpch::L_QUANTITY, workload::tpch::L_EXTENDEDPRICE, workload::tpch::L_SHIPDATE});
-  EXPECT_EQ(scanner.BatchIndex(workload::tpch::L_SHIPDATE), 2);
+  const std::vector<uint16_t> projection = {
+      workload::tpch::L_QUANTITY, workload::tpch::L_EXTENDEDPRICE, workload::tpch::L_SHIPDATE};
+  EXPECT_EQ(ScanSource(table, projection).BatchIndex(workload::tpch::L_SHIPDATE), 2);
 
-  std::vector<std::atomic<uint32_t>> consumed(scanner.NumBlocks());
+  std::vector<std::atomic<uint32_t>> consumed(num_blocks);
   std::atomic<uint64_t> rows{0};
+  size_t snapshot_blocks = 0;
   common::WorkerPool pool(4);
-  scanner.Scan(&pool, [&](size_t ordinal, ColumnVectorBatch *batch) {
-    consumed[ordinal].fetch_add(1);
-    EXPECT_GT(batch->NumRows(), 0);
-    EXPECT_EQ(batch->Batch()->num_columns(), 3);
-    rows.fetch_add(static_cast<uint64_t>(batch->NumRows()));
-  });
+  const ScanStats stats = RunScan(
+      table, txn, projection, &pool,
+      [&](const Chunk &chunk) {
+        consumed[chunk.block_ordinal].fetch_add(1);
+        EXPECT_GT(chunk.batch->NumRows(), 0);
+        EXPECT_EQ(chunk.batch->Batch()->num_columns(), 3);
+        rows.fetch_add(static_cast<uint64_t>(chunk.batch->NumRows()));
+      },
+      &snapshot_blocks);
   txn_manager_.Commit(txn);
 
+  EXPECT_EQ(snapshot_blocks, num_blocks);
   for (const auto &count : consumed) {
     EXPECT_LE(count.load(), 1u) << "a block ordinal was consumed more than once";
   }
   EXPECT_EQ(rows.load(), expect_rows);
-  EXPECT_EQ(scanner.Stats().rows, expect_rows);
-
-  // Per-worker stats partition the merged stats.
-  ScanStats summed;
-  for (const ScanStats &s : scanner.WorkerStats()) summed.Add(s);
-  EXPECT_EQ(summed.rows, scanner.Stats().rows);
-  EXPECT_EQ(summed.frozen_blocks, scanner.Stats().frozen_blocks);
-  EXPECT_EQ(summed.hot_blocks, scanner.Stats().hot_blocks);
-  EXPECT_EQ(scanner.WorkerStats().size(), 4u);
+  EXPECT_EQ(stats.rows, expect_rows);
+  EXPECT_EQ(stats.frozen_blocks + stats.hot_blocks, num_blocks);
   gc_.FullGC();
 }
 
-/// A scanner handed no usable pool must degrade to an inline scan rather
-/// than fail or hang — including a pool that was already shut down, whose
-/// SubmitTask rejects (the WorkerPool bugfix this PR regression-tests in
-/// worker_pool_test as well).
+/// A scan handed no usable pool must degrade to an inline scan rather than
+/// fail or hang — including a pool that was already shut down, whose
+/// SubmitTask rejects (worker_pool_test covers the pool side).
 TEST_P(ParallelExecutionTest, DegradesToInlineScanWithoutUsableWorkers) {
   catalog::SqlTable *table = Generate(1000);
   auto *txn = txn_manager_.BeginTransaction();
 
   uint64_t rows = 0;
   const std::vector<uint16_t> projection = {workload::tpch::L_QUANTITY};
-  {
-    ParallelTableScanner scanner(table, txn, projection);
-    scanner.Scan(nullptr, [&](size_t, ColumnVectorBatch *batch) {
-      rows += static_cast<uint64_t>(batch->NumRows());
-    });
-    EXPECT_EQ(rows, 1000u);
-  }
+  const auto count_rows = [&](const Chunk &chunk) {
+    rows += static_cast<uint64_t>(chunk.batch->NumRows());
+  };
+  RunScan(table, txn, projection, nullptr, count_rows);
+  EXPECT_EQ(rows, 1000u);
   {
     common::WorkerPool pool(2);
     pool.Shutdown();
-    ParallelTableScanner scanner(table, txn, projection);
     rows = 0;
-    scanner.Scan(&pool, [&](size_t, ColumnVectorBatch *batch) {
-      rows += static_cast<uint64_t>(batch->NumRows());
-    });
+    RunScan(table, txn, projection, &pool, count_rows);
     EXPECT_EQ(rows, 1000u);
   }
   txn_manager_.Commit(txn);
@@ -224,9 +250,8 @@ TEST_P(ParallelExecutionTest, DegradesToInlineScanWithoutUsableWorkers) {
 }
 
 /// Regression: a shut-down pool reports zero workers, so the scan degrades
-/// to the inline path — whose ScanStats must still land in both the merged
-/// Stats() and the WorkerStats() view (one slot for the driving thread).
-/// Each worker folds its partial at loop exit, so no exit path drops stats.
+/// to the inline path — whose ScanStats must still cover every block and
+/// every row the sink saw.
 TEST_P(ParallelExecutionTest, ShutDownPoolLosesNoScanStats) {
   const uint64_t expect_rows = RowsForBlocks(1);
   catalog::SqlTable *table = Generate(expect_rows);
@@ -234,26 +259,17 @@ TEST_P(ParallelExecutionTest, ShutDownPoolLosesNoScanStats) {
 
   common::WorkerPool pool(2);
   pool.Shutdown();
-  ParallelTableScanner scanner(table, txn, {workload::tpch::L_QUANTITY});
   uint64_t rows = 0;
-  scanner.Scan(&pool, [&](size_t, ColumnVectorBatch *batch) {
-    rows += static_cast<uint64_t>(batch->NumRows());
-  });
+  size_t num_blocks = 0;
+  const ScanStats stats = RunScan(
+      table, txn, {workload::tpch::L_QUANTITY}, &pool,
+      [&](const Chunk &chunk) { rows += static_cast<uint64_t>(chunk.batch->NumRows()); },
+      &num_blocks);
   txn_manager_.Commit(txn);
 
-  // The merged stats account for every row the callback saw...
   EXPECT_EQ(rows, expect_rows);
-  EXPECT_EQ(scanner.Stats().rows, expect_rows);
-  EXPECT_EQ(scanner.Stats().frozen_blocks + scanner.Stats().hot_blocks,
-            scanner.NumBlocks());
-  // ...and the per-worker view still partitions them exactly: the whole
-  // scan ran inline, so it collapses to one slot that carries everything.
-  ScanStats summed;
-  for (const ScanStats &s : scanner.WorkerStats()) summed.Add(s);
-  EXPECT_EQ(scanner.WorkerStats().size(), 1u);
-  EXPECT_EQ(summed.rows, scanner.Stats().rows);
-  EXPECT_EQ(summed.frozen_blocks, scanner.Stats().frozen_blocks);
-  EXPECT_EQ(summed.hot_blocks, scanner.Stats().hot_blocks);
+  EXPECT_EQ(stats.rows, expect_rows);
+  EXPECT_EQ(stats.frozen_blocks + stats.hot_blocks, num_blocks);
   gc_.FullGC();
 }
 

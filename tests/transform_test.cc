@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -278,6 +279,196 @@ TEST(CompactionPlannerTest, ApproximateAndOptimalAccounting) {
       EXPECT_LE(approx.moves.size() - plan.moves.size(), live % slots_per_block);
     }
   }
+}
+
+namespace {
+
+/// Check ArrowReader::MaterializeBlock over every block of `table` against a
+/// per-slot DataTable::Select of the same columns under the same `txn`:
+/// the same visible rows in slot order, the same values and nulls, zeroed
+/// bytes under a null fixed value, and a validity buffer exactly when the
+/// column has a null. `projection` nullptr means every column.
+void ExpectMaterializeMatchesSelect(catalog::SqlTable *table,
+                                    transaction::TransactionContext *txn,
+                                    const std::vector<uint16_t> *projection) {
+  const catalog::Schema &schema = table->GetSchema();
+  std::vector<uint16_t> cols;
+  if (projection != nullptr) {
+    cols = *projection;
+  } else {
+    for (uint16_t i = 0; i < schema.NumColumns(); i++) cols.push_back(i);
+  }
+  const auto initializer = table->InitializerForColumns(cols);
+  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+  storage::DataTable &data_table = table->UnderlyingTable();
+  for (storage::RawBlock *block : data_table.Blocks()) {
+    const auto batch = transform::ArrowReader::MaterializeBlock(schema, &data_table, block, txn,
+                                                                projection);
+    ASSERT_EQ(batch->num_columns(), static_cast<int>(cols.size()));
+    std::vector<int64_t> nulls(cols.size(), 0);
+    int64_t row = 0;
+    const uint32_t limit = block->insert_head.load();
+    for (uint32_t offset = 0; offset < limit; offset++) {
+      ProjectedRow *expected = initializer.InitializeRow(buffer.data());
+      if (!table->Select(txn, TupleSlot(block, offset), expected)) continue;
+      ASSERT_LT(row, batch->num_rows()) << "slot " << offset;
+      for (uint16_t p = 0; p < cols.size(); p++) {
+        const arrowlite::Array &array = *batch->column(p);
+        const catalog::Column &col = schema.GetColumn(cols[p]);
+        const byte *value = expected->AccessWithNullCheck(p);
+        EXPECT_EQ(array.IsNull(row), value == nullptr) << col.Name() << " slot " << offset;
+        if (col.IsVarlen()) {
+          if (value != nullptr) {
+            EXPECT_EQ(array.GetString(row), workload::GetVarchar(*expected, p))
+                << col.Name() << " slot " << offset;
+          }
+        } else {
+          const byte *actual = array.buffer(0)->data() + row * col.AttrSize();
+          std::vector<byte> want(col.AttrSize(), byte{0});
+          if (value != nullptr) std::memcpy(want.data(), value, want.size());
+          EXPECT_EQ(std::memcmp(actual, want.data(), want.size()), 0)
+              << col.Name() << " slot " << offset;
+        }
+        if (value == nullptr) nulls[p]++;
+      }
+      row++;
+    }
+    EXPECT_EQ(row, batch->num_rows());
+    for (uint16_t p = 0; p < cols.size(); p++) {
+      const arrowlite::Array &array = *batch->column(p);
+      EXPECT_EQ(array.length(), row);
+      EXPECT_EQ(array.null_count(), nulls[p]) << schema.GetColumn(cols[p]).Name();
+      EXPECT_EQ(array.validity() != nullptr, nulls[p] != 0) << schema.GetColumn(cols[p]).Name();
+    }
+  }
+}
+
+}  // namespace
+
+/// MaterializeBlock's oracle over a hot block with 1-, 2-, 4- and 8-byte
+/// columns and a varchar, each with nulls: chain-free slots come from the
+/// block snapshot, while slots deleted or updated before the reader began,
+/// after it (committed) or by a still-running writer resolve through their
+/// version chains. Full and projected reads must both match Select.
+TEST(MaterializeBlockTest, HotBlockMatchesPerSlotSelect) {
+  storage::BlockStore block_store(100, 10);
+  storage::RecordBufferSegmentPool buffer_pool(100000, 100);
+  catalog::Catalog catalog(&block_store);
+  transaction::TransactionManager txn_manager(&buffer_pool, true, nullptr);
+  gc::GarbageCollector gc(&txn_manager);
+  const catalog::Schema schema({{"id", catalog::TypeId::kBigInt},
+                                {"tiny", catalog::TypeId::kTinyInt, true},
+                                {"small", catalog::TypeId::kSmallInt, true},
+                                {"int", catalog::TypeId::kInteger, true},
+                                {"big", catalog::TypeId::kBigInt, true},
+                                {"text", catalog::TypeId::kVarchar, true}});
+  catalog::SqlTable *table = catalog.GetTable(catalog.CreateTable("hot", schema));
+  constexpr int64_t kRows = 500;
+
+  std::vector<TupleSlot> slots;
+  {
+    const auto initializer = table->FullInitializer();
+    std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+    auto *txn = txn_manager.BeginTransaction();
+    for (int64_t i = 0; i < kRows; i++) {
+      ProjectedRow *row = initializer.InitializeRow(buffer.data());
+      workload::Set<int64_t>(row, 0, i);
+      if (i % 5 == 0) {
+        row->SetNull(1);
+      } else {
+        workload::Set<int8_t>(row, 1, static_cast<int8_t>(i % 100));
+      }
+      if (i % 6 == 1) {
+        row->SetNull(2);
+      } else {
+        workload::Set<int16_t>(row, 2, static_cast<int16_t>(i * 3));
+      }
+      if (i % 7 == 2) {
+        row->SetNull(3);
+      } else {
+        workload::Set<int32_t>(row, 3, static_cast<int32_t>(i * 1000 + 1));
+      }
+      if (i % 8 == 3) {
+        row->SetNull(4);
+      } else {
+        workload::Set<int64_t>(row, 4, i * 1000000007);
+      }
+      if (i % 9 == 4) {
+        row->SetNull(5);
+      } else if (i % 2 == 0) {
+        workload::SetVarchar(row, 5, "s" + std::to_string(i));  // inlines
+      } else {
+        workload::SetVarchar(row, 5, "an-out-of-line-string-" + std::to_string(i));
+      }
+      slots.push_back(table->Insert(txn, *row));
+    }
+    txn_manager.Commit(txn);
+  }
+  gc.FullGC();  // the insert versions go: these slots are chain-free
+
+  const auto deleted_before = [](int64_t i) { return i % 13 == 5; };
+  const auto small_text = table->InitializerForColumns({2, 5});
+  const auto int_big_text = table->InitializerForColumns({3, 4, 5});
+  const auto tiny_small = table->InitializerForColumns({1, 2});
+  std::vector<byte> delta_buffer(int_big_text.ProjectedRowSize() + 8);
+
+  // Committed before the reader begins: deletes, and updates that null the
+  // varchar.
+  auto *before = txn_manager.BeginTransaction();
+  for (int64_t i = 0; i < kRows; i++) {
+    const TupleSlot slot = slots[static_cast<size_t>(i)];
+    if (deleted_before(i)) {
+      ASSERT_TRUE(table->Delete(before, slot));
+    } else if (i % 10 == 3) {
+      ProjectedRow *delta = small_text.InitializeRow(delta_buffer.data());
+      workload::Set<int16_t>(delta, 0, static_cast<int16_t>(-i));
+      delta->SetNull(1);
+      ASSERT_TRUE(table->Update(before, slot, *delta));
+    }
+  }
+  txn_manager.Commit(before);
+
+  auto *reader = txn_manager.BeginTransaction();
+
+  // Committed after the reader began: the reader must see the old values.
+  auto *after = txn_manager.BeginTransaction();
+  for (int64_t i = 0; i < kRows; i++) {
+    const TupleSlot slot = slots[static_cast<size_t>(i)];
+    if (deleted_before(i)) continue;
+    if (i % 17 == 6) {
+      ASSERT_TRUE(table->Delete(after, slot));
+    } else if (i % 11 == 0) {
+      ProjectedRow *delta = int_big_text.InitializeRow(delta_buffer.data());
+      workload::Set<int32_t>(delta, 0, -1);
+      delta->SetNull(1);
+      workload::SetVarchar(delta, 2, "newer-out-of-line-value-" + std::to_string(i));
+      ASSERT_TRUE(table->Update(after, slot, *delta));
+    }
+  }
+  txn_manager.Commit(after);
+
+  // Still running while the reads happen: invisible to every reader.
+  auto *in_flight = txn_manager.BeginTransaction();
+  for (int64_t i = 0; i < kRows; i++) {
+    if (deleted_before(i) || i % 17 == 6 || i % 19 != 7) continue;
+    ProjectedRow *delta = tiny_small.InitializeRow(delta_buffer.data());
+    delta->SetNull(0);
+    workload::Set<int16_t>(delta, 1, 1);
+    ASSERT_TRUE(table->Update(in_flight, slots[static_cast<size_t>(i)], *delta));
+  }
+
+  auto *latest = txn_manager.BeginTransaction();
+  const std::vector<uint16_t> varlen_and_fixed = {1, 4, 5};
+  const std::vector<uint16_t> fixed_only = {0, 3};
+  for (transaction::TransactionContext *txn : {reader, latest}) {
+    ExpectMaterializeMatchesSelect(table, txn, nullptr);
+    ExpectMaterializeMatchesSelect(table, txn, &varlen_and_fixed);
+    ExpectMaterializeMatchesSelect(table, txn, &fixed_only);
+  }
+  txn_manager.Abort(in_flight);
+  txn_manager.Commit(latest);
+  txn_manager.Commit(reader);
+  gc.FullGC();
 }
 
 }  // namespace mainline

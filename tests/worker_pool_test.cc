@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/worker_pool.h"
 
@@ -84,6 +85,51 @@ TEST(WorkerPoolTest, ConcurrentWaitersAllWake) {
   }
   for (auto &w : waiters) w.join();
   EXPECT_EQ(woke.load(), 3);
+}
+
+namespace {
+
+/// Run common::RunTasks over `n` indices and check that every index in
+/// [0, n) was handed to exactly one task call, and no other index at all.
+void ExpectEachIndexRunsOnce(common::WorkerPool *pool, uint64_t n) {
+  std::vector<std::atomic<uint32_t>> runs(n);
+  std::atomic<uint32_t> out_of_range{0};
+  common::RunTasks(pool, n, [&](uint64_t i) {
+    if (i < n) {
+      runs[i].fetch_add(1);
+    } else {
+      out_of_range.fetch_add(1);
+    }
+  });
+  for (uint64_t i = 0; i < n; i++) EXPECT_EQ(runs[i].load(), 1u) << "index " << i;
+  EXPECT_EQ(out_of_range.load(), 0u);
+}
+
+}  // namespace
+
+TEST(WorkerPoolTest, RunTasksWithoutAPoolRunsInline) {
+  for (const uint64_t n : {1u, 2u, 37u}) ExpectEachIndexRunsOnce(nullptr, n);
+}
+
+TEST(WorkerPoolTest, RunTasksOnAShutDownPoolRunsInline) {
+  common::WorkerPool pool(2);
+  pool.Shutdown();
+  for (const uint64_t n : {1u, 2u, 37u}) ExpectEachIndexRunsOnce(&pool, n);
+}
+
+TEST(WorkerPoolTest, RunTasksCoversEveryIndexOnLiveWorkers) {
+  for (const uint32_t workers : {1u, 4u}) {
+    common::WorkerPool pool(workers);
+    for (const uint64_t n : {1u, 2u, 4u, 37u, 1000u}) ExpectEachIndexRunsOnce(&pool, n);
+  }
+}
+
+TEST(WorkerPoolTest, RunTasksWithNoTasksCallsNothing) {
+  common::WorkerPool pool(4);
+  ExpectEachIndexRunsOnce(nullptr, 0);
+  ExpectEachIndexRunsOnce(&pool, 0);
+  pool.Shutdown();
+  ExpectEachIndexRunsOnce(&pool, 0);
 }
 
 }  // namespace mainline
