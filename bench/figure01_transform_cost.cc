@@ -9,14 +9,59 @@
 // Expected shape (paper, SF10): In-Memory ~8s, CSV ~284s, ODBC ~1380s — i.e.
 // the textual/row paths are orders of magnitude slower, with query processing
 // itself a negligible fraction.
+//
+// Correctness gate: exits 1 if the batch loaded back from CSV or the batch
+// the row-wire client parsed holds a row count or an L_ORDERKEY sum other
+// than a transactional scan's.
 
+#include <cstdint>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "arrowlite/csv.h"
 #include "bench_util.h"
 #include "export/protocols.h"
 #include "transform/block_transformer.h"
 #include "workload/tpch/lineitem.h"
+
+namespace mainline::bench {
+namespace {
+
+/// Rows and the sum of L_ORDERKEY over a transactional scan of `table`.
+std::pair<uint64_t, int64_t> ScanRowsAndOrderKeySum(Engine *engine, catalog::SqlTable *table) {
+  const auto initializer = table->InitializerForColumns({workload::tpch::L_ORDERKEY});
+  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+  auto *txn = engine->txn_manager.BeginTransaction();
+  uint64_t rows = 0;
+  int64_t sum = 0;
+  for (auto it = table->begin(); !it.Done(); ++it) {
+    storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+    if (!table->Select(txn, *it, row)) continue;
+    rows++;
+    sum += workload::Get<int64_t>(*row, 0);
+  }
+  engine->txn_manager.Commit(txn);
+  return {rows, sum};
+}
+
+/// Check a client's batch against the scan; \return 1 on a mismatch, after
+/// saying so on stderr, else 0.
+int CheckClient(const char *client, const arrowlite::RecordBatch &batch,
+                std::pair<uint64_t, int64_t> scan) {
+  const arrowlite::Array &keys = *batch.column(workload::tpch::L_ORDERKEY);
+  int64_t sum = 0;
+  for (int64_t i = 0; i < batch.num_rows(); i++) sum += keys.Value<int64_t>(i);
+  const auto rows = static_cast<uint64_t>(batch.num_rows());
+  if (rows == scan.first && sum == scan.second) return 0;
+  std::fprintf(stderr, "FAIL: %s holds %llu rows, L_ORDERKEY sum %lld; a scan %llu rows, %lld\n",
+               client, static_cast<unsigned long long>(rows), static_cast<long long>(sum),
+               static_cast<unsigned long long>(scan.first), static_cast<long long>(scan.second));
+  return 1;
+}
+
+}  // namespace
+}  // namespace mainline::bench
 
 int main() {
   using namespace mainline;
@@ -37,6 +82,8 @@ int main() {
                            nullptr);
 
   const uint64_t capacity = (table->UnderlyingTable().NumBlocks() + 4) * (8ull << 20);
+  const std::pair<uint64_t, int64_t> scan = ScanRowsAndOrderKeySum(&engine, table);
+  int bad_clients = 0;
 
   // (1) In-Memory: Arrow-native zero-copy landing.
   double in_memory_secs;
@@ -54,6 +101,7 @@ int main() {
     exporter::ArrowFlightExporter flight(&client);
     flight.Export(table, &engine.txn_manager);
     const auto &batches = flight.ClientBatches();
+    std::shared_ptr<arrowlite::RecordBatch> loaded;
 
     csv_export_secs = TimeSeconds([&] {
       std::ofstream out("/tmp/mainline_lineitem.csv");
@@ -63,9 +111,9 @@ int main() {
     });
     csv_load_secs = TimeSeconds([&] {
       std::ifstream in("/tmp/mainline_lineitem.csv");
-      auto batch = arrowlite::Csv::ReadBatch(batches[0]->schema(), &in);
-      if (batch == nullptr) std::abort();
+      loaded = arrowlite::Csv::ReadBatch(batches[0]->schema(), &in);
     });
+    bad_clients += CheckClient("the CSV-loaded batch", *loaded, scan);
     std::remove("/tmp/mainline_lineitem.csv");
   }
 
@@ -76,11 +124,12 @@ int main() {
     exporter::PostgresWireExporter pg(&client);
     const auto result = pg.Export(table, &engine.txn_manager);
     odbc_secs = static_cast<double>(result.micros) / 1e6;
+    bad_clients += CheckClient("the row-wire client", *pg.ClientBatch(), scan);
   }
 
   std::printf("%-24s %10.2f s\n", "In-Memory (Arrow)", in_memory_secs);
   std::printf("%-24s %10.2f s  (export %.2f s + load %.2f s)\n", "CSV",
               csv_export_secs + csv_load_secs, csv_export_secs, csv_load_secs);
   std::printf("%-24s %10.2f s\n", "Row wire protocol", odbc_secs);
-  return 0;
+  return bad_clients == 0 ? 0 : 1;
 }

@@ -68,7 +68,7 @@ RunResult RunTPCC(uint32_t workers, Mode mode, int seconds) {
     if (mode != Mode::kDisabled) {
       engine.gc.SetAccessObserver(&observer);
       pipeline.EnqueueTable(&db.item->UnderlyingTable());
-      pipeline.Start(std::chrono::milliseconds(10));
+      pipeline.Start(transform::FreezePolicy::Config::Pinned(std::chrono::milliseconds(10)));
     }
 
     std::vector<std::thread> threads;

@@ -40,9 +40,13 @@ workload::chbench::Config HarnessConfig(bool adaptive) {
   config.part_rows = static_cast<uint64_t>(EnvInt("MAINLINE_F20_PARTS", 20000));
   config.feed_rows_per_txn = static_cast<uint64_t>(EnvInt("MAINLINE_F20_FEED_ROWS", 16));
   config.oracle_every = static_cast<uint32_t>(EnvInt("MAINLINE_F20_ORACLE_EVERY", 4));
-  config.adaptive = adaptive;
-  config.fixed_period =
-      std::chrono::milliseconds(EnvInt("MAINLINE_F20_FIXED_PERIOD_MS", 100));
+  // The fixed window's period is deliberately the kind of uncalibrated guess
+  // a fixed cadence forces on operators; the adaptive controller is compared
+  // against it.
+  if (!adaptive) {
+    config.policy = transform::FreezePolicy::Config::Pinned(
+        std::chrono::milliseconds(EnvInt("MAINLINE_F20_FIXED_PERIOD_MS", 100)));
+  }
   return config;
 }
 

@@ -59,7 +59,7 @@ int main(int argc, char **argv) {
   std::atomic<uint64_t> committed{0}, aborted{0};
   {
     gc::GarbageCollectorThread gc_thread(&gc, std::chrono::milliseconds(10));
-    pipeline.Start(std::chrono::milliseconds(10));
+    pipeline.Start(transform::FreezePolicy::Config::Pinned(std::chrono::milliseconds(10)));
 
     std::vector<std::thread> threads;
     for (uint32_t t = 0; t < workers; t++) {

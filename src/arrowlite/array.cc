@@ -1,5 +1,7 @@
 #include "arrowlite/array.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstring>
 
 namespace mainline::arrowlite {
@@ -77,6 +79,46 @@ bool RecordBatch::Equals(const RecordBatch &other) const {
     if (!columns_[static_cast<size_t>(i)]->Equals(*other.column(i))) return false;
   }
   return true;
+}
+
+namespace {
+
+template <typename T>
+std::string_view IntegerText(T value, char (&buf)[kValueTextSize]) {
+  const char *end = std::to_chars(buf, buf + kValueTextSize, value).ptr;
+  return {buf, static_cast<size_t>(end - buf)};
+}
+
+}  // namespace
+
+std::string_view ValueText(const Array &array, int64_t i, char (&buf)[kValueTextSize]) {
+  switch (array.type()) {
+    case Type::kBool:
+    case Type::kUInt8:
+      return IntegerText(array.Value<uint8_t>(i), buf);
+    case Type::kInt8:
+      return IntegerText(array.Value<int8_t>(i), buf);
+    case Type::kInt16:
+      return IntegerText(array.Value<int16_t>(i), buf);
+    case Type::kUInt16:
+      return IntegerText(array.Value<uint16_t>(i), buf);
+    case Type::kInt32:
+      return IntegerText(array.Value<int32_t>(i), buf);
+    case Type::kUInt32:
+      return IntegerText(array.Value<uint32_t>(i), buf);
+    case Type::kInt64:
+      return IntegerText(array.Value<int64_t>(i), buf);
+    case Type::kUInt64:
+      return IntegerText(array.Value<uint64_t>(i), buf);
+    case Type::kFloat64: {
+      const int len = std::snprintf(buf, kValueTextSize, "%.6f", array.Value<double>(i));
+      return {buf, static_cast<size_t>(len)};
+    }
+    case Type::kString:
+    case Type::kDictionary:
+      return array.GetString(i);
+  }
+  MAINLINE_UNREACHABLE("unknown type");
 }
 
 }  // namespace mainline::arrowlite

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -123,5 +124,15 @@ class RecordBatch {
   int64_t num_rows_;
   std::vector<std::shared_ptr<Array>> columns_;
 };
+
+/// Room for the longest text ValueText renders into its buffer: "%.6f" of
+/// -DBL_MAX takes 317 characters.
+constexpr size_t kValueTextSize = 320;
+
+/// \return value `i` of `array`, which must not be null, as text: integers
+/// in decimal, kFloat64 as printf's "%.6f", strings as they are (dictionary
+/// codes resolved). A fixed-width value's text is rendered into `buf`; a
+/// string's is a view into the array.
+std::string_view ValueText(const Array &array, int64_t i, char (&buf)[kValueTextSize]);
 
 }  // namespace mainline::arrowlite

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <charconv>
 #include <cstring>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "arrowlite/array.h"
@@ -10,48 +12,115 @@
 
 namespace mainline::arrowlite {
 
-namespace detail {
-inline void AppendBit(std::vector<uint8_t> *bits, int64_t index, bool value) {
-  const auto byte_idx = static_cast<size_t>(index / 8);
-  if (byte_idx >= bits->size()) bits->resize(byte_idx + 1, 0);
-  if (value) (*bits)[byte_idx] |= static_cast<uint8_t>(1u << (index % 8));
+/// \return the type a client parsing text builds for a column of `type`:
+/// kFloat64 stays, strings and dictionaries come back as kString, and every
+/// other fixed-width type as kInt64, since text carries no width.
+constexpr Type TextType(Type type) {
+  switch (type) {
+    case Type::kFloat64:
+      return Type::kFloat64;
+    case Type::kString:
+    case Type::kDictionary:
+      return Type::kString;
+    default:
+      return Type::kInt64;
+  }
 }
 
-inline std::shared_ptr<Buffer> FinishBitmap(const std::vector<uint8_t> &bits,
-                                            int64_t null_count) {
-  if (null_count == 0) return nullptr;
-  return Buffer::CopyOf(reinterpret_cast<const byte *>(bits.data()), bits.size());
-}
-}  // namespace detail
-
-/// Incrementally builds a fixed-width array.
-template <typename T>
-class FixedBuilder {
+/// Incrementally builds one array of any type but kDictionary, value by
+/// value: a fixed-width type's values at TypeWidth(type) bytes each, a
+/// string's as int32 offsets plus chars. The validity bitmap is LSB-first
+/// and left off the array when no value is null.
+class ColumnBuilder {
  public:
-  explicit FixedBuilder(Type type) : type_(type) {
-    MAINLINE_ASSERT(TypeWidth(type) == sizeof(T), "builder width mismatch");
+  explicit ColumnBuilder(Type type) : type_(type), width_(TypeWidth(type)) {
+    MAINLINE_ASSERT(type != Type::kDictionary, "dictionary arrays are not built");
+    if (width_ == 0) offsets_.push_back(0);
   }
 
-  void Append(T value) {
-    detail::AppendBit(&validity_, length_, true);
-    values_.push_back(value);
-    length_++;
-  }
-
-  void AppendNull() {
-    detail::AppendBit(&validity_, length_, false);
-    values_.push_back(T{});
-    length_++;
-    null_count_++;
-  }
-
+  Type type() const { return type_; }
   int64_t length() const { return length_; }
 
+  /// Append a fixed-width value from the TypeWidth(type()) bytes at `value`.
+  void Append(const byte *value) {
+    AppendValidity(true);
+    const size_t at = values_.size();
+    values_.resize(at + width_);
+    std::memcpy(values_.data() + at, value, width_);
+  }
+
+  /// Append a fixed-width value given as a C++ value of the type's width.
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void Append(T value) {
+    MAINLINE_ASSERT(sizeof(T) == width_, "builder width mismatch");
+    Append(reinterpret_cast<const byte *>(&value));
+  }
+
+  /// Append a string value.
+  void Append(std::string_view value) {
+    MAINLINE_ASSERT(width_ == 0, "not a string builder");
+    AppendValidity(true);
+    const auto *chars = reinterpret_cast<const byte *>(value.data());
+    values_.insert(values_.end(), chars, chars + value.size());
+    offsets_.push_back(static_cast<int32_t>(values_.size()));
+  }
+
+  /// Append a null: zeros under a fixed-width one, an empty range of chars
+  /// under a string.
+  void AppendNull() {
+    AppendValidity(false);
+    null_count_++;
+    if (width_ == 0) {
+      offsets_.push_back(static_cast<int32_t>(values_.size()));
+    } else {
+      values_.resize(values_.size() + width_);
+    }
+  }
+
+  /// Append the value `text` spells: a decimal for kInt64 and kFloat64, the
+  /// text itself for kString. Parses what ValueText renders for those types.
+  void AppendText(std::string_view text) {
+    const char *end = text.data() + text.size();
+    switch (type_) {
+      case Type::kInt64: {
+        int64_t value = 0;
+        std::from_chars(text.data(), end, value);
+        Append(value);
+        return;
+      }
+      case Type::kFloat64: {
+        double value = 0;
+        std::from_chars(text.data(), end, value);
+        Append(value);
+        return;
+      }
+      case Type::kString:
+        Append(text);
+        return;
+      default:
+        MAINLINE_UNREACHABLE("no text append for this type");
+    }
+  }
+
+  /// \return the array built so far, leaving the builder empty.
   std::shared_ptr<Array> Finish() {
-    auto values = Buffer::CopyOf(reinterpret_cast<const byte *>(values_.data()),
-                                 values_.size() * sizeof(T));
-    auto result = Array::MakeFixed(type_, length_, std::move(values),
-                                   detail::FinishBitmap(validity_, null_count_), null_count_);
+    std::shared_ptr<Buffer> validity =
+        null_count_ == 0 ? nullptr
+                         : Buffer::CopyOf(reinterpret_cast<const byte *>(validity_.data()),
+                                          validity_.size());
+    auto values = Buffer::CopyOf(values_.data(), values_.size());
+    std::shared_ptr<Array> result;
+    if (width_ == 0) {
+      auto offsets = Buffer::CopyOf(reinterpret_cast<const byte *>(offsets_.data()),
+                                    offsets_.size() * sizeof(int32_t));
+      result = Array::MakeString(length_, std::move(offsets), std::move(values),
+                                 std::move(validity), null_count_);
+      offsets_.assign(1, 0);
+    } else {
+      result = Array::MakeFixed(type_, length_, std::move(values), std::move(validity),
+                                null_count_);
+    }
     values_.clear();
     validity_.clear();
     length_ = null_count_ = 0;
@@ -59,50 +128,17 @@ class FixedBuilder {
   }
 
  private:
+  void AppendValidity(bool valid) {
+    const auto byte_idx = static_cast<size_t>(length_ / 8);
+    if (byte_idx >= validity_.size()) validity_.resize(byte_idx + 1, 0);
+    if (valid) validity_[byte_idx] |= static_cast<uint8_t>(1u << (length_ % 8));
+    length_++;
+  }
+
   Type type_;
-  std::vector<T> values_;
-  std::vector<uint8_t> validity_;
-  int64_t length_ = 0;
-  int64_t null_count_ = 0;
-};
-
-/// Incrementally builds a string array (int32 offsets + values).
-class StringBuilder {
- public:
-  StringBuilder() { offsets_.push_back(0); }
-
-  void Append(std::string_view value) {
-    detail::AppendBit(&validity_, length_, true);
-    chars_.insert(chars_.end(), value.begin(), value.end());
-    offsets_.push_back(static_cast<int32_t>(chars_.size()));
-    length_++;
-  }
-
-  void AppendNull() {
-    detail::AppendBit(&validity_, length_, false);
-    offsets_.push_back(static_cast<int32_t>(chars_.size()));
-    length_++;
-    null_count_++;
-  }
-
-  int64_t length() const { return length_; }
-
-  std::shared_ptr<Array> Finish() {
-    auto offsets = Buffer::CopyOf(reinterpret_cast<const byte *>(offsets_.data()),
-                                  offsets_.size() * sizeof(int32_t));
-    auto values = Buffer::CopyOf(reinterpret_cast<const byte *>(chars_.data()), chars_.size());
-    auto result = Array::MakeString(length_, std::move(offsets), std::move(values),
-                                    detail::FinishBitmap(validity_, null_count_), null_count_);
-    offsets_.assign(1, 0);
-    chars_.clear();
-    validity_.clear();
-    length_ = null_count_ = 0;
-    return result;
-  }
-
- private:
-  std::vector<int32_t> offsets_;
-  std::vector<char> chars_;
+  uint32_t width_;
+  std::vector<byte> values_;      // fixed values, or a string's chars
+  std::vector<int32_t> offsets_;  // strings only
   std::vector<uint8_t> validity_;
   int64_t length_ = 0;
   int64_t null_count_ = 0;

@@ -1,10 +1,10 @@
 #include "arrowlite/csv.h"
 
-#include <charconv>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "arrowlite/builder.h"
@@ -24,45 +24,6 @@ void WriteEscaped(std::string_view value, std::ostream *out) {
     out->put(c);
   }
   out->put('"');
-}
-
-void WriteValueText(const Array &array, int64_t row, std::ostream *out) {
-  char buf[32];
-  switch (array.type()) {
-    case Type::kBool:
-    case Type::kUInt8:
-      *out << static_cast<uint32_t>(array.Value<uint8_t>(row));
-      break;
-    case Type::kInt8:
-      *out << static_cast<int32_t>(array.Value<int8_t>(row));
-      break;
-    case Type::kInt16:
-      *out << array.Value<int16_t>(row);
-      break;
-    case Type::kUInt16:
-      *out << array.Value<uint16_t>(row);
-      break;
-    case Type::kInt32:
-      *out << array.Value<int32_t>(row);
-      break;
-    case Type::kUInt32:
-      *out << array.Value<uint32_t>(row);
-      break;
-    case Type::kInt64:
-      *out << array.Value<int64_t>(row);
-      break;
-    case Type::kUInt64:
-      *out << array.Value<uint64_t>(row);
-      break;
-    case Type::kFloat64:
-      std::snprintf(buf, sizeof(buf), "%.6f", array.Value<double>(row));
-      *out << buf;
-      break;
-    case Type::kString:
-    case Type::kDictionary:
-      WriteEscaped(array.GetString(row), out);
-      break;
-  }
 }
 
 /// Split one CSV line into fields, handling quoted values.
@@ -96,18 +57,12 @@ std::vector<std::string> SplitLine(const std::string &line) {
   return fields;
 }
 
-template <typename T>
-T ParseInt(const std::string &s) {
-  T value{};
-  std::from_chars(s.data(), s.data() + s.size(), value);
-  return value;
-}
-
 }  // namespace
 
 uint64_t Csv::WriteBatch(const RecordBatch &batch, std::ostream *out, bool header) {
   const auto start = out->tellp();
   const Schema &schema = *batch.schema();
+  char text[kValueTextSize];
   if (header) {
     for (int c = 0; c < schema.num_fields(); c++) {
       if (c > 0) out->put(',');
@@ -119,7 +74,13 @@ uint64_t Csv::WriteBatch(const RecordBatch &batch, std::ostream *out, bool heade
     for (int c = 0; c < batch.num_columns(); c++) {
       if (c > 0) out->put(',');
       const Array &array = *batch.column(c);
-      if (!array.IsNull(row)) WriteValueText(array, row, out);
+      if (array.IsNull(row)) continue;
+      const std::string_view value = ValueText(array, row, text);
+      if (TypeWidth(array.type()) == 0) {  // only strings can hold a separator
+        WriteEscaped(value, out);
+      } else {
+        out->write(value.data(), static_cast<std::streamsize>(value.size()));
+      }
     }
     out->put('\n');
   }
@@ -128,28 +89,15 @@ uint64_t Csv::WriteBatch(const RecordBatch &batch, std::ostream *out, bool heade
 
 std::shared_ptr<RecordBatch> Csv::ReadBatch(const std::shared_ptr<Schema> &schema,
                                             std::istream *in) {
-  const int num_fields = schema->num_fields();
-  std::vector<FixedBuilder<int64_t>> int_builders;
-  std::vector<FixedBuilder<double>> float_builders;
-  std::vector<StringBuilder> string_builders;
-  // Per-column dispatch: index into the right builder vector.
-  std::vector<std::pair<int, int>> dispatch(static_cast<size_t>(num_fields));
-  for (int c = 0; c < num_fields; c++) {
-    switch (schema->field(c).type()) {
-      case Type::kFloat64:
-        dispatch[static_cast<size_t>(c)] = {1, static_cast<int>(float_builders.size())};
-        float_builders.emplace_back(Type::kFloat64);
-        break;
-      case Type::kString:
-      case Type::kDictionary:
-        dispatch[static_cast<size_t>(c)] = {2, static_cast<int>(string_builders.size())};
-        string_builders.emplace_back();
-        break;
-      default:
-        dispatch[static_cast<size_t>(c)] = {0, static_cast<int>(int_builders.size())};
-        int_builders.emplace_back(Type::kInt64);
-        break;
-    }
+  // CSV erases type fidelity: integers come back as int64, as a Pandas-style
+  // reader would build them. An empty field is a null, except under a string
+  // column.
+  std::vector<Field> out_fields;
+  std::vector<ColumnBuilder> builders;
+  for (const Field &field : schema->fields()) {
+    const Type type = TextType(field.type());
+    out_fields.emplace_back(field.name(), type);
+    builders.emplace_back(type);
   }
 
   std::string line;
@@ -158,45 +106,20 @@ std::shared_ptr<RecordBatch> Csv::ReadBatch(const std::shared_ptr<Schema> &schem
   while (std::getline(*in, line)) {
     if (line.empty()) continue;
     const std::vector<std::string> fields = SplitLine(line);
-    for (int c = 0; c < num_fields; c++) {
-      const std::string &text = fields[static_cast<size_t>(c)];
-      auto [kind, idx] = dispatch[static_cast<size_t>(c)];
-      if (kind == 0) {
-        if (text.empty()) {
-          int_builders[static_cast<size_t>(idx)].AppendNull();
-        } else {
-          int_builders[static_cast<size_t>(idx)].Append(ParseInt<int64_t>(text));
-        }
-      } else if (kind == 1) {
-        if (text.empty()) {
-          float_builders[static_cast<size_t>(idx)].AppendNull();
-        } else {
-          float_builders[static_cast<size_t>(idx)].Append(std::stod(text));
-        }
+    for (size_t c = 0; c < builders.size(); c++) {
+      // A line short of fields reads as empty ones.
+      const std::string_view text = c < fields.size() ? fields[c] : std::string_view();
+      if (text.empty() && builders[c].type() != Type::kString) {
+        builders[c].AppendNull();
       } else {
-        string_builders[static_cast<size_t>(idx)].Append(text);
+        builders[c].AppendText(text);
       }
     }
     num_rows++;
   }
 
-  // CSV erases type fidelity: integers come back as int64. Build an output
-  // schema reflecting that, as a Pandas-style reader would.
-  std::vector<Field> out_fields;
   std::vector<std::shared_ptr<Array>> columns;
-  for (int c = 0; c < num_fields; c++) {
-    auto [kind, idx] = dispatch[static_cast<size_t>(c)];
-    if (kind == 0) {
-      out_fields.emplace_back(schema->field(c).name(), Type::kInt64);
-      columns.push_back(int_builders[static_cast<size_t>(idx)].Finish());
-    } else if (kind == 1) {
-      out_fields.emplace_back(schema->field(c).name(), Type::kFloat64);
-      columns.push_back(float_builders[static_cast<size_t>(idx)].Finish());
-    } else {
-      out_fields.emplace_back(schema->field(c).name(), Type::kString);
-      columns.push_back(string_builders[static_cast<size_t>(idx)].Finish());
-    }
-  }
+  for (ColumnBuilder &builder : builders) columns.push_back(builder.Finish());
   return std::make_shared<RecordBatch>(std::make_shared<Schema>(std::move(out_fields)),
                                        num_rows, std::move(columns));
 }

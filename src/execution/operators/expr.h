@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "arrowlite/array.h"
-#include "execution/column_vector_batch.h"
 
 namespace mainline::execution::op {
 

@@ -16,7 +16,7 @@ FilterOp::FilterOp(std::vector<Predicate> predicates) : predicates_(std::move(pr
 
 void FilterOp::Push(Chunk *chunk) {
   MAINLINE_ASSERT(!chunk->probed, "filters refine selections, not join match lists");
-  const ColumnVectorBatch &batch = *chunk->batch;
+  const auto &batch = *chunk->batch;
   common::SelectionVector *sel = &chunk->sel;
   for (size_t i = 0; i < predicates_.size(); i++) {
     const Predicate &p = predicates_[i];

@@ -10,9 +10,9 @@
 #include "common/selection_vector.h"
 #include "common/timer.h"
 #include "common/worker_pool.h"
-#include "execution/column_vector_batch.h"
 #include "execution/operators/expr.h"
 #include "execution/operators/plan_profile.h"
+#include "transform/block_batch.h"
 
 namespace mainline::execution::op {
 
@@ -28,8 +28,8 @@ struct JoinMatch {
   uint64_t prior = 0;
 };
 
-/// The unit of data flowing down a pipeline: one block's ColumnVectorBatch
-/// plus everything the operators so far have derived from it — the selection
+/// The unit of data flowing down a pipeline: one block's BlockBatch plus
+/// everything the operators so far have derived from it — the selection
 /// vector filters refine, the match list a join probe produces, and the
 /// computed columns projections append. A chunk lives on the scanning worker
 /// for exactly one block; operators must never retain pointers into it past
@@ -42,7 +42,7 @@ class Chunk {
   /// ordinal order reproduces the sequential scan's result bit-exactly at
   /// any worker count (the canonical reduction shape of tpch_queries.h).
   size_t block_ordinal = 0;
-  const ColumnVectorBatch *batch = nullptr;
+  const transform::BlockBatch *batch = nullptr;
   /// Rows still alive, in ascending batch order.
   common::SelectionVector sel;
   /// True once a HashJoinProbeOp ran: downstream operators iterate `matches`
@@ -71,7 +71,7 @@ class Chunk {
   /// computed columns' value buffers (a worker reuses its chunk across blocks
   /// so the steady-state per-block cost is an InitFull, not allocations) — up
   /// to the shrink thresholds above.
-  void Reset(size_t ordinal, const ColumnVectorBatch *new_batch) {
+  void Reset(size_t ordinal, const transform::BlockBatch *new_batch) {
     block_ordinal = ordinal;
     batch = new_batch;
     sel.InitFull(static_cast<uint32_t>(new_batch->NumRows()));

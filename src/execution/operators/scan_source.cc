@@ -7,6 +7,7 @@
 #include "metrics/engine_metrics.h"
 #include "storage/data_table.h"
 #include "storage/raw_block.h"
+#include "transform/block_batch.h"
 
 namespace mainline::execution::op {
 
@@ -33,7 +34,7 @@ void ScanSource::Run(transaction::TransactionContext *txn, common::WorkerPool *p
   common::RunTasks(pool, worker_stats.size(), [&](uint64_t worker) {
     ScanStats *slot = &worker_stats[worker];
     Chunk chunk;
-    ColumnVectorBatch batch;
+    transform::BlockBatch batch;
     while (true) {
       // relaxed: morsel dispatch needs only a unique ordinal per worker;
       // block contents are synchronized by the storage layer, not by this

@@ -3,10 +3,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "execution/column_vector_batch.h"
 #include "catalog/sql_table.h"
 #include "storage/raw_block.h"
 #include "transaction/transaction_context.h"
+#include "transform/block_batch.h"
 
 namespace mainline::execution {
 
@@ -30,31 +30,20 @@ struct ScanStats {
   }
 };
 
-/// Scan one block of a SqlTable with the paper's dual access path (Section
-/// 4.1): the morsel op::ScanSource::Run hands to each worker. A
-/// block that is frozen is read in situ: its buffers are wrapped into
-/// zero-copy Arrow arrays under the block's read lock, with no per-tuple work
-/// at all. A hot (or cooling/freezing) block falls back to early
-/// materialization, resolving each tuple's visible version through `txn`
-/// with ProjectedRow. Both paths surface the same ColumnVectorBatch view, so
-/// operators upstream are path-oblivious.
-///
-/// Snapshot semantics: the hot path is MVCC-consistent by construction
-/// (DataTable::Select). The frozen path is consistent with the same snapshot
-/// because (a) a block only freezes after every transaction that overlapped
-/// its compaction has finished, so a block can never freeze under a snapshot
-/// that predates its frozen contents, and (b) any later writer flips the
-/// block hot *before* modifying it, which makes TryAcquireRead fail and
-/// routes the scan to the transactional path.
-///
-/// Thread-safe for concurrent calls sharing one read-only `txn`: both paths
-/// only read transaction state.
+/// Scan one block of a SqlTable: the morsel op::ScanSource::Run hands to
+/// each worker. The block is read through transform::ArrowReader::ReadBlock
+/// with the paper's dual access path (Section 4.1): a frozen block's buffers
+/// are wrapped into zero-copy Arrow arrays, and `out` holds the block's read
+/// lock; a hot (or cooling/freezing) block is materialized through `txn`.
+/// Both paths surface the same BlockBatch view, so operators upstream are
+/// path-oblivious, and both read `txn`'s snapshot (see ReadBlock).
+/// Thread-safe for concurrent calls sharing one read-only `txn`.
 /// \param projection schema column positions, sorted ascending and
 ///        duplicate-free (catalog::Schema::ResolveColumns produces this)
 /// \return true if `out` now holds a non-empty batch (empty blocks still
 ///         count toward `stats`' block counters).
 bool ScanBlock(catalog::SqlTable *table, transaction::TransactionContext *txn,
                const std::vector<uint16_t> &projection, storage::RawBlock *block,
-               ColumnVectorBatch *out, ScanStats *stats);
+               transform::BlockBatch *out, ScanStats *stats);
 
 }  // namespace mainline::execution

@@ -26,17 +26,20 @@ struct ExportResult {
   uint64_t hot_blocks = 0;
 };
 
-/// A bulk data-export mechanism (Section 5). Implementations walk the
-/// table's blocks; frozen blocks may be read in place under the block read
-/// lock, hot blocks must be materialized through a transaction first.
+/// A bulk data-export mechanism (Section 5). Every Export is one
+/// transactional read: it begins one snapshot transaction, then reads every
+/// block of the table in order through transform::ArrowReader::ReadBlock —
+/// a frozen block in place under its read lock, any other block materialized
+/// through that snapshot. A row a writer moves while the export runs is
+/// therefore sent exactly once, from wherever the snapshot sees it.
 ///
 /// The Arrow-native exporters (Flight and RDMA) export in two steps. One
-/// thread plans the stream: it walks the blocks in order, sizes each block's
+/// thread plans the stream: it reads the blocks in order, sizes each block's
 /// message with a dry run of the writer at the offset where the message will
 /// start, and claims that range of the ClientBuffer, growing it as needed. A
-/// hot block is materialized and its message written at once, so the export
-/// never holds a second copy of the hot data; a frozen block is read in place
-/// under its read lock and its message left to step two. Then the workers of
+/// materialized block's message is written at once, so the export never
+/// holds a second copy of the hot data; a block read in place keeps its read
+/// lock and its message is left to step two. Then the workers of
 /// a pool write the frozen blocks' messages into their ranges, each worker a
 /// contiguous run of blocks of about equal bytes, the way a multi-endpoint
 /// Flight DoGet or a multi-queue RDMA NIC moves one stream over several

@@ -14,7 +14,8 @@ namespace mainline::exporter {
 
 /// Row-oriented, text-encoded wire protocol modeled on the PostgreSQL v3
 /// protocol: a RowDescription message followed by one DataRow message per
-/// tuple, every value rendered as text. The client parses each value back.
+/// tuple, every value rendered as text (arrowlite::ValueText). The client
+/// parses each value back, integers as int64.
 /// This is the (4) baseline of Figure 15 and the "ODBC" path of Figure 1.
 class PostgresWireExporter final : public Exporter {
  public:
@@ -35,9 +36,11 @@ class PostgresWireExporter final : public Exporter {
 };
 
 /// Column-batch wire protocol in the style of Raasveldt & Mühleisen's
-/// vectorized client protocol [46]: per-block column chunks, fixed-width
-/// columns shipped as raw arrays, strings length-prefixed; the client still
-/// re-assembles arrays from the wire format.
+/// vectorized client protocol [46]: one 'V' message per block, holding each
+/// column's null flags and then its values, encoded value by value —
+/// fixed-width values raw (zeros under a null), strings length-prefixed. The
+/// client still re-assembles arrays from the wire format value by value, at
+/// the table's own Arrow types.
 class VectorizedWireExporter final : public Exporter {
  public:
   explicit VectorizedWireExporter(ClientBuffer *client) : client_(client) {}

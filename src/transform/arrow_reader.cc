@@ -66,6 +66,19 @@ std::vector<uint16_t> ProjectedPositions(const catalog::Schema &schema,
 
 }  // namespace
 
+BlockBatch ArrowReader::ReadBlock(const catalog::Schema &schema, storage::DataTable *table,
+                                  storage::RawBlock *block, transaction::TransactionContext *txn,
+                                  const std::vector<uint16_t> *projection) {
+  if (block->controller.TryAcquireRead()) {
+    auto batch = FromFrozenBlock(schema, *table, block, projection);
+    if (batch != nullptr) return BlockBatch(std::move(batch), block);
+    // Frozen but without Arrow metadata: should not happen, but the
+    // transactional path is always correct.
+    block->controller.ReleaseRead();
+  }
+  return BlockBatch(MaterializeBlock(schema, table, block, txn, projection), nullptr);
+}
+
 std::shared_ptr<arrowlite::RecordBatch> ArrowReader::FromFrozenBlock(
     const catalog::Schema &schema, const storage::DataTable &table, storage::RawBlock *block,
     const std::vector<uint16_t> *projection) {
@@ -292,7 +305,7 @@ std::shared_ptr<arrowlite::RecordBatch> ArrowReader::MaterializeBlock(
     };
     const arrowlite::Type type = ToArrowType(col.Type());
     if (col.IsVarlen()) {
-      arrowlite::StringBuilder builder;
+      arrowlite::ColumnBuilder builder(type);
       for (const RowRef &r : visible) {
         const byte *value = value_of(r);
         if (value == nullptr) {

@@ -9,6 +9,7 @@
 #include "storage/data_table.h"
 #include "storage/raw_block.h"
 #include "transaction/transaction_context.h"
+#include "transform/block_batch.h"
 
 namespace mainline::transform {
 
@@ -25,6 +26,27 @@ class ArrowReader {
   /// Derive the Arrow schema of a table.
   static std::shared_ptr<arrowlite::Schema> ToArrowSchema(const catalog::Schema &schema,
                                                           bool dictionary = false);
+
+  /// Read one block of `table` with the paper's dual access path (Sections
+  /// 4.1 and 5), the one place a scan or an export decides between the two.
+  /// A frozen block is wrapped in place (FromFrozenBlock), and the batch
+  /// holds its read lock. Any other block, and a frozen one without Arrow
+  /// metadata, is materialized through `txn` (MaterializeBlock).
+  ///
+  /// Snapshot semantics: the materialized path is MVCC-consistent by
+  /// construction. The in-place path is consistent with the same snapshot
+  /// because (a) a block only freezes after every transaction that
+  /// overlapped its compaction has finished, so a block can never freeze
+  /// under a snapshot that predates its frozen contents, and (b) any later
+  /// writer flips the block hot *before* modifying it, which makes the read
+  /// lock unavailable and routes the read through `txn`. Reading every block
+  /// of a table through one `txn` therefore yields one snapshot of it.
+  ///
+  /// Thread-safe for concurrent calls sharing one read-only `txn`: both paths
+  /// only read transaction state. `projection` is as for MaterializeBlock.
+  static BlockBatch ReadBlock(const catalog::Schema &schema, storage::DataTable *table,
+                              storage::RawBlock *block, transaction::TransactionContext *txn,
+                              const std::vector<uint16_t> *projection = nullptr);
 
   /// Build a zero-copy RecordBatch over a frozen block. The caller must hold
   /// the block's read lock (BlockAccessController::TryAcquireRead) for the

@@ -5,6 +5,12 @@
 
 namespace mainline::transform {
 
+FreezePolicy::Config FreezePolicy::Config::Pinned(std::chrono::milliseconds period) {
+  Config config;
+  config.min_period = config.max_period = config.initial_period = period;
+  return config;
+}
+
 FreezePolicy::FreezePolicy() : FreezePolicy(Config()) {}
 
 FreezePolicy::FreezePolicy(const Config &config) : config_(config) {

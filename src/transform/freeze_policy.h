@@ -7,9 +7,9 @@ namespace mainline::transform {
 
 /// Feedback controller for the background TransformPipeline's pass cadence.
 ///
-/// A fixed `Start(period)` cadence has to be hand-tuned per workload: too
-/// slow and the observer's cold-block backlog (and with it the insert→frozen
-/// freshness lag) grows without bound under write bursts; too fast and the
+/// A fixed cadence has to be hand-tuned per workload: too slow and the
+/// observer's cold-block backlog (and with it the insert→frozen freshness
+/// lag) grows without bound under write bursts; too fast and the
 /// pipeline's compaction transactions contend with the writers it is
 /// supposed to stay out of the way of. This controller picks the delay
 /// before the next pass from what the previous pass saw:
@@ -21,11 +21,13 @@ namespace mainline::transform {
 ///     so a quiescent table costs almost no background wakeups;
 ///   * in between: hold, to avoid oscillating around the target.
 ///
-/// Two guards bound the result: the period is clamped into
-/// [`min_period`, `max_period`], and it never drops below the duty-cycle
-/// floor `pass_duration * (1 - max_duty_cycle) / max_duty_cycle`, which caps
-/// the fraction of wall time the pipeline thread spends transforming — the
-/// "don't starve writers" bound, binding exactly when passes are expensive.
+/// Two guards bound the result: it never drops below the duty-cycle floor
+/// `pass_duration * (1 - max_duty_cycle) / max_duty_cycle`, which caps the
+/// fraction of wall time the pipeline thread spends transforming — the
+/// "don't starve writers" bound, binding exactly when passes are expensive —
+/// and it is clamped into [`min_period`, `max_period`] last. A policy pinned
+/// with min_period = max_period = initial_period is therefore a fixed
+/// cadence: it returns that period whatever the feedback.
 ///
 /// The controller is pure state-in/state-out: the same feedback sequence
 /// always produces the same period sequence (no clock reads, no randomness),
@@ -46,6 +48,10 @@ class FreezePolicy {
     double max_duty_cycle = 0.5;
     /// Hardest single-pass period cut under backlog, in (0, 1).
     double max_shrink = 0.25;
+
+    /// \return a fixed cadence: min_period = max_period = initial_period =
+    /// `period`, so the policy returns `period` whatever the feedback.
+    static Config Pinned(std::chrono::milliseconds period);
   };
 
   /// What one pipeline pass observed, in the order the loop learns it.

@@ -79,17 +79,10 @@ void TransformPipeline::Run() {
   while (run_.load(std::memory_order_acquire)) {
     const common::Timer pass_timer;
     const uint32_t frozen = RunOnce();
-    std::chrono::milliseconds delay{0};
-    if (policy_.has_value()) {
-      delay = policy_->OnPassComplete(
-          {observer_->WatchedBlocks(), pass_timer.Elapsed<>(), frozen});
-      // relaxed: reporting only — CurrentPeriod is a gauge-style reading.
-      period_ms_.store(delay.count(), std::memory_order_relaxed);
-    } else {
-      // relaxed: fixed value written once by Start before the spawn; the
-      // load is for symmetry with the adaptive path.
-      delay = std::chrono::milliseconds(period_ms_.load(std::memory_order_relaxed));
-    }
+    const std::chrono::milliseconds delay =
+        policy_.OnPassComplete({observer_->WatchedBlocks(), pass_timer.Elapsed<>(), frozen});
+    // relaxed: reporting only — CurrentPeriod is a gauge-style reading.
+    period_ms_.store(delay.count(), std::memory_order_relaxed);
     common::MutexGuard guard(&sleep_mutex_);
     // Deliberately not a predicate loop: `wake_` only cuts the sleep short
     // for shutdown, and a spurious wakeup merely runs the next pass early —
@@ -100,27 +93,13 @@ void TransformPipeline::Run() {
   }
 }
 
-void TransformPipeline::Start(std::chrono::milliseconds period) {
-  // ordering: seq_cst exchange on the once-per-lifetime start path — the
-  // full fence is free here and exactly one caller observes the transition.
-  if (run_.exchange(true)) return;
-  policy_.reset();
-  // relaxed: published to the worker by the std::thread constructor below.
-  period_ms_.store(period.count(), std::memory_order_relaxed);
-  {
-    common::MutexGuard guard(&sleep_mutex_);
-    wake_ = false;
-  }
-  worker_ = std::thread([this] { Run(); });
-}
-
 void TransformPipeline::Start(const FreezePolicy::Config &policy) {
   // ordering: seq_cst exchange on the once-per-lifetime start path — the
   // full fence is free here and exactly one caller observes the transition.
   if (run_.exchange(true)) return;
-  policy_.emplace(policy);
+  policy_ = FreezePolicy(policy);
   // relaxed: published to the worker by the std::thread constructor below.
-  period_ms_.store(policy_->CurrentPeriod().count(), std::memory_order_relaxed);
+  period_ms_.store(policy_.CurrentPeriod().count(), std::memory_order_relaxed);
   {
     common::MutexGuard guard(&sleep_mutex_);
     wake_ = false;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -59,15 +58,12 @@ class TransformPipeline {
   /// \return number of blocks frozen in this pass.
   uint32_t RunOnce(TransformStats *pass_stats = nullptr) EXCLUDES(manual_latch_, stats_latch_);
 
-  /// Spawn the background transformation thread at a fixed cadence.
-  void Start(std::chrono::milliseconds period = std::chrono::milliseconds(10))
-      EXCLUDES(sleep_mutex_);
-
   /// Spawn the background thread under feedback control: after every pass a
   /// FreezePolicy built from `policy` picks the delay before the next one
   /// from the observer's queue depth and the pass duration, so freshness lag
   /// stays bounded under write bursts without hand-tuning a period (see
-  /// transform/freeze_policy.h for the control law).
+  /// transform/freeze_policy.h for the control law). A fixed cadence is a
+  /// pinned policy: min_period = max_period = initial_period.
   void Start(const FreezePolicy::Config &policy) EXCLUDES(sleep_mutex_);
 
   /// Join the background thread. Returns promptly even mid-sleep: the loop
@@ -75,9 +71,8 @@ class TransformPipeline {
   /// not scale with the (possibly controller-lengthened) period.
   void Stop() EXCLUDES(sleep_mutex_);
 
-  /// The loop's current inter-pass delay: the fixed period, or the
-  /// controller's latest decision when started adaptively. Exposed for
-  /// monitoring and tests.
+  /// The loop's current inter-pass delay: the controller's latest decision.
+  /// Exposed for monitoring and tests.
   std::chrono::milliseconds CurrentPeriod() const {
     // relaxed: a point-in-time reading for reporting, like a metrics gauge;
     // it orders nothing.
@@ -104,16 +99,15 @@ class TransformPipeline {
   std::vector<std::pair<storage::RawBlock *, storage::DataTable *>> manual_queue_
       GUARDED_BY(manual_latch_);
 
-  /// The background loop body shared by both Start overloads.
+  /// The background loop body.
   void Run() EXCLUDES(manual_latch_, stats_latch_, sleep_mutex_);
 
   std::thread worker_;
   std::atomic<bool> run_{false};
-  /// Set by the controller when adaptive, by Start(period) when fixed.
+  /// The controller's latest decision, for CurrentPeriod.
   std::atomic<int64_t> period_ms_{10};
-  /// Present only between Start(FreezePolicy::Config) and the next Start;
-  /// touched exclusively by Start (before the worker spawns) and the worker.
-  std::optional<FreezePolicy> policy_;
+  /// Touched exclusively by Start (before the worker spawns) and the worker.
+  FreezePolicy policy_;
   /// The inter-pass sleep. Stop() cannot signal through `run_` alone: the
   /// loop's "still running?" check and its wait must be one atomic step
   /// under a mutex, or a notify landing between them is lost and Stop blocks

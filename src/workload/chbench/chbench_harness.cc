@@ -207,11 +207,7 @@ Result ChBenchHarness::Run() {
     pipeline.EnqueueTable(&lineitem_->UnderlyingTable());
     pipeline.EnqueueTable(&orders_->UnderlyingTable());
     pipeline.EnqueueTable(&part_->UnderlyingTable());
-    if (config_.adaptive) {
-      pipeline.Start(config_.policy);
-    } else {
-      pipeline.Start(config_.fixed_period);
-    }
+    pipeline.Start(config_.policy);
 
     std::atomic<bool> stop{false};
     common::WorkerPool terminal_pool(config_.terminals);

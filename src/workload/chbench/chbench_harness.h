@@ -52,11 +52,8 @@ struct Config {
   /// Blocks per compaction group.
   uint32_t group_size = 8;
 
-  /// Pipeline cadence: feedback-controlled (`policy`) or fixed. The fixed
-  /// default is deliberately the kind of uncalibrated guess a fixed cadence
-  /// forces on operators — the bench compares the controller against it.
-  bool adaptive = true;
-  std::chrono::milliseconds fixed_period{100};
+  /// Pipeline cadence: feedback-controlled, or fixed when pinned
+  /// (FreezePolicy::Config::Pinned).
   transform::FreezePolicy::Config policy;
 };
 

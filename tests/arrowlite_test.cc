@@ -13,9 +13,9 @@ namespace mainline::arrowlite {
 namespace {
 
 std::shared_ptr<RecordBatch> SampleBatch() {
-  FixedBuilder<int64_t> ids(Type::kInt64);
-  FixedBuilder<double> scores(Type::kFloat64);
-  StringBuilder names;
+  ColumnBuilder ids(Type::kInt64);
+  ColumnBuilder scores(Type::kFloat64);
+  ColumnBuilder names(Type::kString);
   for (int64_t i = 0; i < 100; i++) {
     ids.Append(i);
     if (i % 10 == 0) {
@@ -50,9 +50,9 @@ void ForEachBuffer(const Array &array, F f) {
 /// with nulls, a string column and a dictionary column.
 std::shared_ptr<RecordBatch> OddNamedBatch() {
   auto sample = SampleBatch();
-  StringBuilder dict_builder;
+  ColumnBuilder dict_builder(Type::kString);
   for (const char *word : {"alpha", "beta", "gamma"}) dict_builder.Append(word);
-  FixedBuilder<int32_t> codes(Type::kInt32);
+  ColumnBuilder codes(Type::kInt32);
   for (int32_t i = 0; i < 100; i++) codes.Append(i % 3);
   auto words = Array::MakeDictionary(100, codes.Finish()->buffer(0), dict_builder.Finish());
   auto schema = std::make_shared<Schema>(std::vector<Field>{
@@ -82,6 +82,70 @@ TEST(ArrowliteTest, BuildersTrackNullsAndValues) {
   EXPECT_FALSE(batch->column(1)->IsNull(1));
   EXPECT_DOUBLE_EQ(batch->column(1)->Value<double>(2), 3.0);
   EXPECT_EQ(batch->column(2)->GetString(1), "name-1");
+}
+
+TEST(ArrowliteTest, BuilderStoresFixedValuesAtTheirTypesWidth) {
+  ColumnBuilder qty(Type::kInt16);
+  qty.Append(int16_t{-7});
+  qty.AppendNull();
+  const int16_t raw = 300;
+  qty.Append(reinterpret_cast<const byte *>(&raw));
+  const auto array = qty.Finish();
+  EXPECT_EQ(array->type(), Type::kInt16);
+  EXPECT_EQ(array->length(), 3);
+  EXPECT_EQ(array->buffer(0)->size(), 3 * sizeof(int16_t));
+  EXPECT_EQ(array->Value<int16_t>(0), -7);
+  EXPECT_TRUE(array->IsNull(1));
+  EXPECT_EQ(array->Value<int16_t>(1), 0) << "a null stores zeros";
+  EXPECT_EQ(array->Value<int16_t>(2), 300);
+  EXPECT_EQ(qty.length(), 0) << "Finish leaves the builder empty";
+}
+
+/// AppendText parses what ValueText renders, for each type a text client
+/// builds: every fixed-width type's text comes back as kInt64 or kFloat64.
+TEST(ArrowliteTest, TextAppendParsesValueText) {
+  const auto fixed = [](Type type, const auto &values) {
+    ColumnBuilder builder(type);
+    for (const auto v : values) builder.Append(v);
+    return builder.Finish();
+  };
+  const std::vector<std::pair<std::shared_ptr<Array>, std::vector<std::string>>> cases = {
+      {fixed(Type::kBool, std::vector<uint8_t>{0, 1}), {"0", "1"}},
+      {fixed(Type::kInt8, std::vector<int8_t>{-128, 127}), {"-128", "127"}},
+      {fixed(Type::kInt16, std::vector<int16_t>{-300, 300}), {"-300", "300"}},
+      {fixed(Type::kUInt16, std::vector<uint16_t>{65535}), {"65535"}},
+      {fixed(Type::kInt32, std::vector<int32_t>{-2147483647 - 1}), {"-2147483648"}},
+      {fixed(Type::kUInt32, std::vector<uint32_t>{4000000000u}), {"4000000000"}},
+      {fixed(Type::kInt64, std::vector<int64_t>{-5000000000}), {"-5000000000"}},
+      {fixed(Type::kUInt64, std::vector<uint64_t>{1234567890123}), {"1234567890123"}},
+      {fixed(Type::kFloat64, std::vector<double>{0.25, -1.5}), {"0.250000", "-1.500000"}},
+  };
+  char buf[kValueTextSize];
+  for (const auto &[array, texts] : cases) {
+    ColumnBuilder parsed(TextType(array->type()));
+    for (int64_t i = 0; i < array->length(); i++) {
+      const std::string_view text = ValueText(*array, i, buf);
+      EXPECT_EQ(text, texts[static_cast<size_t>(i)]) << TypeToString(array->type());
+      parsed.AppendText(text);
+    }
+    const auto back = parsed.Finish();
+    ASSERT_EQ(back->length(), array->length());
+    for (int64_t i = 0; i < array->length(); i++) {
+      EXPECT_EQ(ValueText(*back, i, buf), texts[static_cast<size_t>(i)])
+          << TypeToString(array->type());
+    }
+  }
+  // The widest text fits: "%.6f" of the largest double.
+  const auto huge = fixed(Type::kFloat64, std::vector<double>{-1.7976931348623157e308});
+  EXPECT_EQ(ValueText(*huge, 0, buf).size(), 317u);
+
+  ColumnBuilder strings(Type::kString);
+  strings.AppendText("a,b");
+  strings.AppendText("");
+  const auto array = strings.Finish();
+  EXPECT_EQ(ValueText(*array, 0, buf), "a,b");
+  EXPECT_EQ(ValueText(*array, 1, buf), "");
+  EXPECT_FALSE(array->IsNull(1));
 }
 
 TEST(ArrowliteTest, IpcRoundTrip) {
@@ -224,12 +288,12 @@ TEST(ArrowliteTest, IpcEndsAStreamWithAnUnknownTypeAtItsLastWholeBatch) {
 
 TEST(ArrowliteTest, IpcDictionaryRoundTrip) {
   // Dictionary array: 3 words, 6 rows.
-  StringBuilder dict_builder;
+  ColumnBuilder dict_builder(Type::kString);
   dict_builder.Append("alpha");
   dict_builder.Append("beta");
   dict_builder.Append("gamma");
   auto dictionary = dict_builder.Finish();
-  FixedBuilder<int32_t> codes(Type::kInt32);
+  ColumnBuilder codes(Type::kInt32);
   for (const int32_t c : {0, 1, 2, 2, 1, 0}) codes.Append(c);
   auto codes_array = codes.Finish();
   auto dict_array = Array::MakeDictionary(6, codes_array->buffer(0), dictionary);
@@ -251,15 +315,15 @@ TEST(ArrowliteTest, IpcDictionaryRoundTrip) {
 
 TEST(ArrowliteTest, DictionaryEqualsResolvedString) {
   // A dictionary-encoded array compares equal to its plain-string expansion.
-  StringBuilder plain;
+  ColumnBuilder plain(Type::kString);
   for (const char *w : {"x", "yy", "zzz", "zzz"}) plain.Append(w);
   auto plain_array = plain.Finish();
 
-  StringBuilder dict_builder;
+  ColumnBuilder dict_builder(Type::kString);
   dict_builder.Append("x");
   dict_builder.Append("yy");
   dict_builder.Append("zzz");
-  FixedBuilder<int32_t> codes(Type::kInt32);
+  ColumnBuilder codes(Type::kInt32);
   for (const int32_t c : {0, 1, 2, 2}) codes.Append(c);
   auto encoded = Array::MakeDictionary(4, codes.Finish()->buffer(0), dict_builder.Finish());
   EXPECT_TRUE(plain_array->Equals(*encoded));
@@ -286,8 +350,72 @@ TEST(ArrowliteTest, CsvRoundTrip) {
   }
 }
 
+/// A CSV round trip is ValueText out and AppendText back in: every column
+/// returns as its TextType, with the same text, and nulls survive except
+/// under strings (CSV has no null string).
+TEST(ArrowliteTest, CsvRoundTripKeepsEveryTypesText) {
+  ColumnBuilder small(Type::kInt16);
+  ColumnBuilder date(Type::kUInt32);
+  ColumnBuilder dict_values(Type::kString);
+  for (const char *w : {"p", "q,r"}) dict_values.Append(w);
+  ColumnBuilder codes(Type::kInt32);
+  for (int32_t i = 0; i < 20; i++) {
+    if (i % 4 == 0) {
+      small.AppendNull();
+    } else {
+      small.Append(static_cast<int16_t>(i * -100));
+    }
+    date.Append(static_cast<uint32_t>(20200101 + i));
+    codes.Append(i % 2);
+  }
+  auto sample = SampleBatch();
+  auto schema = std::make_shared<Schema>(
+      std::vector<Field>{{"small", Type::kInt16}, {"date", Type::kUInt32},
+                         {"word", Type::kDictionary}, {"score", Type::kFloat64},
+                         {"name", Type::kString}});
+  RecordBatch batch(schema, 20,
+                    {small.Finish(), date.Finish(),
+                     Array::MakeDictionary(20, codes.Finish()->buffer(0), dict_values.Finish()),
+                     sample->column(1), sample->column(2)});
+
+  std::stringstream stream;
+  Csv::WriteBatch(batch, &stream);
+  auto read = Csv::ReadBatch(schema, &stream);
+  ASSERT_NE(read, nullptr);
+  ASSERT_EQ(read->num_rows(), 20);
+  char want[kValueTextSize];
+  char got[kValueTextSize];
+  for (int c = 0; c < batch.num_columns(); c++) {
+    const Array &original = *batch.column(c);
+    const Array &back = *read->column(c);
+    EXPECT_EQ(back.type(), TextType(original.type()));
+    EXPECT_EQ(read->schema()->field(c).type(), back.type());
+    for (int64_t i = 0; i < 20; i++) {
+      if (original.IsNull(i)) {
+        EXPECT_TRUE(back.type() == Type::kString || back.IsNull(i)) << c << "/" << i;
+        continue;
+      }
+      ASSERT_FALSE(back.IsNull(i)) << c << "/" << i;
+      EXPECT_EQ(ValueText(back, i, got), ValueText(original, i, want)) << c << "/" << i;
+    }
+  }
+}
+
+TEST(ArrowliteTest, CsvLineShortOfFieldsReadsThemAsEmpty) {
+  auto schema = std::make_shared<Schema>(
+      std::vector<Field>{{"a", Type::kInt64}, {"b", Type::kInt64}, {"s", Type::kString}});
+  std::stringstream stream("a,b,s\n1\n2,3,x\n");
+  auto read = Csv::ReadBatch(schema, &stream);
+  ASSERT_EQ(read->num_rows(), 2);
+  EXPECT_EQ(read->column(0)->Value<int64_t>(0), 1);
+  EXPECT_TRUE(read->column(1)->IsNull(0));
+  EXPECT_EQ(read->column(2)->GetString(0), "");
+  EXPECT_EQ(read->column(1)->Value<int64_t>(1), 3);
+  EXPECT_EQ(read->column(2)->GetString(1), "x");
+}
+
 TEST(ArrowliteTest, CsvQuoting) {
-  StringBuilder values;
+  ColumnBuilder values(Type::kString);
   values.Append("plain");
   values.Append("with,comma");
   values.Append("with\"quote");

@@ -104,7 +104,6 @@ class ChBenchTest : public ::testing::Test {
 
 TEST_F(ChBenchTest, AdaptiveWindowIsBitExactUnderConcurrency) {
   Config config = TinyConfig();
-  config.adaptive = true;
   ChBenchHarness harness(&catalog_, &txn_manager_, &gc_, config);
   harness.Setup();
   const Result result = RunSoundWindow(&harness);
@@ -116,12 +115,11 @@ TEST_F(ChBenchTest, AdaptiveWindowIsBitExactUnderConcurrency) {
 
 TEST_F(ChBenchTest, FixedCadenceWindowIsBitExactUnderConcurrency) {
   Config config = TinyConfig();
-  config.adaptive = false;
-  config.fixed_period = std::chrono::milliseconds(5);
+  config.policy = transform::FreezePolicy::Config::Pinned(std::chrono::milliseconds(5));
   ChBenchHarness harness(&catalog_, &txn_manager_, &gc_, config);
   harness.Setup();
   const Result result = RunSoundWindow(&harness);
-  EXPECT_EQ(result.final_period, config.fixed_period);
+  EXPECT_EQ(result.final_period, std::chrono::milliseconds(5));
 }
 
 TEST_F(ChBenchTest, SetupRaisesWarehousesToTerminalCountAndFeedKeysDontCollide) {

@@ -29,7 +29,6 @@
 
 namespace mainline {
 
-using execution::ColumnVectorBatch;
 using workload::ExecMode;
 using workload::QueryRunner;
 using execution::ScanStats;
@@ -145,7 +144,7 @@ TEST_P(ExecutionTest, ProjectionResolutionAndScannerView) {
   EXPECT_EQ(source.BatchIndex(workload::tpch::L_SHIPDATE), 3);
   uint64_t rows = 0;
   const ScanStats stats = RunScan(&source, txn, /*pool=*/nullptr, [&](const Chunk &chunk) {
-    const ColumnVectorBatch &batch = *chunk.batch;
+    const transform::BlockBatch &batch = *chunk.batch;
     EXPECT_EQ(batch.Batch()->num_columns(), 4);
     const arrowlite::Array &qty = batch.Column(0);
     EXPECT_TRUE(qty.buffer(0)->owned());
@@ -242,7 +241,7 @@ TEST_P(ExecutionTest, VectorOpsPrimitivesMatchScalarReference) {
     uint32_t min_ship = ~0u, max_ship = 0;
     common::SelectionVector sel;
     RunScan(&source, txn, /*pool=*/nullptr, [&](const Chunk &chunk) {
-      const ColumnVectorBatch &batch = *chunk.batch;
+      const transform::BlockBatch &batch = *chunk.batch;
       sel.InitFull(static_cast<uint32_t>(batch.NumRows()));
       ops::FilterStringEq(batch.Column(1), &sel, "R");
       ops::AccumulateSum<double>(batch.Column(0), sel, &sum_qty);

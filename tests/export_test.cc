@@ -5,9 +5,12 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "arrowlite/builder.h"
 #include "arrowlite/ipc.h"
 #include "catalog/catalog.h"
 #include "common/rand_util.h"
@@ -16,6 +19,7 @@
 #include "gc/garbage_collector.h"
 #include "storage/block_access_controller.h"
 #include "storage/raw_block.h"
+#include "storage/storage_util.h"
 #include "transform/arrow_reader.h"
 #include "transform/block_transformer.h"
 #include "workload/row_util.h"
@@ -273,23 +277,15 @@ struct MixedTable {
   ~MixedTable() { gc.FullGC(); }
 
   /// Hand `write` the batch of every block in order, the way a one-thread
-  /// export reads them: a frozen block in place under its read lock, a hot
-  /// one materialized.
+  /// export reads them: through ReadBlock, in one snapshot.
   template <typename Write>
   void ForEachBatch(Write write) {
     storage::DataTable &dt = table->UnderlyingTable();
+    auto *txn = txn_manager.BeginTransaction();
     for (storage::RawBlock *block : dt.Blocks()) {
-      if (block->controller.TryAcquireRead()) {
-        auto batch = transform::ArrowReader::FromFrozenBlock(table->GetSchema(), dt, block);
-        if (batch != nullptr) write(*batch);
-        block->controller.ReleaseRead();
-      } else {
-        auto *txn = txn_manager.BeginTransaction();
-        auto batch = transform::ArrowReader::MaterializeBlock(table->GetSchema(), &dt, block, txn);
-        txn_manager.Commit(txn);
-        write(*batch);
-      }
+      write(*transform::ArrowReader::ReadBlock(table->GetSchema(), &dt, block, txn).Batch());
     }
+    txn_manager.Commit(txn);
   }
 
   /// \return the Flight stream a one-thread IpcStreamWriter produces.
@@ -525,6 +521,150 @@ TEST(ExportStressTest, ExportsStayWholeWhileAnUpdaterHeatsFrozenBlocks) {
   EXPECT_GT(heated, 0) << "no write heated a frozen block";
   EXPECT_GT(frozen, 0u) << "no export read a block in place";
   EXPECT_GT(hot, 0u) << "no export materialized a block";
+  EXPECT_EQ(db.LockedBlocks(), 0u);
+}
+
+/// The text a cell reads as, or "null": what a value-for-value comparison of
+/// two clients' batches compares.
+std::string CellText(const arrowlite::Array &array, int64_t row) {
+  if (array.IsNull(row)) return "null";
+  char text[arrowlite::kValueTextSize];
+  return std::string(arrowlite::ValueText(array, row, text));
+}
+
+/// Both wire clients rebuild, value for value and null for null, what
+/// Flight's client lands — over hot, gathered and dictionary blocks, a
+/// nullable SMALLINT, and nullable strings both inlined and out of line. The
+/// vectorized client rebuilds every array at the table's own Arrow type, bit
+/// for bit; the PostgreSQL client parses text back, so it matches as text.
+TEST(WireClientTest, ClientsAgreeWithFlightValueForValue) {
+  MixedTable db(8);
+  ASSERT_GE(db.frozen_blocks, 4u);
+  exporter::ClientBuffer flight_client(64ull << 20);
+  exporter::ClientBuffer vectorized_client(64ull << 20);
+  exporter::ClientBuffer pg_client(64ull << 20);
+  exporter::ArrowFlightExporter flight(&flight_client);
+  exporter::VectorizedWireExporter vectorized(&vectorized_client);
+  exporter::PostgresWireExporter pg(&pg_client);
+  ASSERT_EQ(flight.Export(db.table, &db.txn_manager).rows, db.rows);
+  ASSERT_EQ(vectorized.Export(db.table, &db.txn_manager).rows, db.rows);
+  ASSERT_EQ(pg.Export(db.table, &db.txn_manager).rows, db.rows);
+
+  const arrowlite::RecordBatch &vec = *vectorized.ClientBatch();
+  const arrowlite::RecordBatch &text = *pg.ClientBatch();
+  const auto table_schema = transform::ArrowReader::ToArrowSchema(db.table->GetSchema());
+  ASSERT_EQ(vec.num_rows(), static_cast<int64_t>(db.rows));
+  ASSERT_EQ(text.num_rows(), static_cast<int64_t>(db.rows));
+  for (int c = 0; c < table_schema->num_fields(); c++) {
+    EXPECT_EQ(vec.schema()->field(c).type(), table_schema->field(c).type()) << c;
+    EXPECT_EQ(vec.column(c)->type(), vec.schema()->field(c).type()) << c;
+    EXPECT_EQ(text.schema()->field(c).type(), arrowlite::TextType(table_schema->field(c).type()))
+        << c;
+    EXPECT_EQ(text.column(c)->type(), text.schema()->field(c).type()) << c;
+  }
+
+  int64_t row = 0;
+  uint64_t mismatches = 0;
+  for (const auto &batch : flight.ClientBatches()) {
+    for (int64_t r = 0; r < batch->num_rows(); r++, row++) {
+      for (int c = 0; c < batch->num_columns(); c++) {
+        const arrowlite::Array &landed = *batch->column(c);
+        const std::string want = CellText(landed, r);
+        mismatches += CellText(*vec.column(c), row) != want ? 1 : 0;
+        mismatches += CellText(*text.column(c), row) != want ? 1 : 0;
+        const uint32_t width = arrowlite::TypeWidth(landed.type());
+        if (width != 0 && !landed.IsNull(r)) {
+          mismatches += std::memcmp(vec.column(c)->buffer(0)->data() + width * row,
+                                    landed.buffer(0)->data() + width * r, width) != 0
+                            ? 1
+                            : 0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(row, static_cast<int64_t>(db.rows));
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// A writer keeps moving rows — deleting one and re-inserting its values in
+/// one transaction — across frozen and hot blocks, while all four exporters
+/// export over and over. A move never changes the table's row count or `id`
+/// sum, so every export, read through its one snapshot, must deliver exactly
+/// those: an export that read blocks in different snapshots would send a
+/// row that moved between them twice, or not at all.
+TEST(ExportSnapshotTest, EveryExportIsOneSnapshotWhileAWriterMovesRows) {
+  MixedTable db(2);
+  ASSERT_GE(db.frozen_blocks, 2u);
+  const int64_t id_sum = static_cast<int64_t>(db.rows * (db.rows - 1) / 2);
+  constexpr int kRounds = 6;
+
+  // Every live slot, found before the writer starts.
+  std::vector<storage::TupleSlot> slots;
+  {
+    const auto initializer = db.table->FullInitializer();
+    std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+    auto *txn = db.txn_manager.BeginTransaction();
+    for (auto it = db.table->begin(); !it.Done(); ++it) {
+      if (db.table->Select(txn, *it, initializer.InitializeRow(buffer.data()))) {
+        slots.push_back(*it);
+      }
+    }
+    db.txn_manager.Commit(txn);
+  }
+  ASSERT_EQ(slots.size(), db.rows);
+
+  std::atomic<bool> exporting{false};
+  std::atomic<bool> done{false};
+  uint64_t moves = 0;  // the writer's own tally, read after join
+  std::thread writer([&] {
+    // This thread owns the GC (single-consumer) and pumps it.
+    const auto initializer = db.table->FullInitializer();
+    std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+    common::Xorshift rng(29);
+    while (!exporting.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (uint64_t attempt = 1; !done.load(std::memory_order_acquire); attempt++) {
+      storage::TupleSlot &slot = slots[rng.Uniform(0, slots.size() - 1)];
+      auto *txn = db.txn_manager.BeginTransaction();
+      storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+      if (db.table->Select(txn, slot, row) && db.table->Delete(txn, slot)) {
+        storage::StorageUtil::DeepCopyVarlens(db.table->UnderlyingTable().GetLayout(), row);
+        slot = db.table->Insert(txn, *row);
+        db.txn_manager.Commit(txn);
+        moves++;
+      } else {
+        db.txn_manager.Abort(txn);
+      }
+      if (attempt % 64 == 0) db.gc.PerformGarbageCollection();
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  exporter::ClientBuffer client(64ull << 20);
+  common::WorkerPool pool(2);
+  exporter::ArrowFlightExporter flight(&client, &pool);
+  exporter::RdmaExporter rdma(&client, &pool);
+  exporter::VectorizedWireExporter vectorized(&client);
+  exporter::PostgresWireExporter pg(&client);
+  const auto rows_and_id_sum = [](const arrowlite::RecordBatch &batch) {
+    int64_t sum = 0;
+    for (int64_t r = 0; r < batch.num_rows(); r++) sum += batch.column(0)->Value<int64_t>(r);
+    return std::make_pair(static_cast<uint64_t>(batch.num_rows()), sum);
+  };
+  const auto want = std::make_pair(db.rows, id_sum);
+  exporting.store(true, std::memory_order_release);
+  for (int round = 0; round < kRounds; round++) {
+    EXPECT_EQ(flight.Export(db.table, &db.txn_manager).rows, db.rows) << "round " << round;
+    EXPECT_EQ(LandedRowsAndIdSum(flight), want) << "flight, round " << round;
+    EXPECT_EQ(rdma.Export(db.table, &db.txn_manager).rows, db.rows) << "rdma, round " << round;
+    EXPECT_EQ(vectorized.Export(db.table, &db.txn_manager).rows, db.rows) << "round " << round;
+    EXPECT_EQ(rows_and_id_sum(*vectorized.ClientBatch()), want) << "vectorized, round " << round;
+    EXPECT_EQ(pg.Export(db.table, &db.txn_manager).rows, db.rows) << "round " << round;
+    EXPECT_EQ(rows_and_id_sum(*pg.ClientBatch()), want) << "postgres, round " << round;
+  }
+  done.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_GT(moves, 0u);
   EXPECT_EQ(db.LockedBlocks(), 0u);
 }
 

@@ -140,7 +140,7 @@ TEST_F(TPCCTest, ConcurrentWorkloadWithTransformation) {
 
   {
     gc::GarbageCollectorThread gc_thread(&gc_, std::chrono::milliseconds(2));
-    pipeline.Start(std::chrono::milliseconds(5));
+    pipeline.Start(transform::FreezePolicy::Config::Pinned(std::chrono::milliseconds(5)));
 
     constexpr int kWorkers = 4;
     std::vector<std::thread> threads;

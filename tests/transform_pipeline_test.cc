@@ -283,7 +283,7 @@ TEST_P(TransformPipelineTest, BackgroundThreadFreezesWithoutManualDriving) {
   storage::DataTable &dt = table_->UnderlyingTable();
   gc_.FullGC();
 
-  pipeline_.Start(std::chrono::milliseconds(1));
+  pipeline_.Start(transform::FreezePolicy::Config::Pinned(std::chrono::milliseconds(1)));
   pipeline_.EnqueueTable(&dt);
   // The worker owns all transformation work now; just wait for it.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -443,7 +443,7 @@ TEST_P(TransformPipelineTest, CompactionNeverRacesUserInsertsOnNeverUsedSlots) {
 /// test for the old fixed-sleep loop, where Stop() blocked for up to a full
 /// period (here: 10 seconds).
 TEST_P(TransformPipelineTest, StopReturnsPromptlyMidSleep) {
-  pipeline_.Start(std::chrono::seconds(10));
+  pipeline_.Start(transform::FreezePolicy::Config::Pinned(std::chrono::seconds(10)));
   // Let the worker finish its first (empty) pass and park in the sleep.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const auto stop_begin = std::chrono::steady_clock::now();
@@ -453,8 +453,8 @@ TEST_P(TransformPipelineTest, StopReturnsPromptlyMidSleep) {
       << "Stop() must interrupt the sleep, not wait out the period";
 }
 
-/// The adaptive Start overload drives freezing end to end and leaves the
-/// controller's period inside its configured band.
+/// Start drives freezing end to end and leaves the controller's period
+/// inside its configured band.
 TEST_P(TransformPipelineTest, AdaptiveStartFreezesInBackground) {
   Populate(1000);
   storage::DataTable &dt = table_->UnderlyingTable();
@@ -563,6 +563,25 @@ TEST(FreezePolicyTest, DutyCycleFloorProtectsWriters) {
   EXPECT_EQ(policy.OnPassComplete({160, 100000, 8}).count(), 100);
   // A cheap pass lifts the floor and the proportional controller resumes.
   EXPECT_EQ(policy.OnPassComplete({32, 1000, 8}).count(), 50);
+}
+
+/// A fixed cadence is a pinned policy: the clamp into [min, max] comes last,
+/// so neither backlog, idleness nor the duty-cycle floor can move it.
+TEST(FreezePolicyTest, PinnedPolicyReturnsItsPeriodForAnyFeedback) {
+  const std::chrono::milliseconds period(40);
+  transform::FreezePolicy policy(transform::FreezePolicy::Config::Pinned(period));
+  EXPECT_EQ(policy.CurrentPeriod(), period);
+  const transform::FreezePolicy::PassFeedback feedback[] = {
+      {0, 0, 0},             // idle: would back off
+      {16000, 0, 4},         // deep backlog: would shrink
+      {8, 1000, 2},          // in the band: holds
+      {160, 10'000'000, 8},  // a 10 s pass: the duty-cycle floor would lift it
+      {0, 0, 0},
+  };
+  for (const auto &pass : feedback) {
+    EXPECT_EQ(policy.OnPassComplete(pass), period);
+    EXPECT_EQ(policy.CurrentPeriod(), period);
+  }
 }
 
 TEST(FreezePolicyTest, AllZeroFeedbackAndBrokenConfigStayFinite) {
