@@ -45,9 +45,9 @@ struct TransformMetrics {
   Counter *blocks_freed;          ///< transform.blocks_freed — emptied by compaction
   Counter *tuples_moved;          ///< transform.tuples_moved — compaction relocations
   Counter *compaction_aborts;     ///< transform.compaction_aborts — lost to concurrent writers
-  Gauge *observer_queue_depth;    ///< transform.observer_queue_depth — blocks awaiting cold check
+  Gauge *observer_queue_depth;    ///< transform.observer_queue_depth — watched + pending blocks
   Histogram *pass_us;             ///< transform.pass_us — RunOnce wall time
-  Histogram *freeze_lag_us;       ///< transform.freeze_lag_us — cold-collection → frozen latency
+  Histogram *freeze_lag_us;       ///< transform.freeze_lag_us — per block, intake → frozen
 };
 TransformMetrics &Transform();
 

@@ -20,7 +20,7 @@ namespace mainline::transform {
 /// observer approximates the modification time with the GC invocation epoch
 /// ("GC epoch"). Blocks that have not been modified for
 /// `cold_threshold_epochs` GC epochs are emitted as cold candidates for the
-/// transformation queue.
+/// transformation pipeline.
 class AccessObserver final : public gc::WriteObserver {
  public:
   /// \param cold_threshold_epochs number of GC epochs without modification
@@ -45,12 +45,6 @@ class AccessObserver final : public gc::WriteObserver {
                                     std::memory_order_relaxed);
     common::SpinLatch::ScopedSpinLatch guard(&latch_);
     watched_[block] = block->data_table;
-  }
-
-  /// Stop tracking a block (e.g. because the compactor released it).
-  void ForgetBlock(storage::RawBlock *block) EXCLUDES(latch_) {
-    common::SpinLatch::ScopedSpinLatch guard(&latch_);
-    watched_.erase(block);
   }
 
   /// Collect blocks whose last modification is at least the cold threshold
@@ -78,10 +72,6 @@ class AccessObserver final : public gc::WriteObserver {
     }
     return result;
   }
-
-  /// \return the current GC epoch.
-  // relaxed: diagnostic read of the heuristic counter.
-  uint64_t Epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   /// \return number of blocks currently watched.
   size_t WatchedBlocks() EXCLUDES(latch_) {

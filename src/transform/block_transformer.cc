@@ -1,5 +1,6 @@
 #include "transform/block_transformer.h"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -56,7 +57,6 @@ bool BlockTransformer::CompactGroup(storage::DataTable *table,
         failed = true;
         break;
       }
-      if (move_callback_) move_callback_(from, to, txn);
       out->tuples_moved++;
       out->write_set_size += 2;  // delete + insert
     }
@@ -94,38 +94,30 @@ bool BlockTransformer::CompactGroup(storage::DataTable *table,
   return committed;
 }
 
-bool BlockTransformer::GatherBlock(storage::DataTable *table, storage::RawBlock *block,
-                                   TransformStats *stats) {
+GatherOutcome BlockTransformer::GatherBlock(storage::DataTable *table,
+                                            storage::RawBlock *block, TransformStats *stats) {
   TransformStats local;
   TransformStats *out = stats == nullptr ? &local : stats;
   uint64_t elapsed_us = 0;
-  bool frozen = false;
   {
     common::ScopedTimer<std::chrono::microseconds> timer(&elapsed_us);
     const storage::BlockLayout &layout = table->GetLayout();
 
-    // The single-pass scan of the version-pointer column: any residual
-    // version means a transaction raced us; requeue.
-    if (block->controller.GetState() != storage::BlockState::kCooling ||
-        table->HasActiveVersions(block)) {
-      out->gather_retries++;
-      return false;
+    if (block->controller.GetState() != storage::BlockState::kCooling) {
+      return GatherOutcome::kPreempted;
     }
+    // The single-pass scan of the version-pointer column: any residual
+    // version means a transaction raced us, or the GC has yet to prune.
+    if (table->HasActiveVersions(block)) return GatherOutcome::kVersions;
     // The allocated slots must form a contiguous prefix for Arrow; otherwise
     // the block needs another compaction pass.
     const uint32_t filled = table->FilledSlots(block);
     const auto *bitmap = table->Accessor().AllocationBitmap(block);
     for (uint32_t i = 0; i < filled; i++) {
-      if (!bitmap->Test(i)) {
-        out->gather_retries++;
-        return false;
-      }
+      if (!bitmap->Test(i)) return GatherOutcome::kNotCompact;
     }
     // Take the exclusive lock; fails if a user transaction preempted cooling.
-    if (!block->controller.TrySetFreezing()) {
-      out->gather_retries++;
-      return false;
-    }
+    if (!block->controller.TrySetFreezing()) return GatherOutcome::kPreempted;
 
     auto *metadata = new storage::ArrowBlockMetadata(filled, layout.NumColumns());
     std::vector<const byte *> old_buffers;
@@ -163,10 +155,9 @@ bool BlockTransformer::GatherBlock(storage::DataTable *table, storage::RawBlock 
       });
     }
     out->blocks_frozen++;
-    frozen = true;
   }
   out->gather_us += elapsed_us;
-  return frozen;
+  return GatherOutcome::kFrozen;
 }
 
 bool BlockTransformer::GatherVarlen(storage::DataTable *table, storage::RawBlock *block,
@@ -298,42 +289,44 @@ bool BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawB
   return true;
 }
 
+std::vector<GatherOutcome> BlockTransformer::GatherCooled(
+    const std::vector<std::pair<storage::RawBlock *, transaction::timestamp_t>> &blocks,
+    TransformStats *stats) {
+  // Figure 9's barrier: a racer that passed the status check before the
+  // compaction set cooling either installed a version (caught by the gather
+  // scan) or has finished.
+  const transaction::timestamp_t oldest = txn_manager_->OldestTransactionStartTime();
+  // The gather scan requires all version chains pruned, the compaction's
+  // own included. A preempted block's versions belong to a user writer.
+  const auto awaits_pruning = [&] {
+    return std::any_of(blocks.begin(), blocks.end(), [oldest](const auto &entry) {
+      return entry.second < oldest &&
+             entry.first->controller.GetState() == storage::BlockState::kCooling &&
+             entry.first->data_table->HasActiveVersions(entry.first);
+    });
+  };
+  for (int pump = 0; pump_gc_ && pump < kMaxPumps && awaits_pruning(); pump++) {
+    gc_->PerformGarbageCollection();
+  }
+  std::vector<GatherOutcome> outcomes;
+  for (const auto &[block, compacted_at] : blocks) {
+    outcomes.push_back(compacted_at < oldest ? GatherBlock(block->data_table, block, stats)
+                                             : GatherOutcome::kBarrier);
+  }
+  return outcomes;
+}
+
 uint32_t BlockTransformer::ProcessGroup(storage::DataTable *table,
                                         const std::vector<storage::RawBlock *> &group,
                                         TransformStats *stats) {
   transaction::timestamp_t commit_ts = transaction::kInvalidTimestamp;
   std::vector<storage::RawBlock *> survivors;
   if (!CompactGroup(table, group, stats, &commit_ts, &survivors)) return 0;
-
-  // Phase boundary: wait until every transaction that overlapped the
-  // compaction transaction has finished, so a racer that passed the status
-  // check before we set cooling either installed a visible version (caught by
-  // the gather scan) or is gone (Figure 9's fix).
-  while (txn_manager_->OldestTransactionStartTime() <= commit_ts) {
-    std::this_thread::yield();
-  }
-
-  uint32_t frozen = 0;
-  for (storage::RawBlock *block : survivors) {
-    // The gather scan requires all version chains pruned — including the
-    // compaction transaction's own records. Drive the GC (or wait for the
-    // dedicated GC thread) until they clear; give up and requeue if a user
-    // transaction keeps the block busy.
-    for (int attempt = 0; attempt < 64; attempt++) {
-      if (block->controller.GetState() != storage::BlockState::kCooling) break;  // preempted
-      if (table->HasActiveVersions(block)) {
-        if (pump_gc_) {
-          gc_->PerformGarbageCollection();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-        continue;
-      }
-      if (GatherBlock(table, block, stats)) frozen++;
-      break;
-    }
-  }
-  return frozen;
+  while (txn_manager_->OldestTransactionStartTime() <= commit_ts) std::this_thread::yield();
+  std::vector<std::pair<storage::RawBlock *, transaction::timestamp_t>> cooled;
+  for (storage::RawBlock *block : survivors) cooled.emplace_back(block, commit_ts);
+  const std::vector<GatherOutcome> outcomes = GatherCooled(cooled, stats);
+  return static_cast<uint32_t>(std::count(outcomes.begin(), outcomes.end(), GatherOutcome::kFrozen));
 }
 
 }  // namespace mainline::transform

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -24,6 +24,15 @@ enum class GatherMode : uint8_t {
   kDictionaryCompression,
 };
 
+/// What one gather attempt did to a cooling block.
+enum class GatherOutcome : uint8_t {
+  kFrozen = 0,  ///< the block is frozen
+  kBarrier,     ///< a transaction that overlapped its compaction still runs
+  kVersions,    ///< version chains remain; retry once the GC prunes them
+  kPreempted,   ///< a user write flipped the block hot
+  kNotCompact,  ///< filled slots are not a prefix; compact it again
+};
+
 /// Counters reported by the transformation pipeline, used by the Figure 12-14
 /// benchmarks.
 struct TransformStats {
@@ -35,7 +44,6 @@ struct TransformStats {
   uint64_t blocks_freed = 0;
   uint64_t blocks_frozen = 0;
   uint64_t compaction_aborts = 0;
-  uint64_t gather_retries = 0;
   /// Operations in compaction transactions (each move = delete + insert).
   uint64_t write_set_size = 0;
   uint64_t compaction_us = 0;
@@ -50,22 +58,20 @@ struct TransformStats {
 /// logically contiguous, marks the group's blocks *cooling* before
 /// committing, and registers emptied blocks for recycling.
 ///
-/// **Phase 2 (gathering)** waits until every transaction that overlapped the
+/// **Phase 2 (gathering)** runs once every transaction that overlapped the
 /// compaction transaction has finished (closing the check-and-miss race of
 /// Figure 9), verifies that no version chains remain, takes the *freezing*
 /// exclusive lock, copies variable-length values into contiguous Arrow
 /// buffers (or builds dictionaries), computes Arrow metadata, and marks the
 /// block *frozen*.
 ///
+/// ProcessGroup blocks until that barrier passes; the TransformPipeline
+/// does not, and retries a block that is not ready on a later pass.
+///
 /// Replaced buffers are reclaimed through the GC's deferred actions, so
 /// in-flight readers never observe freed memory.
 class BlockTransformer {
  public:
-  /// Callback invoked after each successful tuple movement (for index
-  /// maintenance); receives (from, to, compaction transaction).
-  using MoveCallback = std::function<void(storage::TupleSlot, storage::TupleSlot,
-                                          transaction::TransactionContext *)>;
-
   BlockTransformer(transaction::TransactionManager *txn_manager, gc::GarbageCollector *gc,
                    GatherMode mode = GatherMode::kVarlenGather)
       : txn_manager_(txn_manager), gc_(gc), mode_(mode) {}
@@ -88,30 +94,36 @@ class BlockTransformer {
                     TransformStats *stats, transaction::timestamp_t *commit_ts_out,
                     std::vector<storage::RawBlock *> *survivors_out = nullptr);
 
-  /// Run phase 2 on one block (state must be cooling).
-  /// \return true if the block is now frozen; false if a user transaction
-  ///         preempted or residual versions were found (requeue).
-  bool GatherBlock(storage::DataTable *table, storage::RawBlock *block, TransformStats *stats);
+  /// Run phase 2 on one block (state must be cooling) whose compaction every
+  /// running transaction postdates.
+  GatherOutcome GatherBlock(storage::DataTable *table, storage::RawBlock *block,
+                            TransformStats *stats);
 
-  /// Full pipeline: compact, wait out overlapping transactions, gather every
-  /// surviving block. Blocking; intended for the background transformation
-  /// thread and benchmarks.
+  /// One GatherBlock attempt for each cooling block, paired with the commit
+  /// timestamp of its compaction; a block some running transaction overlaps
+  /// is skipped (kBarrier), not waited for. With inline pumping on, first
+  /// runs the GC (at most kMaxPumps times) until no block to gather holds a
+  /// version chain. \return the outcomes, in the order of `blocks`.
+  std::vector<GatherOutcome> GatherCooled(
+      const std::vector<std::pair<storage::RawBlock *, transaction::timestamp_t>> &blocks,
+      TransformStats *stats);
+
+  /// Both phases for one group: compact, wait until every transaction that
+  /// overlapped the compaction has finished, then GatherCooled the
+  /// survivors. Blocking, for synchronous callers (set-up, benchmarks).
   /// \return number of blocks frozen.
   uint32_t ProcessGroup(storage::DataTable *table,
                         const std::vector<storage::RawBlock *> &group, TransformStats *stats);
 
-  void SetMoveCallback(MoveCallback callback) { move_callback_ = std::move(callback); }
-
-  /// Whether ProcessGroup may drive the garbage collector itself while
-  /// waiting for version chains to clear between phases (default). Disable
-  /// when a dedicated GC thread owns the collector — GC state is
-  /// single-consumer — in which case ProcessGroup waits for that thread to
-  /// prune instead.
+  /// Whether gathering may run the garbage collector itself to prune the
+  /// version chains left between the phases (default). Disable when a
+  /// dedicated GC thread owns the collector (GC state is single-consumer);
+  /// a block is then gathered once that thread has pruned it.
   void SetInlineGCPump(bool pump) { pump_gc_ = pump; }
 
-  GatherMode Mode() const { return mode_; }
-
  private:
+  static constexpr int kMaxPumps = 64;
+
   bool GatherVarlen(storage::DataTable *table, storage::RawBlock *block, uint32_t num_records,
                     storage::ArrowBlockMetadata *metadata,
                     std::vector<const byte *> *old_buffers);
@@ -123,7 +135,6 @@ class BlockTransformer {
   gc::GarbageCollector *gc_;
   GatherMode mode_;
   bool pump_gc_ = true;
-  MoveCallback move_callback_;
 };
 
 }  // namespace mainline::transform

@@ -14,15 +14,16 @@ namespace mainline::transform {
 /// supposed to stay out of the way of. This controller picks the delay
 /// before the next pass from what the previous pass saw:
 ///
-///   * backlog (queue depth above `target_queue_depth`): shrink the period
+///   * backlog (queue depth above `kTargetQueueDepth`): shrink the period
 ///     proportionally to the overshoot — the deeper the backlog, the harder
-///     the cut — so freshness lag recovers within a few passes;
-///   * idle (empty watch set, nothing frozen): grow the period by `backoff`,
+///     the cut, but never below `kMaxShrink` of it in one pass — so
+///     freshness lag recovers within a few passes;
+///   * idle (empty queue, nothing frozen): grow the period by `kBackoff`,
 ///     so a quiescent table costs almost no background wakeups;
 ///   * in between: hold, to avoid oscillating around the target.
 ///
 /// Two guards bound the result: it never drops below the duty-cycle floor
-/// `pass_duration * (1 - max_duty_cycle) / max_duty_cycle`, which caps the
+/// `pass_duration * (1 - kMaxDutyCycle) / kMaxDutyCycle`, which caps the
 /// fraction of wall time the pipeline thread spends transforming — the
 /// "don't starve writers" bound, binding exactly when passes are expensive —
 /// and it is clamped into [`min_period`, `max_period`] last. A policy pinned
@@ -39,35 +40,32 @@ class FreezePolicy {
     std::chrono::milliseconds min_period{1};
     std::chrono::milliseconds max_period{200};
     std::chrono::milliseconds initial_period{10};
-    /// Watch-set size the controller tolerates before speeding up.
-    uint64_t target_queue_depth = 16;
-    /// Multiplicative period growth per idle pass (> 1).
-    double backoff = 1.25;
-    /// Largest fraction of wall time the pipeline may spend in passes,
-    /// in (0, 1]. 1 disables the floor.
-    double max_duty_cycle = 0.5;
-    /// Hardest single-pass period cut under backlog, in (0, 1).
-    double max_shrink = 0.25;
 
     /// \return a fixed cadence: min_period = max_period = initial_period =
     /// `period`, so the policy returns `period` whatever the feedback.
     static Config Pinned(std::chrono::milliseconds period);
   };
 
+  /// Queue depth (watched plus pending blocks) tolerated before speeding up.
+  static constexpr uint64_t kTargetQueueDepth = 16;
+  /// Multiplicative period growth per idle pass.
+  static constexpr double kBackoff = 1.25;
+  /// Largest fraction of wall time the pipeline may spend in passes.
+  static constexpr double kMaxDutyCycle = 0.5;
+  /// Hardest single-pass period cut under backlog.
+  static constexpr double kMaxShrink = 0.25;
+  static_assert(kBackoff > 1.0 && kMaxDutyCycle > 0.0 && kMaxDutyCycle <= 1.0 &&
+                kMaxShrink > 0.0 && kMaxShrink < 1.0);
+
   /// What one pipeline pass observed, in the order the loop learns it.
   struct PassFeedback {
-    uint64_t queue_depth = 0;    ///< observer watch-set size after the pass
+    uint64_t queue_depth = 0;    ///< watched plus pending blocks after the pass
     uint64_t pass_us = 0;        ///< wall time the pass took
     uint32_t blocks_frozen = 0;  ///< work the pass completed
   };
 
-  /// Out-of-range config values are repaired to their defaults (a zero or
-  /// negative duty cycle would otherwise divide by zero below). The
-  /// default-constructed policy uses the default Config; both bodies live in
-  /// the .cc because a `Config()` default argument here would need the
-  /// nested class's member initializers before the enclosing class is
-  /// complete, which GCC rejects.
-  FreezePolicy();
+  /// Out-of-range periods are repaired: min_period to at least 1 ms,
+  /// max_period to at least min_period, initial_period into the band.
   explicit FreezePolicy(const Config &config);
 
   /// Fold one pass's outcome into the controller state.

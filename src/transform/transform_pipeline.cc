@@ -1,8 +1,9 @@
 #include "transform/transform_pipeline.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
+#include <vector>
 
-#include "common/timer.h"
 #include "metrics/engine_metrics.h"
 #include "storage/block_access_controller.h"
 #include "storage/data_table.h"
@@ -10,44 +11,100 @@
 
 namespace mainline::transform {
 
-uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
-  const common::Timer pass_timer;
-  // Group candidates per table, validating that each block still belongs to
-  // the table we observed (it may have been recycled since).
-  std::unordered_map<storage::DataTable *, std::vector<storage::RawBlock *>> per_table;
-  std::vector<std::pair<storage::RawBlock *, storage::DataTable *>> candidates;
-  {
-    common::SpinLatch::ScopedSpinLatch guard(&manual_latch_);
-    candidates.swap(manual_queue_);
+using common::Timer;
+
+void TransformPipeline::EnqueueTable(storage::DataTable *table) {
+  if (table_filter_ && !table_filter_(table)) return;
+  const std::vector<storage::RawBlock *> blocks = table->Blocks();
+  common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
+  for (storage::RawBlock *block : blocks) {
+    pending_.try_emplace(block, Candidate{table, transaction::kInvalidTimestamp, Timer::Now()});
   }
-  for (auto &[block, table] : observer_->CollectColdBlocks()) candidates.emplace_back(block, table);
-  // The same block can arrive through both the manual queue and the observer;
-  // a duplicate inside one compaction group would make the planner count its
-  // tuples twice and compact the block onto itself.
-  std::unordered_set<storage::RawBlock *> dedup;
-  for (auto &[block, table] : candidates) {
-    if (block->data_table != table || table == nullptr) continue;
-    if (table_filter_ && !table_filter_(table)) continue;
-    if (block->controller.GetState() == storage::BlockState::kFrozen) continue;
-    if (!dedup.insert(block).second) continue;
-    per_table[table].push_back(block);
+}
+
+uint64_t TransformPipeline::QueueDepth() {
+  const uint64_t watched = observer_->WatchedBlocks();
+  common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
+  return watched + pending_.size();
+}
+
+uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
+  const Timer pass_timer;
+  auto cold = observer_->CollectColdBlocks();
+  std::erase_if(cold, [this](const auto &entry) {
+    return entry.second == nullptr || (table_filter_ && !table_filter_(entry.second));
+  });
+  // Intake, then drop the blocks that left. The rest need compacting (per
+  // table) or a gather attempt.
+  std::unordered_map<storage::DataTable *, std::vector<storage::RawBlock *>> to_compact;
+  std::vector<std::pair<storage::RawBlock *, transaction::timestamp_t>> cooling;
+  {
+    common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
+    for (const auto &[block, table] : cold) {
+      const auto [it, fresh] = pending_.try_emplace(
+          block, Candidate{table, transaction::kInvalidTimestamp, Timer::Now()});
+      // Handed back hot after its compaction: a user write re-heated it.
+      if (!fresh && block->controller.GetState() == storage::BlockState::kHot) {
+        it->second.compacted_at = transaction::kInvalidTimestamp;
+      }
+    }
+    std::erase_if(pending_, [](const auto &entry) {
+      const storage::BlockState state = entry.first->controller.GetState();
+      return entry.first->data_table != entry.second.table ||
+             state == storage::BlockState::kFrozen ||
+             (state == storage::BlockState::kHot &&
+              entry.second.compacted_at != transaction::kInvalidTimestamp);
+    });
+    for (const auto &[block, candidate] : pending_) {
+      if (candidate.compacted_at == transaction::kInvalidTimestamp) {
+        to_compact[candidate.table].push_back(block);
+      } else {
+        cooling.emplace_back(block, candidate.compacted_at);
+      }
+    }
   }
 
-  metrics::TransformMetrics &transform_metrics = metrics::Transform();
-  // Freshness lag is measured from this pass's cold-collection point to each
-  // group reaching frozen (the watch set holds no per-block timestamps, so
-  // the epochs a block waited before collection are not included).
-  const common::Timer collect_timer;
-  uint32_t frozen = 0;
+  // An aborted group stays as it was; a committed one keeps only its
+  // survivors, now cooling (the emptied blocks go back to the block store).
   TransformStats pass;
-  for (auto &[table, blocks] : per_table) {
+  for (auto &[table, blocks] : to_compact) {
     for (size_t i = 0; i < blocks.size(); i += group_size_) {
-      const size_t end = std::min(blocks.size(), i + group_size_);
-      const std::vector<storage::RawBlock *> group(blocks.begin() + static_cast<long>(i),
-                                                   blocks.begin() + static_cast<long>(end));
-      const uint32_t group_frozen = transformer_->ProcessGroup(table, group, &pass);
-      if (group_frozen > 0) transform_metrics.freeze_lag_us->Observe(collect_timer.Elapsed<>());
-      frozen += group_frozen;
+      const std::vector<storage::RawBlock *> group(
+          blocks.begin() + static_cast<long>(i),
+          blocks.begin() + static_cast<long>(std::min(blocks.size(), i + group_size_)));
+      transaction::timestamp_t commit_ts;
+      std::vector<storage::RawBlock *> survivors;
+      if (!transformer_->CompactGroup(table, group, &pass, &commit_ts, &survivors)) continue;
+      common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
+      for (storage::RawBlock *block : group) {
+        if (std::find(survivors.begin(), survivors.end(), block) == survivors.end()) {
+          pending_.erase(block);
+        }
+      }
+      for (storage::RawBlock *block : survivors) {
+        pending_.at(block).compacted_at = commit_ts;
+        cooling.emplace_back(block, commit_ts);
+      }
+    }
+  }
+
+  const std::vector<GatherOutcome> outcomes = transformer_->GatherCooled(cooling, &pass);
+  metrics::TransformMetrics &transform_metrics = metrics::Transform();
+  uint32_t frozen = 0;
+  {
+    const Timer::TimePoint now = Timer::Now();
+    common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
+    for (size_t i = 0; i < cooling.size(); i++) {
+      Candidate &candidate = pending_.at(cooling[i].first);
+      if (outcomes[i] == GatherOutcome::kFrozen) {
+        transform_metrics.freeze_lag_us->Observe(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(now - candidate.intake)
+                .count()));
+        pending_.erase(cooling[i].first);
+        frozen++;
+      } else if (outcomes[i] == GatherOutcome::kNotCompact) {
+        candidate.compacted_at = transaction::kInvalidTimestamp;
+      }
     }
   }
 
@@ -57,7 +114,6 @@ uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
     stats_.blocks_freed += pass.blocks_freed;
     stats_.blocks_frozen += pass.blocks_frozen;
     stats_.compaction_aborts += pass.compaction_aborts;
-    stats_.gather_retries += pass.gather_retries;
     stats_.write_set_size += pass.write_set_size;
     stats_.compaction_us += pass.compaction_us;
     stats_.gather_us += pass.gather_us;
@@ -69,18 +125,17 @@ uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
   transform_metrics.blocks_freed->Add(pass.blocks_freed);
   transform_metrics.tuples_moved->Add(pass.tuples_moved);
   transform_metrics.compaction_aborts->Add(pass.compaction_aborts);
-  transform_metrics.observer_queue_depth->Set(
-      static_cast<int64_t>(observer_->WatchedBlocks()));
+  transform_metrics.observer_queue_depth->Set(static_cast<int64_t>(QueueDepth()));
   transform_metrics.pass_us->Observe(pass_timer.Elapsed<>());
   return frozen;
 }
 
 void TransformPipeline::Run() {
   while (run_.load(std::memory_order_acquire)) {
-    const common::Timer pass_timer;
+    const Timer pass_timer;
     const uint32_t frozen = RunOnce();
     const std::chrono::milliseconds delay =
-        policy_.OnPassComplete({observer_->WatchedBlocks(), pass_timer.Elapsed<>(), frozen});
+        policy_.OnPassComplete({QueueDepth(), pass_timer.Elapsed<>(), frozen});
     // relaxed: reporting only — CurrentPeriod is a gauge-style reading.
     period_ms_.store(delay.count(), std::memory_order_relaxed);
     common::MutexGuard guard(&sleep_mutex_);

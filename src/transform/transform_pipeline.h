@@ -5,12 +5,13 @@
 #include <functional>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/mutex.h"
 #include "common/spin_latch.h"
 #include "common/thread_annotations.h"
+#include "common/timer.h"
+#include "common/typedefs.h"
 #include "storage/data_table.h"
 #include "storage/raw_block.h"
 #include "transform/access_observer.h"
@@ -19,10 +20,15 @@
 
 namespace mainline::transform {
 
-/// The background transformation pipeline of Figure 8: pulls cold-block
-/// candidates from the access observer, groups them per table into compaction
-/// groups, and runs the two-phase transformer over each group. Runs either on
-/// a dedicated thread (Start/Stop) or cooperatively (RunOnce).
+/// The background transformation pipeline of Figure 8. One candidate set
+/// holds every block it works on, fed by the access observer (cold blocks)
+/// and by EnqueueTable. A pass compacts the hot candidates in groups per
+/// table, then tries once to gather each cooling candidate whose compaction
+/// every running transaction postdates: Figure 9's barrier is checked, never
+/// waited on. A block leaves the set only when it is frozen, when it is
+/// released or leaves its table, or when a user write made it hot after its
+/// compaction (the observer hands it back once it is cold again). Runs
+/// either on a dedicated thread (Start/Stop) or cooperatively (RunOnce).
 class TransformPipeline {
  public:
   /// \param observer source of cold-block candidates (fed by the GC)
@@ -37,30 +43,27 @@ class TransformPipeline {
   ~TransformPipeline() { Stop(); }
 
   /// Restrict transformation to tables for which `filter` returns true
-  /// (the paper targets only the tables that generate cold data).
+  /// (the paper targets only the tables that generate cold data); rejected
+  /// blocks never enter the candidate set.
   void SetTableFilter(std::function<bool(storage::DataTable *)> filter) {
     table_filter_ = std::move(filter);
   }
 
-  /// Manually enqueue every current block of `table` as a cold candidate
-  /// (e.g. a bulk-loaded, read-mostly table whose writes predate the
-  /// observer).
-  void EnqueueTable(storage::DataTable *table) EXCLUDES(manual_latch_) {
-    common::SpinLatch::ScopedSpinLatch guard(&manual_latch_);
-    for (storage::RawBlock *block : table->Blocks()) manual_queue_.emplace_back(block, table);
-  }
+  /// Add every current block of `table` to the candidate set (e.g. a
+  /// bulk-loaded, read-mostly table whose writes predate the observer).
+  void EnqueueTable(storage::DataTable *table) EXCLUDES(pending_latch_);
 
-  /// One pass: collect cold blocks, form groups, transform them. Each pass
-  /// also feeds the engine metrics registry (transform.* counters, the
-  /// observer queue-depth gauge, and the pass/freeze-lag histograms).
+  /// One pass over the candidate set. Each pass also feeds the engine
+  /// metrics registry (transform.* counters, the queue-depth gauge, and the
+  /// pass/freeze-lag histograms).
   /// \param pass_stats when non-null, receives this pass's TransformStats
   ///        alone (the lifetime accumulation stays available via Stats()).
   /// \return number of blocks frozen in this pass.
-  uint32_t RunOnce(TransformStats *pass_stats = nullptr) EXCLUDES(manual_latch_, stats_latch_);
+  uint32_t RunOnce(TransformStats *pass_stats = nullptr) EXCLUDES(pending_latch_, stats_latch_);
 
   /// Spawn the background thread under feedback control: after every pass a
   /// FreezePolicy built from `policy` picks the delay before the next one
-  /// from the observer's queue depth and the pass duration, so freshness lag
+  /// from the queue depth and the pass duration, so freshness lag
   /// stays bounded under write bursts without hand-tuning a period (see
   /// transform/freeze_policy.h for the control law). A fixed cadence is a
   /// pinned policy: min_period = max_period = initial_period.
@@ -89,25 +92,35 @@ class TransformPipeline {
   }
 
  private:
+  struct Candidate {
+    storage::DataTable *table;
+    /// Commit timestamp of the compaction that left the block cooling;
+    /// kInvalidTimestamp while it still needs compacting.
+    transaction::timestamp_t compacted_at;
+    common::Timer::TimePoint intake;  ///< for transform.freeze_lag_us
+  };
+
+  /// Watched plus pending blocks.
+  uint64_t QueueDepth() EXCLUDES(pending_latch_);
+
+  /// The background loop body.
+  void Run() EXCLUDES(pending_latch_, stats_latch_, sleep_mutex_);
+
   AccessObserver *observer_;
   BlockTransformer *transformer_;
   uint32_t group_size_;
   std::function<bool(storage::DataTable *)> table_filter_;
   mutable common::SpinLatch stats_latch_;
   TransformStats stats_ GUARDED_BY(stats_latch_);
-  common::SpinLatch manual_latch_;
-  std::vector<std::pair<storage::RawBlock *, storage::DataTable *>> manual_queue_
-      GUARDED_BY(manual_latch_);
-
-  /// The background loop body.
-  void Run() EXCLUDES(manual_latch_, stats_latch_, sleep_mutex_);
+  common::SpinLatch pending_latch_;
+  std::unordered_map<storage::RawBlock *, Candidate> pending_ GUARDED_BY(pending_latch_);
 
   std::thread worker_;
   std::atomic<bool> run_{false};
   /// The controller's latest decision, for CurrentPeriod.
   std::atomic<int64_t> period_ms_{10};
   /// Touched exclusively by Start (before the worker spawns) and the worker.
-  FreezePolicy policy_;
+  FreezePolicy policy_{FreezePolicy::Config{}};
   /// The inter-pass sleep. Stop() cannot signal through `run_` alone: the
   /// loop's "still running?" check and its wait must be one atomic step
   /// under a mutex, or a notify landing between them is lost and Stop blocks

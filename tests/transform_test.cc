@@ -214,7 +214,8 @@ TEST_P(TransformTest, GatherYieldsToActiveVersions) {
   // Compaction itself conflicts (it has nothing to move here, so it commits),
   // but the gather must refuse to freeze while the version chain exists.
   if (transformer.CompactGroup(&dt, blocks, nullptr, &commit_ts, &survivors)) {
-    EXPECT_FALSE(transformer.GatherBlock(&dt, blocks[0], nullptr));
+    EXPECT_EQ(transformer.GatherBlock(&dt, blocks[0], nullptr),
+              transform::GatherOutcome::kVersions);
     EXPECT_NE(blocks[0]->controller.GetState(), BlockState::kFrozen);
   }
   txn_manager_.Commit(writer);
