@@ -20,6 +20,8 @@ class CAPABILITY("mutex") SharedLatch {
 
   void LockExclusive() ACQUIRE() { latch_.lock(); }
   void LockShared() ACQUIRE_SHARED() { latch_.lock_shared(); }
+  bool TryLockExclusive() TRY_ACQUIRE(true) { return latch_.try_lock(); }
+  bool TryLockShared() TRY_ACQUIRE_SHARED(true) { return latch_.try_lock_shared(); }
   void UnlockExclusive() RELEASE() { latch_.unlock(); }
   void UnlockShared() RELEASE_SHARED() { latch_.unlock_shared(); }
 

@@ -118,6 +118,7 @@ class DataTable {
 
   const TupleAccessStrategy &Accessor() const { return accessor_; }
   const BlockLayout &GetLayout() const { return accessor_.GetBlockLayout(); }
+  layout_version_t LayoutVersion() const { return version_; }
   BlockStore *GetBlockStore() const { return block_store_; }
 
   /// Initializer covering every column (used for delete before-images and

@@ -54,6 +54,13 @@ class VarlenEntry {
     return result;
   }
 
+  /// Create from any buffer, choosing inline vs out-of-line automatically.
+  /// Out-of-line contents are *not* copied; `reclaim` applies only then.
+  static VarlenEntry CreateFrom(const byte *content, uint32_t size, bool reclaim) {
+    return size <= kInlineThreshold ? CreateInline(content, size)
+                                    : Create(content, size, reclaim);
+  }
+
   /// \return size of the value in bytes.
   uint32_t Size() const { return size_ & ~kOwnershipBit; }
 

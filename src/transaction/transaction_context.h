@@ -87,6 +87,18 @@ class TransactionContext {
   /// All undo records created by this transaction, in creation order.
   std::vector<storage::UndoRecord *> &UndoRecords() { return undo_records_; }
 
+  /// Stage a redo (after-image) log record for an insert or update. The
+  /// caller fills in the returned record's delta, passes it to the table, and
+  /// sets the slot for inserts.
+  logging::LogRecord *StageWrite(catalog::table_oid_t table_oid, bool is_insert,
+                                 const storage::ProjectedRowInitializer &initializer) {
+    byte *head = redo_buffer_.NewEntry(logging::RedoRecord::Size(initializer));
+    logging::LogRecord *record =
+        logging::RedoRecord::Initialize(head, start_time_, table_oid, is_insert, initializer);
+    redo_records_.push_back(record);
+    return record;
+  }
+
   /// Stage a redo log record whose delta is copied from `redo`.
   logging::LogRecord *StageWriteCopy(catalog::table_oid_t table_oid, bool is_insert,
                                      const storage::ProjectedRow &redo) {

@@ -193,6 +193,11 @@ timestamp_t TransactionManager::OldestTransactionStartTime() {
   return curr_running_.empty() ? time_.load(std::memory_order_acquire) : *curr_running_.begin();
 }
 
+uint64_t TransactionManager::NumActiveTransactions() {
+  common::SpinLatch::ScopedSpinLatch guard(&curr_running_latch_);
+  return curr_running_.size();
+}
+
 std::vector<TransactionContext *> TransactionManager::CompletedTransactionsForGC() {
   common::SpinLatch::ScopedSpinLatch guard(&completed_latch_);
   std::vector<TransactionContext *> result;

@@ -83,6 +83,11 @@ class TransactionManager {
   /// Swap out the queue of finished transactions for GC processing.
   std::vector<TransactionContext *> CompletedTransactionsForGC();
 
+  /// \return number of active transactions (diagnostics).
+  uint64_t NumActiveTransactions();
+
+  storage::RecordBufferSegmentPool *BufferPool() { return buffer_pool_; }
+
  private:
   void LogCommit(TransactionContext *txn, timestamp_t commit_time,
                  logging::CommitRecord::DurabilityCallback callback, void *callback_arg);

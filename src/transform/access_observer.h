@@ -73,6 +73,16 @@ class AccessObserver final : public gc::WriteObserver {
     return result;
   }
 
+  /// \return the current GC epoch.
+  // relaxed: the epoch only paces retries; what is dropped rests on Watches.
+  uint64_t Epoch() const { return epoch_.load(std::memory_order_relaxed); }
+
+  /// \return whether `block` is watched, i.e. will be collected once cold.
+  bool Watches(storage::RawBlock *block) EXCLUDES(latch_) {
+    common::SpinLatch::ScopedSpinLatch guard(&latch_);
+    return watched_.contains(block);
+  }
+
   /// \return number of blocks currently watched.
   size_t WatchedBlocks() EXCLUDES(latch_) {
     common::SpinLatch::ScopedSpinLatch guard(&latch_);

@@ -30,137 +30,126 @@ bool BlockTransformer::CompactGroup(storage::DataTable *table,
                                     std::vector<storage::RawBlock *> *survivors_out) {
   TransformStats local;
   TransformStats *out = stats == nullptr ? &local : stats;
-  uint64_t elapsed_us = 0;
-  bool committed = false;
-  {
-    common::ScopedTimer<std::chrono::microseconds> timer(&elapsed_us);
-    const CompactionPlan plan = CompactionPlanner::Plan(*table, group, /*optimal=*/false);
+  const common::Timer timer;
+  const CompactionPlan plan = CompactionPlanner::Plan(*table, group, /*optimal=*/false);
 
-    transaction::TransactionContext *txn = txn_manager_->BeginTransaction();
-    const storage::ProjectedRowInitializer &initializer = table->FullRowInitializer();
-    std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
-    bool failed = false;
+  transaction::TransactionContext *txn = txn_manager_->BeginTransaction();
+  const storage::ProjectedRowInitializer &initializer = table->FullRowInitializer();
+  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+  bool failed = false;
 
-    for (const auto &[from, to] : plan.moves) {
-      storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
-      // A tuple that is invisible or contended means a user transaction got
-      // here first; yield to it (Section 4.2: the transformation must be
-      // cheap to abort).
-      if (!table->Select(txn, from, row) || !table->Delete(txn, from)) {
-        failed = true;
-        break;
-      }
-      storage::StorageUtil::DeepCopyVarlens(table->GetLayout(), row);
-      if (!table->InsertInto(txn, to, *row)) {
-        // The copies are registered as the transaction's loose varlens even
-        // on failure; the abort below reclaims them.
-        failed = true;
-        break;
-      }
-      out->tuples_moved++;
-      out->write_set_size += 2;  // delete + insert
+  for (const auto &[from, to] : plan.moves) {
+    storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+    // A tuple that is invisible or contended means a user transaction got
+    // here first; yield to it (Section 4.2: the transformation must be
+    // cheap to abort).
+    if (!table->Select(txn, from, row) || !table->Delete(txn, from)) {
+      failed = true;
+      break;
     }
-
-    if (failed) {
-      txn_manager_->Abort(txn);
-      out->compaction_aborts++;
-    } else {
-      // Mark the whole group cooling *before* committing: any transaction
-      // that raced the status check must then overlap this compaction
-      // transaction, which is what lets phase 2 detect it (Figure 9).
-      for (storage::RawBlock *block : group) block->controller.TrySetCooling();
-      const transaction::timestamp_t commit_ts = txn_manager_->Commit(txn);
-      if (commit_ts_out != nullptr) *commit_ts_out = commit_ts;
-      // Emptied blocks are detached once every transaction that might still
-      // reconstruct their deleted tuples has finished. Blocks that entered
-      // the group already empty (user deletes, or a previous pass whose
-      // release was declined) are scheduled too; ScheduleBlockRelease
-      // guarantees at most one release in flight per block, and ReleaseBlock
-      // re-checks identity and emptiness at execution time, so a block that
-      // raced back into use is declined rather than freed.
-      for (const auto *list : {&plan.emptied_blocks, &plan.already_empty_blocks}) {
-        for (storage::RawBlock *block : *list) {
-          if (block == table->CurrentInsertionBlock()) continue;
-          if (!table->ScheduleBlockRelease(block)) continue;
-          gc_->RegisterDeferredAction([table, block] { table->ReleaseBlock(block); });
-          if (list == &plan.emptied_blocks) out->blocks_freed++;
-        }
-      }
-      if (survivors_out != nullptr) *survivors_out = plan.target_blocks;
-      committed = true;
+    storage::StorageUtil::DeepCopyVarlens(table->GetLayout(), row);
+    if (!table->InsertInto(txn, to, *row)) {
+      // The copies are registered as the transaction's loose varlens even
+      // on failure; the abort below reclaims them.
+      failed = true;
+      break;
     }
+    out->tuples_moved++;
+    out->write_set_size += 2;  // delete + insert
   }
-  out->compaction_us += elapsed_us;
-  return committed;
+
+  if (failed) {
+    txn_manager_->Abort(txn);
+    out->compaction_aborts++;
+  } else {
+    // Mark the whole group cooling *before* committing: any transaction
+    // that raced the status check must then overlap this compaction
+    // transaction, which is what lets phase 2 detect it (Figure 9).
+    for (storage::RawBlock *block : group) block->controller.TrySetCooling();
+    const transaction::timestamp_t commit_ts = txn_manager_->Commit(txn);
+    if (commit_ts_out != nullptr) *commit_ts_out = commit_ts;
+    // Emptied blocks are detached once every transaction that might still
+    // reconstruct their deleted tuples has finished. Blocks that entered
+    // the group already empty (user deletes, or a previous pass whose
+    // release was declined) are scheduled too; ScheduleBlockRelease
+    // guarantees at most one release in flight per block, and ReleaseBlock
+    // re-checks identity and emptiness at execution time, so a block that
+    // raced back into use is declined rather than freed.
+    for (const auto *list : {&plan.emptied_blocks, &plan.already_empty_blocks}) {
+      for (storage::RawBlock *block : *list) {
+        if (block == table->CurrentInsertionBlock()) continue;
+        if (!table->ScheduleBlockRelease(block)) continue;
+        gc_->RegisterDeferredAction([table, block] { table->ReleaseBlock(block); });
+        if (list == &plan.emptied_blocks) out->blocks_freed++;
+      }
+    }
+    if (survivors_out != nullptr) *survivors_out = plan.target_blocks;
+  }
+  out->compaction_us += timer.Elapsed<>();
+  return !failed;
 }
 
 GatherOutcome BlockTransformer::GatherBlock(storage::DataTable *table,
                                             storage::RawBlock *block, TransformStats *stats) {
   TransformStats local;
   TransformStats *out = stats == nullptr ? &local : stats;
-  uint64_t elapsed_us = 0;
-  {
-    common::ScopedTimer<std::chrono::microseconds> timer(&elapsed_us);
-    const storage::BlockLayout &layout = table->GetLayout();
+  const common::Timer timer;
+  const storage::BlockLayout &layout = table->GetLayout();
 
-    if (block->controller.GetState() != storage::BlockState::kCooling) {
-      return GatherOutcome::kPreempted;
-    }
-    // The single-pass scan of the version-pointer column: any residual
-    // version means a transaction raced us, or the GC has yet to prune.
-    if (table->HasActiveVersions(block)) return GatherOutcome::kVersions;
-    // The allocated slots must form a contiguous prefix for Arrow; otherwise
-    // the block needs another compaction pass.
-    const uint32_t filled = table->FilledSlots(block);
-    const auto *bitmap = table->Accessor().AllocationBitmap(block);
-    for (uint32_t i = 0; i < filled; i++) {
-      if (!bitmap->Test(i)) return GatherOutcome::kNotCompact;
-    }
-    // Take the exclusive lock; fails if a user transaction preempted cooling.
-    if (!block->controller.TrySetFreezing()) return GatherOutcome::kPreempted;
-
-    auto *metadata = new storage::ArrowBlockMetadata(filled, layout.NumColumns());
-    std::vector<const byte *> old_buffers;
-    bool ok;
-    if (mode_ == GatherMode::kVarlenGather) {
-      ok = GatherVarlen(table, block, filled, metadata, &old_buffers);
-    } else {
-      ok = GatherDictionary(table, block, filled, metadata, &old_buffers);
-    }
-    MAINLINE_ASSERT(ok, "gathering under the freezing lock cannot fail");
-    (void)ok;
-
-    // Null counts for fixed-length columns (varlen ones are filled by the
-    // gather passes above, in the same scan).
-    for (uint16_t i = 0; i < layout.NumColumns(); i++) {
-      const storage::col_id_t col(i);
-      if (layout.IsVarlen(col)) continue;
-      auto &info = metadata->Column(i);
-      info.type = storage::ArrowColumnType::kFixed;
-      info.null_count =
-          filled - table->Accessor().ColumnNullBitmap(block, col)->CountSet(filled);
-    }
-
-    storage::ArrowBlockMetadata *old_metadata = block->arrow_metadata;
-    block->arrow_metadata = metadata;
-    block->controller.SetFrozen();
-
-    // Readers concurrent with this gather may still hold pointers into the
-    // replaced buffers; free them only after every such reader has finished
-    // (epoch protection via the GC, Section 4.4).
-    if (!old_buffers.empty() || old_metadata != nullptr) {
-      gc_->RegisterDeferredAction([old_buffers, old_metadata] {
-        for (const byte *buffer : old_buffers) delete[] buffer;
-        delete old_metadata;
-      });
-    }
-    out->blocks_frozen++;
+  if (block->controller.GetState() != storage::BlockState::kCooling) {
+    return GatherOutcome::kPreempted;
   }
-  out->gather_us += elapsed_us;
+  // The single-pass scan of the version-pointer column: any residual
+  // version means a transaction raced us, or the GC has yet to prune.
+  if (table->HasActiveVersions(block)) return GatherOutcome::kVersions;
+  // The allocated slots must form a contiguous prefix for Arrow; otherwise
+  // the block needs another compaction pass.
+  const uint32_t filled = table->FilledSlots(block);
+  const auto *bitmap = table->Accessor().AllocationBitmap(block);
+  for (uint32_t i = 0; i < filled; i++) {
+    if (!bitmap->Test(i)) return GatherOutcome::kNotCompact;
+  }
+  // Take the exclusive lock; fails if a user transaction preempted cooling.
+  if (!block->controller.TrySetFreezing()) return GatherOutcome::kPreempted;
+
+  auto *metadata = new storage::ArrowBlockMetadata(filled, layout.NumColumns());
+  std::vector<const byte *> old_buffers;
+  if (mode_ == GatherMode::kVarlenGather) {
+    GatherVarlen(table, block, filled, metadata, &old_buffers);
+  } else {
+    GatherDictionary(table, block, filled, metadata, &old_buffers);
+  }
+
+  // Null counts for fixed-length columns (varlen ones are filled by the
+  // gather passes above, in the same scan).
+  for (uint16_t i = 0; i < layout.NumColumns(); i++) {
+    const storage::col_id_t col(i);
+    if (layout.IsVarlen(col)) continue;
+    auto &info = metadata->Column(i);
+    info.type = storage::ArrowColumnType::kFixed;
+    info.null_count =
+        filled - table->Accessor().ColumnNullBitmap(block, col)->CountSet(filled);
+  }
+
+  storage::ArrowBlockMetadata *old_metadata = block->arrow_metadata;
+  block->arrow_metadata = metadata;
+  block->controller.SetFrozen();
+
+  // Readers concurrent with this gather may still hold pointers into the
+  // replaced buffers; free them only after every such reader has finished
+  // (epoch protection via the GC, Section 4.4).
+  if (!old_buffers.empty() || old_metadata != nullptr) {
+    gc_->RegisterDeferredAction([old_buffers, old_metadata] {
+      for (const byte *buffer : old_buffers) delete[] buffer;
+      delete old_metadata;
+    });
+  }
+  out->blocks_frozen++;
+  out->gather_us += timer.Elapsed<>();
   return GatherOutcome::kFrozen;
 }
 
-bool BlockTransformer::GatherVarlen(storage::DataTable *table, storage::RawBlock *block,
+void BlockTransformer::GatherVarlen(storage::DataTable *table, storage::RawBlock *block,
                                     uint32_t num_records,
                                     storage::ArrowBlockMetadata *metadata,
                                     std::vector<const byte *> *old_buffers) {
@@ -211,10 +200,9 @@ bool BlockTransformer::GatherVarlen(storage::DataTable *table, storage::RawBlock
     }
     info.varlen.offsets[num_records] = static_cast<int32_t>(offset);
   }
-  return true;
 }
 
-bool BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawBlock *block,
+void BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawBlock *block,
                                         uint32_t num_records,
                                         storage::ArrowBlockMetadata *metadata,
                                         std::vector<const byte *> *old_buffers) {
@@ -286,33 +274,21 @@ bool BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawB
       }
     }
   }
-  return true;
 }
 
 std::vector<GatherOutcome> BlockTransformer::GatherCooled(
-    const std::vector<std::pair<storage::RawBlock *, transaction::timestamp_t>> &blocks,
-    TransformStats *stats) {
-  // Figure 9's barrier: a racer that passed the status check before the
-  // compaction set cooling either installed a version (caught by the gather
-  // scan) or has finished.
-  const transaction::timestamp_t oldest = txn_manager_->OldestTransactionStartTime();
+    const std::vector<storage::RawBlock *> &blocks, TransformStats *stats) {
   // The gather scan requires all version chains pruned, the compaction's
   // own included. A preempted block's versions belong to a user writer.
-  const auto awaits_pruning = [&] {
-    return std::any_of(blocks.begin(), blocks.end(), [oldest](const auto &entry) {
-      return entry.second < oldest &&
-             entry.first->controller.GetState() == storage::BlockState::kCooling &&
-             entry.first->data_table->HasActiveVersions(entry.first);
-    });
+  const auto unpruned = [](storage::RawBlock *block) {
+    return block->controller.GetState() == storage::BlockState::kCooling &&
+           block->data_table->HasActiveVersions(block);
   };
-  for (int pump = 0; pump_gc_ && pump < kMaxPumps && awaits_pruning(); pump++) {
+  for (int pump = 0; pump_gc_ && pump < 64 && std::ranges::any_of(blocks, unpruned); pump++) {
     gc_->PerformGarbageCollection();
   }
   std::vector<GatherOutcome> outcomes;
-  for (const auto &[block, compacted_at] : blocks) {
-    outcomes.push_back(compacted_at < oldest ? GatherBlock(block->data_table, block, stats)
-                                             : GatherOutcome::kBarrier);
-  }
+  for (auto *block : blocks) outcomes.push_back(GatherBlock(block->data_table, block, stats));
   return outcomes;
 }
 
@@ -322,11 +298,9 @@ uint32_t BlockTransformer::ProcessGroup(storage::DataTable *table,
   transaction::timestamp_t commit_ts = transaction::kInvalidTimestamp;
   std::vector<storage::RawBlock *> survivors;
   if (!CompactGroup(table, group, stats, &commit_ts, &survivors)) return 0;
-  while (txn_manager_->OldestTransactionStartTime() <= commit_ts) std::this_thread::yield();
-  std::vector<std::pair<storage::RawBlock *, transaction::timestamp_t>> cooled;
-  for (storage::RawBlock *block : survivors) cooled.emplace_back(block, commit_ts);
-  const std::vector<GatherOutcome> outcomes = GatherCooled(cooled, stats);
-  return static_cast<uint32_t>(std::count(outcomes.begin(), outcomes.end(), GatherOutcome::kFrozen));
+  while (!BarrierPassed(commit_ts)) std::this_thread::yield();
+  const std::vector<GatherOutcome> outcomes = GatherCooled(survivors, stats);
+  return static_cast<uint32_t>(std::ranges::count(outcomes, GatherOutcome::kFrozen));
 }
 
 }  // namespace mainline::transform

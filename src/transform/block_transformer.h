@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -27,7 +26,6 @@ enum class GatherMode : uint8_t {
 /// What one gather attempt did to a cooling block.
 enum class GatherOutcome : uint8_t {
   kFrozen = 0,  ///< the block is frozen
-  kBarrier,     ///< a transaction that overlapped its compaction still runs
   kVersions,    ///< version chains remain; retry once the GC prunes them
   kPreempted,   ///< a user write flipped the block hot
   kNotCompact,  ///< filled slots are not a prefix; compact it again
@@ -65,9 +63,6 @@ struct TransformStats {
 /// buffers (or builds dictionaries), computes Arrow metadata, and marks the
 /// block *frozen*.
 ///
-/// ProcessGroup blocks until that barrier passes; the TransformPipeline
-/// does not, and retries a block that is not ready on a later pass.
-///
 /// Replaced buffers are reclaimed through the GC's deferred actions, so
 /// in-flight readers never observe freed memory.
 class BlockTransformer {
@@ -94,40 +89,39 @@ class BlockTransformer {
                     TransformStats *stats, transaction::timestamp_t *commit_ts_out,
                     std::vector<storage::RawBlock *> *survivors_out = nullptr);
 
-  /// Run phase 2 on one block (state must be cooling) whose compaction every
-  /// running transaction postdates.
+  /// Figure 9's barrier: whether every running transaction began after
+  /// `compacted_at`.
+  bool BarrierPassed(transaction::timestamp_t compacted_at) {
+    return compacted_at < txn_manager_->OldestTransactionStartTime();
+  }
+
+  /// Run phase 2 on one block (state must be cooling) past its barrier.
   GatherOutcome GatherBlock(storage::DataTable *table, storage::RawBlock *block,
                             TransformStats *stats);
 
-  /// One GatherBlock attempt for each cooling block, paired with the commit
-  /// timestamp of its compaction; a block some running transaction overlaps
-  /// is skipped (kBarrier), not waited for. With inline pumping on, first
-  /// runs the GC (at most kMaxPumps times) until no block to gather holds a
-  /// version chain. \return the outcomes, in the order of `blocks`.
-  std::vector<GatherOutcome> GatherCooled(
-      const std::vector<std::pair<storage::RawBlock *, transaction::timestamp_t>> &blocks,
-      TransformStats *stats);
+  /// One GatherBlock attempt for each block past its barrier, after running
+  /// the GC (if pumping inline, at most 64 times) until no cooling block
+  /// holds a version chain. \return the outcomes, in order.
+  std::vector<GatherOutcome> GatherCooled(const std::vector<storage::RawBlock *> &blocks,
+                                          TransformStats *stats);
 
-  /// Both phases for one group: compact, wait until every transaction that
-  /// overlapped the compaction has finished, then GatherCooled the
-  /// survivors. Blocking, for synchronous callers (set-up, benchmarks).
+  /// Both phases for one group: compact, wait for the barrier, then
+  /// GatherCooled the survivors. Blocking, for synchronous callers (set-up,
+  /// benchmarks); the TransformPipeline checks the barrier instead.
   /// \return number of blocks frozen.
   uint32_t ProcessGroup(storage::DataTable *table,
                         const std::vector<storage::RawBlock *> &group, TransformStats *stats);
 
-  /// Whether gathering may run the garbage collector itself to prune the
-  /// version chains left between the phases (default). Disable when a
-  /// dedicated GC thread owns the collector (GC state is single-consumer);
-  /// a block is then gathered once that thread has pruned it.
+  /// Whether gathering may run the GC itself to prune the versions left
+  /// between the phases (default). Disable when a dedicated GC thread owns
+  /// the collector (GC state is single-consumer).
   void SetInlineGCPump(bool pump) { pump_gc_ = pump; }
 
  private:
-  static constexpr int kMaxPumps = 64;
-
-  bool GatherVarlen(storage::DataTable *table, storage::RawBlock *block, uint32_t num_records,
+  void GatherVarlen(storage::DataTable *table, storage::RawBlock *block, uint32_t num_records,
                     storage::ArrowBlockMetadata *metadata,
                     std::vector<const byte *> *old_buffers);
-  bool GatherDictionary(storage::DataTable *table, storage::RawBlock *block,
+  void GatherDictionary(storage::DataTable *table, storage::RawBlock *block,
                         uint32_t num_records, storage::ArrowBlockMetadata *metadata,
                         std::vector<const byte *> *old_buffers);
 

@@ -5,12 +5,6 @@
 
 namespace mainline::transform {
 
-FreezePolicy::Config FreezePolicy::Config::Pinned(std::chrono::milliseconds period) {
-  Config config;
-  config.min_period = config.max_period = config.initial_period = period;
-  return config;
-}
-
 FreezePolicy::FreezePolicy(const Config &config) : config_(config) {
   if (config_.min_period.count() < 1) config_.min_period = Config().min_period;
   if (config_.max_period < config_.min_period) config_.max_period = config_.min_period;

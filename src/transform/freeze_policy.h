@@ -43,7 +43,7 @@ class FreezePolicy {
 
     /// \return a fixed cadence: min_period = max_period = initial_period =
     /// `period`, so the policy returns `period` whatever the feedback.
-    static Config Pinned(std::chrono::milliseconds period);
+    static Config Pinned(std::chrono::milliseconds period) { return {period, period, period}; }
   };
 
   /// Queue depth (watched plus pending blocks) tolerated before speeding up.
@@ -54,8 +54,6 @@ class FreezePolicy {
   static constexpr double kMaxDutyCycle = 0.5;
   /// Hardest single-pass period cut under backlog.
   static constexpr double kMaxShrink = 0.25;
-  static_assert(kBackoff > 1.0 && kMaxDutyCycle > 0.0 && kMaxDutyCycle <= 1.0 &&
-                kMaxShrink > 0.0 && kMaxShrink < 1.0);
 
   /// What one pipeline pass observed, in the order the loop learns it.
   struct PassFeedback {

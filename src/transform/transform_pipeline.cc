@@ -1,7 +1,6 @@
 #include "transform/transform_pipeline.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "metrics/engine_metrics.h"
@@ -13,95 +12,75 @@ namespace mainline::transform {
 
 using common::Timer;
 
-void TransformPipeline::EnqueueTable(storage::DataTable *table) {
-  if (table_filter_ && !table_filter_(table)) return;
-  const std::vector<storage::RawBlock *> blocks = table->Blocks();
-  common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
-  for (storage::RawBlock *block : blocks) {
-    pending_.try_emplace(block, Candidate{table, transaction::kInvalidTimestamp, Timer::Now()});
-  }
-}
-
-uint64_t TransformPipeline::QueueDepth() {
-  const uint64_t watched = observer_->WatchedBlocks();
-  common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
-  return watched + pending_.size();
-}
-
-uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
+uint32_t TransformPipeline::RunOnce() {
   const Timer pass_timer;
-  auto cold = observer_->CollectColdBlocks();
-  std::erase_if(cold, [this](const auto &entry) {
-    return entry.second == nullptr || (table_filter_ && !table_filter_(entry.second));
-  });
-  // Intake, then drop the blocks that left. The rest need compacting (per
-  // table) or a gather attempt.
   std::unordered_map<storage::DataTable *, std::vector<storage::RawBlock *>> to_compact;
-  std::vector<std::pair<storage::RawBlock *, transaction::timestamp_t>> cooling;
+  std::vector<storage::RawBlock *> cooling;  // past their barrier
   {
     common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
-    for (const auto &[block, table] : cold) {
-      const auto [it, fresh] = pending_.try_emplace(
-          block, Candidate{table, transaction::kInvalidTimestamp, Timer::Now()});
-      // Handed back hot after its compaction: a user write re-heated it.
-      if (!fresh && block->controller.GetState() == storage::BlockState::kHot) {
-        it->second.compacted_at = transaction::kInvalidTimestamp;
-      }
-    }
-    std::erase_if(pending_, [](const auto &entry) {
-      const storage::BlockState state = entry.first->controller.GetState();
-      return entry.first->data_table != entry.second.table ||
+    // A block leaves once frozen, released or filtered out, or once a user
+    // write re-heated it after its compaction (the observer hands it back).
+    const auto gone = [this](storage::RawBlock *block, const Candidate &candidate) {
+      const storage::BlockState state = block->controller.GetState();
+      return candidate.table == nullptr || block->data_table != candidate.table ||
              state == storage::BlockState::kFrozen ||
+             (table_filter_ && !table_filter_(candidate.table)) ||
              (state == storage::BlockState::kHot &&
-              entry.second.compacted_at != transaction::kInvalidTimestamp);
-    });
+              candidate.compacted_at != transaction::kInvalidTimestamp);
+    };
+    std::erase_if(pending_, [&gone](const auto &entry) { return gone(entry.first, entry.second); });
+    for (const auto &[block, table] : observer_->CollectColdBlocks()) {
+      if (!gone(block, Candidate{table})) pending_.try_emplace(block, Candidate{table});
+    }
     for (const auto &[block, candidate] : pending_) {
-      if (candidate.compacted_at == transaction::kInvalidTimestamp) {
+      if (candidate.compacted_at != transaction::kInvalidTimestamp) {
+        if (transformer_->BarrierPassed(candidate.compacted_at)) cooling.push_back(block);
+      } else if (candidate.retry_epoch <= observer_->Epoch()) {
         to_compact[candidate.table].push_back(block);
-      } else {
-        cooling.emplace_back(block, candidate.compacted_at);
       }
     }
   }
 
-  // An aborted group stays as it was; a committed one keeps only its
-  // survivors, now cooling (the emptied blocks go back to the block store).
+  // A committed group keeps only its survivors, now cooling (the emptied
+  // blocks go back to the block store). An aborted group drops the blocks
+  // written since their intake, which the observer hands back once cold, and
+  // retries the rest after a full GC run: a user write that aborted it is
+  // observed by then, if its transaction has finished.
   TransformStats pass;
   for (auto &[table, blocks] : to_compact) {
     for (size_t i = 0; i < blocks.size(); i += group_size_) {
       const std::vector<storage::RawBlock *> group(
           blocks.begin() + static_cast<long>(i),
           blocks.begin() + static_cast<long>(std::min(blocks.size(), i + group_size_)));
-      transaction::timestamp_t commit_ts;
+      transaction::timestamp_t commit_ts = transaction::kInvalidTimestamp;
       std::vector<storage::RawBlock *> survivors;
-      if (!transformer_->CompactGroup(table, group, &pass, &commit_ts, &survivors)) continue;
+      const bool committed =
+          transformer_->CompactGroup(table, group, &pass, &commit_ts, &survivors);
       common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
       for (storage::RawBlock *block : group) {
-        if (std::find(survivors.begin(), survivors.end(), block) == survivors.end()) {
+        if (committed ? std::ranges::find(survivors, block) == survivors.end()
+                      : observer_->Watches(block)) {
           pending_.erase(block);
+        } else if (!committed) {
+          pending_.at(block).retry_epoch = observer_->Epoch() + 2;
         }
       }
-      for (storage::RawBlock *block : survivors) {
-        pending_.at(block).compacted_at = commit_ts;
-        cooling.emplace_back(block, commit_ts);
+      for (storage::RawBlock *block : survivors) pending_.at(block).compacted_at = commit_ts;
+      if (committed && transformer_->BarrierPassed(commit_ts)) {
+        cooling.insert(cooling.end(), survivors.begin(), survivors.end());
       }
     }
   }
 
   const std::vector<GatherOutcome> outcomes = transformer_->GatherCooled(cooling, &pass);
   metrics::TransformMetrics &transform_metrics = metrics::Transform();
-  uint32_t frozen = 0;
   {
-    const Timer::TimePoint now = Timer::Now();
     common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
     for (size_t i = 0; i < cooling.size(); i++) {
-      Candidate &candidate = pending_.at(cooling[i].first);
+      Candidate &candidate = pending_.at(cooling[i]);
       if (outcomes[i] == GatherOutcome::kFrozen) {
-        transform_metrics.freeze_lag_us->Observe(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(now - candidate.intake)
-                .count()));
-        pending_.erase(cooling[i].first);
-        frozen++;
+        transform_metrics.freeze_lag_us->Observe(candidate.intake.Elapsed<>());
+        pending_.erase(cooling[i]);
       } else if (outcomes[i] == GatherOutcome::kNotCompact) {
         candidate.compacted_at = transaction::kInvalidTimestamp;
       }
@@ -118,7 +97,6 @@ uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
     stats_.compaction_us += pass.compaction_us;
     stats_.gather_us += pass.gather_us;
   }
-  if (pass_stats != nullptr) *pass_stats = pass;
 
   transform_metrics.passes->Add(1);
   transform_metrics.blocks_frozen->Add(pass.blocks_frozen);
@@ -127,7 +105,7 @@ uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
   transform_metrics.compaction_aborts->Add(pass.compaction_aborts);
   transform_metrics.observer_queue_depth->Set(static_cast<int64_t>(QueueDepth()));
   transform_metrics.pass_us->Observe(pass_timer.Elapsed<>());
-  return frozen;
+  return static_cast<uint32_t>(pass.blocks_frozen);
 }
 
 void TransformPipeline::Run() {

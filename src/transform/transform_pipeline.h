@@ -20,15 +20,13 @@
 
 namespace mainline::transform {
 
-/// The background transformation pipeline of Figure 8. One candidate set
-/// holds every block it works on, fed by the access observer (cold blocks)
-/// and by EnqueueTable. A pass compacts the hot candidates in groups per
-/// table, then tries once to gather each cooling candidate whose compaction
-/// every running transaction postdates: Figure 9's barrier is checked, never
-/// waited on. A block leaves the set only when it is frozen, when it is
-/// released or leaves its table, or when a user write made it hot after its
-/// compaction (the observer hands it back once it is cold again). Runs
-/// either on a dedicated thread (Start/Stop) or cooperatively (RunOnce).
+/// The background transformation pipeline of Figure 8. One candidate set,
+/// fed by the access observer (cold blocks) and EnqueueTable, holds each
+/// block until it is frozen or leaves its table, or until the observer will
+/// hand it back (a write re-heated it). A pass compacts the hot candidates
+/// in groups per table, then tries once to gather each cooling one past
+/// Figure 9's barrier, which it checks and never waits on. Runs on a
+/// dedicated thread (Start/Stop) or cooperatively (RunOnce).
 class TransformPipeline {
  public:
   /// \param observer source of cold-block candidates (fed by the GC)
@@ -43,23 +41,23 @@ class TransformPipeline {
   ~TransformPipeline() { Stop(); }
 
   /// Restrict transformation to tables for which `filter` returns true
-  /// (the paper targets only the tables that generate cold data); rejected
-  /// blocks never enter the candidate set.
+  /// (the paper targets only the tables that generate cold data).
   void SetTableFilter(std::function<bool(storage::DataTable *)> filter) {
     table_filter_ = std::move(filter);
   }
 
   /// Add every current block of `table` to the candidate set (e.g. a
   /// bulk-loaded, read-mostly table whose writes predate the observer).
-  void EnqueueTable(storage::DataTable *table) EXCLUDES(pending_latch_);
+  void EnqueueTable(storage::DataTable *table) EXCLUDES(pending_latch_) {
+    common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
+    for (storage::RawBlock *block : table->Blocks()) pending_.try_emplace(block, Candidate{table});
+  }
 
   /// One pass over the candidate set. Each pass also feeds the engine
   /// metrics registry (transform.* counters, the queue-depth gauge, and the
   /// pass/freeze-lag histograms).
-  /// \param pass_stats when non-null, receives this pass's TransformStats
-  ///        alone (the lifetime accumulation stays available via Stats()).
   /// \return number of blocks frozen in this pass.
-  uint32_t RunOnce(TransformStats *pass_stats = nullptr) EXCLUDES(pending_latch_, stats_latch_);
+  uint32_t RunOnce() EXCLUDES(pending_latch_, stats_latch_);
 
   /// Spawn the background thread under feedback control: after every pass a
   /// FreezePolicy built from `policy` picks the delay before the next one
@@ -94,14 +92,18 @@ class TransformPipeline {
  private:
   struct Candidate {
     storage::DataTable *table;
-    /// Commit timestamp of the compaction that left the block cooling;
-    /// kInvalidTimestamp while it still needs compacting.
-    transaction::timestamp_t compacted_at;
-    common::Timer::TimePoint intake;  ///< for transform.freeze_lag_us
+    /// Commit time of its compaction; kInvalidTimestamp until it commits.
+    transaction::timestamp_t compacted_at = transaction::kInvalidTimestamp;
+    uint64_t retry_epoch = 0;  ///< GC epoch before which an aborted block waits
+    common::Timer intake{};    ///< started at intake, for transform.freeze_lag_us
   };
 
   /// Watched plus pending blocks.
-  uint64_t QueueDepth() EXCLUDES(pending_latch_);
+  uint64_t QueueDepth() EXCLUDES(pending_latch_) {
+    const uint64_t watched = observer_->WatchedBlocks();
+    common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
+    return watched + pending_.size();
+  }
 
   /// The background loop body.
   void Run() EXCLUDES(pending_latch_, stats_latch_, sleep_mutex_);
