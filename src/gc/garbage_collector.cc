@@ -20,12 +20,13 @@ GarbageCollector::~GarbageCollector() {
 }
 
 std::pair<uint32_t, uint32_t> GarbageCollector::PerformGarbageCollection() {
-  WriteObserver *observer = observer_.load(std::memory_order_acquire);
-  if (observer != nullptr) observer->NewEpoch();
   const transaction::timestamp_t oldest = txn_manager_->OldestTransactionStartTime();
   const uint32_t deallocated = ProcessDeallocateQueue(oldest);
   ProcessDeferredActions(oldest);
   const uint32_t unlinked = ProcessUnlinkQueue(oldest);
+  // Close the epoch after its writes are reported, so none looks cold early.
+  WriteObserver *observer = observer_.load(std::memory_order_acquire);
+  if (observer != nullptr) observer->NewEpoch();
 
   metrics::GcMetrics &gc_metrics = metrics::Gc();
   gc_metrics.txns_unlinked->Add(unlinked);

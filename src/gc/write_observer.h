@@ -18,7 +18,7 @@ class WriteObserver {
  public:
   virtual ~WriteObserver() = default;
 
-  /// Called at the start of each GC run.
+  /// Called at the end of each GC run, after its ObserveWrite calls.
   virtual void NewEpoch() = 0;
 
   /// Called for every block touched by a transaction the GC processed.

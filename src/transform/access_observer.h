@@ -30,18 +30,19 @@ class AccessObserver final : public gc::WriteObserver {
 
   DISALLOW_COPY_AND_MOVE(AccessObserver)
 
-  /// Called by the GC at the start of each run.
+  /// Called by the GC at the end of each run: the epoch counts completed runs.
   // relaxed: the GC thread is the only writer, but the transformation thread
   // reads the epoch concurrently (CollectColdBlocks), so a plain uint64_t
   // here was a data race — coldness is a heuristic, so no ordering is needed
   // beyond tear-free reads.
   void NewEpoch() override { epoch_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Called by the GC for every block touched by a transaction it processed.
+  /// Called by the GC for every block touched by a transaction it processed;
+  /// the block is stamped with the epoch the current run closes.
   void ObserveWrite(storage::RawBlock *block) override EXCLUDES(latch_) {
     // relaxed: load and store — the touch stamp is a coldness heuristic;
     // an off-by-one epoch merely delays or hastens a freeze candidate.
-    block->last_touched_epoch.store(epoch_.load(std::memory_order_relaxed),
+    block->last_touched_epoch.store(epoch_.load(std::memory_order_relaxed) + 1,
                                     std::memory_order_relaxed);
     common::SpinLatch::ScopedSpinLatch guard(&latch_);
     watched_[block] = block->data_table;

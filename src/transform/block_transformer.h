@@ -89,8 +89,7 @@ class BlockTransformer {
                     TransformStats *stats, transaction::timestamp_t *commit_ts_out,
                     std::vector<storage::RawBlock *> *survivors_out = nullptr);
 
-  /// Figure 9's barrier: whether every running transaction began after
-  /// `compacted_at`.
+  /// Figure 9's barrier: every running transaction began after `compacted_at`.
   bool BarrierPassed(transaction::timestamp_t compacted_at) {
     return compacted_at < txn_manager_->OldestTransactionStartTime();
   }

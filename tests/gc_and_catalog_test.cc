@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/object_pool.h"
@@ -134,6 +135,40 @@ TEST(AccessObserverTest, DetectsColdBlocksAfterThresholdEpochs) {
   txn_manager.Commit(txn2);
   gc.PerformGarbageCollection();
   EXPECT_EQ(observer.WatchedBlocks(), 1u);
+  gc.SetAccessObserver(nullptr);
+  gc.FullGC();
+}
+
+/// A GC run reports its writes before it closes the epoch. Closing it first
+/// would let a block written in every interval look cold between the run's
+/// start and its drain, so the transform would keep compacting a table's
+/// insertion block under a steady insert stream.
+TEST(AccessObserverTest, GcRunReportsWritesBeforeClosingTheEpoch) {
+  struct Recorder final : gc::WriteObserver {
+    std::vector<char> calls;
+    void NewEpoch() override { calls.push_back('E'); }
+    void ObserveWrite(storage::RawBlock *) override { calls.push_back('W'); }
+  };
+  storage::BlockStore store(100, 10);
+  storage::RecordBufferSegmentPool pool(100000, 100);
+  catalog::Catalog catalog(&store);
+  transaction::TransactionManager txn_manager(&pool, true, nullptr);
+  gc::GarbageCollector gc(&txn_manager);
+  Recorder recorder;
+  gc.SetAccessObserver(&recorder);
+
+  auto *table = catalog.GetTable(
+      catalog.CreateTable("t", catalog::Schema({{"v", catalog::TypeId::kBigInt}})));
+  const auto initializer = table->FullInitializer();
+  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+  auto *txn = txn_manager.BeginTransaction();
+  storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+  workload::Set<int64_t>(row, 0, 1);
+  table->Insert(txn, *row);
+  txn_manager.Commit(txn);
+
+  gc.PerformGarbageCollection();
+  EXPECT_EQ(recorder.calls, (std::vector<char>{'W', 'E'}));
   gc.SetAccessObserver(nullptr);
   gc.FullGC();
 }
