@@ -2,14 +2,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/spin_latch.h"
 #include "common/thread_annotations.h"
 #include "gc/write_observer.h"
-#include "storage/data_table.h"
 #include "storage/raw_block.h"
 
 namespace mainline::transform {
@@ -45,27 +44,23 @@ class AccessObserver final : public gc::WriteObserver {
     block->last_touched_epoch.store(epoch_.load(std::memory_order_relaxed) + 1,
                                     std::memory_order_relaxed);
     common::SpinLatch::ScopedSpinLatch guard(&latch_);
-    watched_[block] = block->data_table;
+    watched_.insert(block);
   }
 
   /// Collect blocks whose last modification is at least the cold threshold
   /// behind the current epoch. Collected blocks leave the watch set (they
-  /// re-enter when modified again). The pair's second element is the owning
-  /// table observed at write time; the caller must validate that the block
-  /// still belongs to it.
-  std::vector<std::pair<storage::RawBlock *, storage::DataTable *>> CollectColdBlocks()
-      EXCLUDES(latch_) {
-    std::vector<std::pair<storage::RawBlock *, storage::DataTable *>> result;
+  /// re-enter when modified again).
+  std::vector<storage::RawBlock *> CollectColdBlocks() EXCLUDES(latch_) {
+    std::vector<storage::RawBlock *> result;
     // relaxed: reading the heuristic epoch; see NewEpoch.
     const uint64_t epoch = epoch_.load(std::memory_order_relaxed);
     common::SpinLatch::ScopedSpinLatch guard(&latch_);
     for (auto it = watched_.begin(); it != watched_.end();) {
-      storage::RawBlock *block = it->first;
       // relaxed: stale touch stamps only shift when a block is deemed cold;
       // the compactor re-validates ownership before acting on it.
-      const uint64_t last = block->last_touched_epoch.load(std::memory_order_relaxed);
+      const uint64_t last = (*it)->last_touched_epoch.load(std::memory_order_relaxed);
       if (epoch >= last + cold_threshold_) {
-        result.emplace_back(block, it->second);
+        result.push_back(*it);
         it = watched_.erase(it);
       } else {
         ++it;
@@ -73,10 +68,6 @@ class AccessObserver final : public gc::WriteObserver {
     }
     return result;
   }
-
-  /// \return the current GC epoch.
-  // relaxed: the epoch only paces retries; what is dropped rests on Watches.
-  uint64_t Epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   /// \return whether `block` is watched, i.e. will be collected once cold.
   bool Watches(storage::RawBlock *block) EXCLUDES(latch_) {
@@ -94,7 +85,7 @@ class AccessObserver final : public gc::WriteObserver {
   const uint64_t cold_threshold_;
   std::atomic<uint64_t> epoch_{0};
   common::SpinLatch latch_;
-  std::unordered_map<storage::RawBlock *, storage::DataTable *> watched_ GUARDED_BY(latch_);
+  std::unordered_set<storage::RawBlock *> watched_ GUARDED_BY(latch_);
 };
 
 }  // namespace mainline::transform

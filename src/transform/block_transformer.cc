@@ -59,7 +59,8 @@ bool BlockTransformer::CompactGroup(storage::DataTable *table,
   }
 
   if (failed) {
-    txn_manager_->Abort(txn);
+    const transaction::timestamp_t abort_ts = txn_manager_->Abort(txn);
+    if (commit_ts_out != nullptr) *commit_ts_out = abort_ts;
     out->compaction_aborts++;
   } else {
     // Mark the whole group cooling *before* committing: any transaction

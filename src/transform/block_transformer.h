@@ -78,7 +78,8 @@ class BlockTransformer {
   /// \param group blocks to compact together
   /// \param stats accumulates counters (may be nullptr)
   /// \param commit_ts_out receives the compaction transaction's commit
-  ///        timestamp (gate for phase 2); may be nullptr
+  ///        timestamp (gate for phase 2), or its abort timestamp if it
+  ///        aborted; may be nullptr
   /// \param survivors_out receives the blocks still holding tuples after
   ///        compaction (the candidates for gathering); may be nullptr.
   ///        Emptied blocks are scheduled for recycling and must not be

@@ -14,28 +14,34 @@ using common::Timer;
 
 uint32_t TransformPipeline::RunOnce() {
   const Timer pass_timer;
+  // The table filter is the caller's code: it runs outside the latch.
+  std::vector<storage::RawBlock *> cold = observer_->CollectColdBlocks();
+  std::erase_if(cold, [this](storage::RawBlock *block) {
+    storage::DataTable *const table = block->data_table;
+    return table == nullptr || (table_filter_ && !table_filter_(table));
+  });
   std::unordered_map<storage::DataTable *, std::vector<storage::RawBlock *>> to_compact;
   std::vector<storage::RawBlock *> cooling;  // past their barrier
   {
     common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
-    // A block leaves once frozen, released or filtered out, or once a user
-    // write re-heated it after its compaction (the observer hands it back).
-    const auto gone = [this](storage::RawBlock *block, const Candidate &candidate) {
+    // A block leaves once frozen or released, or once a user write re-heated
+    // it after its compaction (the observer hands it back).
+    const auto gone = [](storage::RawBlock *block, const Candidate &candidate) {
       const storage::BlockState state = block->controller.GetState();
       return candidate.table == nullptr || block->data_table != candidate.table ||
              state == storage::BlockState::kFrozen ||
-             (table_filter_ && !table_filter_(candidate.table)) ||
              (state == storage::BlockState::kHot &&
               candidate.compacted_at != transaction::kInvalidTimestamp);
     };
     std::erase_if(pending_, [&gone](const auto &entry) { return gone(entry.first, entry.second); });
-    for (const auto &[block, table] : observer_->CollectColdBlocks()) {
-      if (!gone(block, Candidate{table})) pending_.try_emplace(block, Candidate{table});
+    for (storage::RawBlock *block : cold) {
+      const Candidate fresh{block->data_table};
+      if (!gone(block, fresh)) pending_.try_emplace(block, fresh);
     }
     for (const auto &[block, candidate] : pending_) {
       if (candidate.compacted_at != transaction::kInvalidTimestamp) {
         if (transformer_->BarrierPassed(candidate.compacted_at)) cooling.push_back(block);
-      } else if (candidate.retry_epoch <= observer_->Epoch()) {
+      } else if (transformer_->BarrierPassed(candidate.retry_after)) {
         to_compact[candidate.table].push_back(block);
       }
     }
@@ -44,8 +50,8 @@ uint32_t TransformPipeline::RunOnce() {
   // A committed group keeps only its survivors, now cooling (the emptied
   // blocks go back to the block store). An aborted group drops the blocks
   // written since their intake, which the observer hands back once cold, and
-  // retries the rest after a full GC run: a user write that aborted it is
-  // observed by then, if its transaction has finished.
+  // retries the rest once every transaction that overlapped the abort, the
+  // writer it conflicted with included, has finished.
   TransformStats pass;
   for (auto &[table, blocks] : to_compact) {
     for (size_t i = 0; i < blocks.size(); i += group_size_) {
@@ -62,7 +68,7 @@ uint32_t TransformPipeline::RunOnce() {
                       : observer_->Watches(block)) {
           pending_.erase(block);
         } else if (!committed) {
-          pending_.at(block).retry_epoch = observer_->Epoch() + 2;
+          pending_.at(block).retry_after = commit_ts;
         }
       }
       for (storage::RawBlock *block : survivors) pending_.at(block).compacted_at = commit_ts;

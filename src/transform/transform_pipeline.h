@@ -49,6 +49,7 @@ class TransformPipeline {
   /// Add every current block of `table` to the candidate set (e.g. a
   /// bulk-loaded, read-mostly table whose writes predate the observer).
   void EnqueueTable(storage::DataTable *table) EXCLUDES(pending_latch_) {
+    if (table_filter_ && !table_filter_(table)) return;
     common::SpinLatch::ScopedSpinLatch guard(&pending_latch_);
     for (storage::RawBlock *block : table->Blocks()) pending_.try_emplace(block, Candidate{table});
   }
@@ -94,8 +95,8 @@ class TransformPipeline {
     storage::DataTable *table;
     /// Commit time of its compaction; kInvalidTimestamp until it commits.
     transaction::timestamp_t compacted_at = transaction::kInvalidTimestamp;
-    uint64_t retry_epoch = 0;  ///< GC epoch before which an aborted block waits
-    common::Timer intake{};    ///< started at intake, for transform.freeze_lag_us
+    transaction::timestamp_t retry_after = transaction::kInitialTimestamp;  ///< last abort
+    common::Timer intake{};  ///< started at intake, for transform.freeze_lag_us
   };
 
   /// Watched plus pending blocks.

@@ -124,7 +124,7 @@ TEST(AccessObserverTest, DetectsColdBlocksAfterThresholdEpochs) {
   gc.PerformGarbageCollection();
   auto cold = observer.CollectColdBlocks();
   ASSERT_EQ(cold.size(), 1u);
-  EXPECT_EQ(cold[0].second, &table->UnderlyingTable());
+  EXPECT_EQ(cold[0]->data_table, &table->UnderlyingTable());
   EXPECT_EQ(observer.WatchedBlocks(), 0u);
 
   // A new write re-enters the block into the watch set.
