@@ -83,14 +83,6 @@ class Schema {
   const Field &field(int i) const { return fields_[static_cast<size_t>(i)]; }
   const std::vector<Field> &fields() const { return fields_; }
 
-  /// \return index of field named `name`, or -1.
-  int GetFieldIndex(const std::string &name) const {
-    for (size_t i = 0; i < fields_.size(); i++) {
-      if (fields_[i].name() == name) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
   bool Equals(const Schema &other) const {
     if (fields_.size() != other.fields_.size()) return false;
     for (size_t i = 0; i < fields_.size(); i++) {

@@ -61,14 +61,6 @@ class ObjectPool {
     }
   }
 
-  /// \return number of live objects (handed out + cached). Taken under the
-  /// latch: a concurrent Get/Release is mid-update, and an unlatched read
-  /// would be a (benign-looking but real) data race on current_size_.
-  uint64_t CurrentSize() const EXCLUDES(latch_) {
-    SpinLatch::ScopedSpinLatch guard(&latch_);
-    return current_size_;
-  }
-
  private:
   Allocator alloc_;
   mutable SpinLatch latch_;

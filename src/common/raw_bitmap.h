@@ -37,13 +37,6 @@ class RawConcurrentBitmap {
     return (WordFor(pos).load(std::memory_order_acquire) >> BitOffset(pos)) & 1u;
   }
 
-  /// \return the value of bit `pos`, without any memory ordering.
-  bool TestRelaxed(uint32_t pos) const {
-    // relaxed: callers opt into a hint read (slot probing); any decision
-    // based on it is re-validated by an acquiring read or CAS before use.
-    return (WordFor(pos).load(std::memory_order_relaxed) >> BitOffset(pos)) & 1u;
-  }
-
   /// Atomically flip bit `pos` from `expected_value` to its negation.
   /// \return true if this thread performed the flip, false if the bit did not
   ///         have the expected value (i.e. another thread raced us).

@@ -1,10 +1,10 @@
 #include "gc/garbage_collector.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "metrics/engine_metrics.h"
 #include "storage/data_table.h"
-#include "storage/storage_util.h"
 #include "storage/undo_record.h"
 #include "transaction/transaction_context.h"
 #include "transaction/transaction_manager.h"
@@ -15,14 +15,15 @@ GarbageCollector::~GarbageCollector() {
   FullGC();
   // Anything left could not be reclaimed (should not happen once all
   // transactions have finished); free the contexts to avoid leaks.
-  for (auto *txn : txns_to_unlink_) DeallocateTransaction(txn);
-  for (auto &[ts, txn] : txns_to_deallocate_) DeallocateTransaction(txn);
+  for (auto *txn : txns_to_unlink_) transaction::TransactionManager::DeallocateTransaction(txn);
+  for (Reclamation &entry : reclamations_) {
+    if (entry.txn != nullptr) transaction::TransactionManager::DeallocateTransaction(entry.txn);
+  }
 }
 
 std::pair<uint32_t, uint32_t> GarbageCollector::PerformGarbageCollection() {
   const transaction::timestamp_t oldest = txn_manager_->OldestTransactionStartTime();
-  const uint32_t deallocated = ProcessDeallocateQueue(oldest);
-  ProcessDeferredActions(oldest);
+  const uint32_t deallocated = ProcessReclamations(oldest);
   const uint32_t unlinked = ProcessUnlinkQueue(oldest);
   // Close the epoch after its writes are reported, so none looks cold early.
   WriteObserver *observer = observer_.load(std::memory_order_acquire);
@@ -31,19 +32,18 @@ std::pair<uint32_t, uint32_t> GarbageCollector::PerformGarbageCollection() {
   metrics::GcMetrics &gc_metrics = metrics::Gc();
   gc_metrics.txns_unlinked->Add(unlinked);
   gc_metrics.txns_deallocated->Add(deallocated);
-  size_t pending_actions;
+  size_t pending_reclamations;
   {
     common::SpinLatch::ScopedSpinLatch guard(&actions_latch_);
-    pending_actions = deferred_actions_.size();
+    pending_reclamations = reclamations_.size();
   }
-  gc_metrics.backlog->Set(static_cast<int64_t>(txns_to_unlink_.size() +
-                                               txns_to_deallocate_.size() + pending_actions));
+  gc_metrics.backlog->Set(static_cast<int64_t>(txns_to_unlink_.size() + pending_reclamations));
   return {deallocated, unlinked};
 }
 
 void GarbageCollector::FullGC() {
   // Two passes move everything through unlink; a third deallocates (the
-  // deallocate epoch advances because CheckoutTimestamp ticks the counter).
+  // reclamation stamps advance because CheckoutTimestamp ticks the counter).
   for (int i = 0; i < 3; i++) PerformGarbageCollection();
 }
 
@@ -61,30 +61,44 @@ uint32_t GarbageCollector::ProcessUnlinkQueue(transaction::timestamp_t oldest) {
       }
     }
   }
-  txns_to_unlink_.insert(txns_to_unlink_.end(), drained.begin(), drained.end());
+  // Transactions arrive in completion order, not finish-time order; sort the
+  // batch and merge it in, so the unlinkable transactions form a prefix.
+  const auto by_finish_time = [](const transaction::TransactionContext *a,
+                                 const transaction::TransactionContext *b) {
+    return a->FinishTime() < b->FinishTime();
+  };
+  std::sort(drained.begin(), drained.end(), by_finish_time);
+  const auto merged =
+      txns_to_unlink_.insert(txns_to_unlink_.end(), drained.begin(), drained.end());
+  std::inplace_merge(txns_to_unlink_.begin(), merged, txns_to_unlink_.end(), by_finish_time);
 
-  uint32_t unlinked = 0;
-  std::vector<transaction::TransactionContext *> still_pending;
+  // Transactions finished at or after `oldest` are still visible to some
+  // active transaction; they wait for a later run.
+  const auto visible = std::partition_point(
+      txns_to_unlink_.begin(), txns_to_unlink_.end(),
+      [oldest](const transaction::TransactionContext *txn) { return txn->FinishTime() < oldest; });
+  if (visible == txns_to_unlink_.begin()) return 0;
   // Each version chain only needs truncating once per run.
   std::unordered_set<storage::TupleSlot> visited;
-  const transaction::timestamp_t unlink_time = txn_manager_->CheckoutTimestamp();
-
-  for (transaction::TransactionContext *txn : txns_to_unlink_) {
-    if (txn->FinishTime() >= oldest) {
-      // Still visible to some active transaction; retry next run.
-      still_pending.push_back(txn);
-      continue;
-    }
-    for (storage::UndoRecord *undo : txn->UndoRecords()) {
+  for (auto it = txns_to_unlink_.begin(); it != visible; ++it) {
+    for (storage::UndoRecord *undo : (*it)->UndoRecords()) {
       storage::DataTable *table = undo->Table();
       if (table == nullptr) continue;  // never installed
       if (!visited.insert(undo->Slot()).second) continue;
       TruncateVersionChain(table, undo->Slot(), oldest);
     }
-    txns_to_deallocate_.emplace_back(unlink_time, txn);
-    unlinked++;
   }
-  txns_to_unlink_ = std::move(still_pending);
+  {
+    // Stamped after the truncation: a reader that began before it may still
+    // be traversing the unlinked records.
+    common::SpinLatch::ScopedSpinLatch guard(&actions_latch_);
+    const transaction::timestamp_t stamp = txn_manager_->CheckoutTimestamp();
+    for (auto it = txns_to_unlink_.begin(); it != visible; ++it) {
+      reclamations_.push_back({stamp, *it, nullptr});
+    }
+  }
+  const auto unlinked = static_cast<uint32_t>(visible - txns_to_unlink_.begin());
+  txns_to_unlink_.erase(txns_to_unlink_.begin(), visible);
   return unlinked;
 }
 
@@ -105,9 +119,9 @@ void GarbageCollector::TruncateVersionChain(storage::DataTable *table, storage::
   }
   // The head must stay; walk down and cut at the first invisible record.
   // Only the GC modifies interior next pointers, so a plain store suffices;
-  // concurrent readers see either the old tail (still allocated until the
-  // deallocate epoch) or the shortened chain, both of which reconstruct the
-  // same versions.
+  // concurrent readers see either the old tail (still allocated until its
+  // reclamation entry runs) or the shortened chain, both of which
+  // reconstruct the same versions.
   storage::UndoRecord *cur = version_ptr.load(std::memory_order_seq_cst);
   while (cur != nullptr) {
     storage::UndoRecord *next = cur->Next().load(std::memory_order_acquire);
@@ -119,61 +133,32 @@ void GarbageCollector::TruncateVersionChain(storage::DataTable *table, storage::
   }
 }
 
-uint32_t GarbageCollector::ProcessDeallocateQueue(transaction::timestamp_t oldest) {
-  uint32_t deallocated = 0;
-  std::vector<std::pair<transaction::timestamp_t, transaction::TransactionContext *>>
-      still_pending;
-  for (auto &[unlink_time, txn] : txns_to_deallocate_) {
-    // Safe once every transaction that could have been traversing the
-    // unlinked records (i.e. started before the unlink) has finished.
-    if (unlink_time < oldest) {
-      DeallocateTransaction(txn);
-      deallocated++;
-    } else {
-      still_pending.emplace_back(unlink_time, txn);
-    }
-  }
-  txns_to_deallocate_ = std::move(still_pending);
-  return deallocated;
-}
-
-void GarbageCollector::DeallocateTransaction(transaction::TransactionContext *txn) {
-  // Free owned varlen buffers referenced by before-images: after a committed
-  // update or delete, the undo record holds the only reference to the old
-  // value. Aborted transactions are excluded: their rollback restored the
-  // before-image, so the block still references those buffers (the aborted
-  // new values were freed eagerly at abort time instead).
-  if (!txn->Aborted()) {
-    for (storage::UndoRecord *undo : txn->UndoRecords()) {
-      storage::DataTable *table = undo->Table();
-      if (table == nullptr || undo->Type() == storage::DeltaType::kInsert) continue;
-      storage::StorageUtil::DeallocateVarlensInDelta(table->GetLayout(), *undo->Delta());
-    }
-  }
-  delete txn;
-}
-
 void GarbageCollector::RegisterDeferredAction(std::function<void()> action) {
-  const transaction::timestamp_t now = txn_manager_->CheckoutTimestamp();
   common::SpinLatch::ScopedSpinLatch guard(&actions_latch_);
-  deferred_actions_.emplace_back(now, std::move(action));
+  reclamations_.push_back({txn_manager_->CheckoutTimestamp(), nullptr, std::move(action)});
 }
 
-void GarbageCollector::ProcessDeferredActions(transaction::timestamp_t oldest) {
-  std::vector<std::function<void()>> runnable;
+uint32_t GarbageCollector::ProcessReclamations(transaction::timestamp_t oldest) {
+  // Safe once every transaction that started before an entry's stamp has
+  // finished. Stamps grow along the FIFO, so the ready entries are a prefix.
+  std::vector<Reclamation> ready;
   {
     common::SpinLatch::ScopedSpinLatch guard(&actions_latch_);
-    std::vector<std::pair<transaction::timestamp_t, std::function<void()>>> still_pending;
-    for (auto &[ts, action] : deferred_actions_) {
-      if (ts < oldest) {
-        runnable.push_back(std::move(action));
-      } else {
-        still_pending.emplace_back(ts, std::move(action));
-      }
+    while (!reclamations_.empty() && reclamations_.front().stamp < oldest) {
+      ready.push_back(std::move(reclamations_.front()));
+      reclamations_.pop_front();
     }
-    deferred_actions_ = std::move(still_pending);
   }
-  for (auto &action : runnable) action();
+  uint32_t deallocated = 0;
+  for (Reclamation &entry : ready) {
+    if (entry.txn == nullptr) {
+      entry.action();
+      continue;
+    }
+    transaction::TransactionManager::DeallocateTransaction(entry.txn);
+    deallocated++;
+  }
+  return deallocated;
 }
 
 }  // namespace mainline::gc

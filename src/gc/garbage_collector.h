@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -23,19 +24,22 @@ namespace mainline::gc {
 
 /// Epoch-based garbage collector (Section 3.3).
 ///
-/// Each run proceeds in two phases over the queue of finished transactions:
+/// Each run consumes a prefix of two timestamp-ordered queues, where
+/// `oldest` is the start time of the oldest active transaction:
 ///
-/// 1. **Unlink**: transactions whose changes predate the oldest active
-///    transaction's start are invisible to everyone; their version chains are
-///    truncated (each chain exactly once per run, avoiding the quadratic
-///    per-record unlink).
-/// 2. **Deallocate**: unlinked records may still be traversed by readers that
-///    started before the unlink, so each unlink batch is stamped with a fresh
-///    timestamp and its memory is freed only once the oldest running
-///    transaction started after that stamp — an epoch-protection mechanism.
-///
-/// The same mechanism generalizes to arbitrary deferred actions (used by the
-/// gathering phase to reclaim replaced varlen buffers, Section 4.4).
+/// 1. **Unlink queue**: finished transactions in finish-time order. Those
+///    that finished before `oldest` are invisible to everyone; their version
+///    chains are truncated (each chain exactly once per run, avoiding the
+///    quadratic per-record unlink). The run stops at the first transaction
+///    some active transaction may still see.
+/// 2. **Reclamation FIFO**: `(stamp, entry)` pairs, where an entry deletes an
+///    unlinked transaction or runs a deferred action (used by the gathering
+///    phase to reclaim replaced varlen buffers, Section 4.4). Unlinked
+///    records may still be traversed by readers that started before the
+///    unlink, so a run's unlinked transactions are stamped after their chains
+///    are truncated, and an entry runs only once `oldest` passes its stamp —
+///    an epoch-protection mechanism. Stamps are drawn under the FIFO's latch,
+///    so the FIFO stays sorted and a run pops its ready prefix.
 class GarbageCollector {
  public:
   explicit GarbageCollector(transaction::TransactionManager *txn_manager)
@@ -51,6 +55,7 @@ class GarbageCollector {
 
   /// Register an action to run once every transaction active now has
   /// finished (epoch protection for non-transactional memory reclamation).
+  /// Actions run in registration order, on the thread that runs the GC.
   void RegisterDeferredAction(std::function<void()> action) EXCLUDES(actions_latch_);
 
   /// Attach (or detach, with nullptr) the access observer fed with per-block
@@ -66,26 +71,32 @@ class GarbageCollector {
   void FullGC();
 
  private:
-  uint32_t ProcessUnlinkQueue(transaction::timestamp_t oldest);
-  uint32_t ProcessDeallocateQueue(transaction::timestamp_t oldest);
-  void ProcessDeferredActions(transaction::timestamp_t oldest);
+  /// One reclamation entry: delete `txn` if it is set, else run `action`.
+  struct Reclamation {
+    transaction::timestamp_t stamp;
+    transaction::TransactionContext *txn;
+    std::function<void()> action;
+  };
+
+  uint32_t ProcessUnlinkQueue(transaction::timestamp_t oldest) EXCLUDES(actions_latch_);
+  /// \return the number of transactions deleted.
+  uint32_t ProcessReclamations(transaction::timestamp_t oldest) EXCLUDES(actions_latch_);
   static void TruncateVersionChain(storage::DataTable *table, storage::TupleSlot slot,
                                    transaction::timestamp_t oldest);
-  static void DeallocateTransaction(transaction::TransactionContext *txn);
 
   transaction::TransactionManager *txn_manager_;
   std::atomic<WriteObserver *> observer_{nullptr};
 
   // GC-thread-only state: PerformGarbageCollection is single-caller by
-  // contract (one GC thread, or tests calling it inline), so the two queues
-  // need no latch — only the cross-thread deferred-action feed does.
+  // contract (one GC thread, or tests calling it inline), so the unlink
+  // queue needs no latch. Sorted by FinishTime().
   std::vector<transaction::TransactionContext *> txns_to_unlink_;
-  std::vector<std::pair<transaction::timestamp_t, transaction::TransactionContext *>>
-      txns_to_deallocate_;
 
+  // Guards the reclamation FIFO, which RegisterDeferredAction feeds from
+  // other threads. Every stamp is drawn while it is held; entries run after
+  // it is dropped.
   common::SpinLatch actions_latch_;
-  std::vector<std::pair<transaction::timestamp_t, std::function<void()>>> deferred_actions_
-      GUARDED_BY(actions_latch_);
+  std::deque<Reclamation> reclamations_ GUARDED_BY(actions_latch_);
 };
 
 }  // namespace mainline::gc

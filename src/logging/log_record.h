@@ -94,24 +94,6 @@ class RedoRecord {
     return reinterpret_cast<const storage::ProjectedRow *>(varlen_contents_);
   }
 
-  static uint32_t Size(const storage::ProjectedRowInitializer &initializer) {
-    return static_cast<uint32_t>(sizeof(LogRecord) + sizeof(RedoRecord)) +
-           initializer.ProjectedRowSize();
-  }
-
-  static LogRecord *Initialize(byte *head, transaction::timestamp_t txn_begin,
-                               catalog::table_oid_t table_oid, bool is_insert,
-                               const storage::ProjectedRowInitializer &initializer) {
-    LogRecord *record = LogRecord::InitializeHeader(head, LogRecordType::kRedo,
-                                                    Size(initializer), txn_begin);
-    auto *body = record->GetUnderlyingRecordBodyAs<RedoRecord>();
-    body->table_oid_ = table_oid;
-    body->slot_ = storage::TupleSlot();
-    body->is_insert_ = is_insert;
-    initializer.InitializeRow(body->varlen_contents_);
-    return record;
-  }
-
   /// Initialize a redo record whose delta is a byte-wise copy of `redo`.
   static LogRecord *InitializeByCopy(byte *head, transaction::timestamp_t txn_begin,
                                      catalog::table_oid_t table_oid, bool is_insert,

@@ -49,12 +49,6 @@ class RecoveryManager {
   /// \return number of transactions replayed.
   uint64_t Recover(const std::string &log_file_path);
 
-  /// \return the slot remapping built during the last Recover call (old
-  /// physical slot -> new slot). Exposed for index rebuilds.
-  const std::unordered_map<storage::TupleSlot, storage::TupleSlot> &SlotMap() const {
-    return slot_map_;
-  }
-
  private:
   std::unordered_map<catalog::table_oid_t, storage::DataTable *> tables_;
   TransactionManager *txn_manager_;

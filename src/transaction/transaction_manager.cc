@@ -14,8 +14,8 @@
 namespace mainline::transaction {
 
 TransactionManager::TransactionManager(storage::RecordBufferSegmentPool *buffer_pool,
-                                       bool gc_enabled, logging::LogManager *log_manager)
-    : buffer_pool_(buffer_pool), gc_enabled_(gc_enabled), log_manager_(log_manager) {
+                                       bool /*gc_enabled*/, logging::LogManager *log_manager)
+    : buffer_pool_(buffer_pool), log_manager_(log_manager) {
   if (log_manager_ != nullptr) {
     // The log manager sees only record vectors and opaque handles; this sink
     // turns a finished submission's handle back into its transaction and
@@ -38,18 +38,18 @@ TransactionManager::~TransactionManager() {
   // can still receive them; afterwards nothing submits (commits come only
   // from here), so the paired LogManager may be destroyed at leisure.
   if (log_manager_ != nullptr) log_manager_->Shutdown();
-  for (TransactionContext *txn : completed_txns_) {
-    // Aborted transactions' before-images still back live block data after
-    // rollback; only committed ones own their old varlen values.
-    if (!txn->Aborted()) {
-      for (storage::UndoRecord *undo : txn->UndoRecords()) {
-        storage::DataTable *table = undo->Table();
-        if (table == nullptr || undo->Type() == storage::DeltaType::kInsert) continue;
-        storage::StorageUtil::DeallocateVarlensInDelta(table->GetLayout(), *undo->Delta());
-      }
+  for (TransactionContext *txn : completed_txns_) DeallocateTransaction(txn);
+}
+
+void TransactionManager::DeallocateTransaction(TransactionContext *txn) {
+  if (!txn->Aborted()) {
+    for (storage::UndoRecord *undo : txn->UndoRecords()) {
+      storage::DataTable *table = undo->Table();
+      if (table == nullptr || undo->Type() == storage::DeltaType::kInsert) continue;
+      storage::StorageUtil::DeallocateVarlensInDelta(table->GetLayout(), *undo->Delta());
     }
-    delete txn;
   }
+  delete txn;
 }
 
 TransactionContext *TransactionManager::BeginTransaction() {
@@ -191,11 +191,6 @@ void TransactionManager::TransactionFinished(TransactionContext *txn) {
 timestamp_t TransactionManager::OldestTransactionStartTime() {
   common::SpinLatch::ScopedSpinLatch guard(&curr_running_latch_);
   return curr_running_.empty() ? time_.load(std::memory_order_acquire) : *curr_running_.begin();
-}
-
-uint64_t TransactionManager::NumActiveTransactions() {
-  common::SpinLatch::ScopedSpinLatch guard(&curr_running_latch_);
-  return curr_running_.size();
 }
 
 std::vector<TransactionContext *> TransactionManager::CompletedTransactionsForGC() {

@@ -30,8 +30,9 @@ namespace mainline::transaction {
 class TransactionManager {
  public:
   /// \param buffer_pool pool for undo/redo buffer segments
-  /// \param gc_enabled if false, finished transactions are destroyed eagerly
-  ///        instead of queued for the garbage collector (single-threaded use)
+  /// \param gc_enabled ignored: finished transactions always wait in the
+  ///        queue that CompletedTransactionsForGC drains, and this manager's
+  ///        destructor frees whatever was never drained
   /// \param log_manager write-ahead log sink, or nullptr to run without
   ///        durability. The constructor installs this manager as the log
   ///        manager's finished-submission sink, so a LogManager pairs with
@@ -49,8 +50,8 @@ class TransactionManager {
   ~TransactionManager();
 
   /// Begin a new transaction.
-  /// \return the new transaction's context; ownership passes to the GC (or to
-  /// this manager if GC is disabled) once the transaction finishes.
+  /// \return the new transaction's context; ownership passes to the GC once
+  /// the transaction finishes (to this manager until the GC drains it).
   TransactionContext *BeginTransaction() EXCLUDES(commit_latch_, curr_running_latch_);
 
   /// Commit `txn`. If logging is enabled, `callback(arg)` fires once the
@@ -80,13 +81,18 @@ class TransactionManager {
   /// \return the current value of the global counter without advancing it.
   timestamp_t CurrentTime() const { return time_.load(std::memory_order_acquire); }
 
-  /// Swap out the queue of finished transactions for GC processing.
+  /// Swap out the queue of finished transactions for GC processing, in
+  /// completion order (not finish-time order: with logging, commits arrive
+  /// once their records are flushed, while aborts skip the log).
   std::vector<TransactionContext *> CompletedTransactionsForGC();
 
-  /// \return number of active transactions (diagnostics).
-  uint64_t NumActiveTransactions();
-
-  storage::RecordBufferSegmentPool *BufferPool() { return buffer_pool_; }
+  /// Delete a finished transaction. A committed one first frees the varlen
+  /// buffers its before-images own: after a committed update or delete, the
+  /// undo record holds the only reference to the old value. An aborted one
+  /// frees none, because its rollback restored those buffers into the block
+  /// (its own new values were freed at abort time). The tables its undo
+  /// records name must still be alive.
+  static void DeallocateTransaction(TransactionContext *txn);
 
  private:
   void LogCommit(TransactionContext *txn, timestamp_t commit_time,
@@ -109,7 +115,6 @@ class TransactionManager {
   std::vector<TransactionContext *> completed_txns_ GUARDED_BY(completed_latch_);
 
   storage::RecordBufferSegmentPool *buffer_pool_;
-  bool gc_enabled_;
   logging::LogManager *log_manager_;
 };
 

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/object_pool.h"
 #include "gc/garbage_collector.h"
 #include "index/bplus_tree.h"
+#include "logging/log_manager.h"
 #include "transform/transform_pipeline.h"
 #include "workload/row_util.h"
 
@@ -46,6 +50,45 @@ TEST(DeferredActionTest, ActionsRunInRegistrationOrderAcrossEpochs) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
+}
+
+// ---------------------------------------------------------------------------
+// Unlink order.
+// ---------------------------------------------------------------------------
+
+// With logging, a commit reaches the GC only once its log records are
+// flushed, while an abort skips the log, so the GC receives transactions out
+// of finish-time order. A run must still unlink every transaction that
+// finished before the oldest active one began, even one that arrived behind
+// a transaction that must wait.
+TEST(GarbageCollectorTest, UnlinksALateHandoffAheadOfAVisibleAbort) {
+  const std::string log_path =
+      (std::filesystem::temp_directory_path() / "mainline_gc_handoff_test.log").string();
+  {
+    logging::LogManager log_manager(log_path);  // never started: only ForceFlush drains it
+    storage::RecordBufferSegmentPool pool(1000, 100);
+    transaction::TransactionManager txn_manager(&pool, true, &log_manager);
+    gc::GarbageCollector gc(&txn_manager);
+
+    auto *logged = txn_manager.BeginTransaction();
+    txn_manager.Commit(logged);  // waits in the log queue
+    auto *reader = txn_manager.BeginTransaction();
+    auto *aborted = txn_manager.BeginTransaction();
+    txn_manager.Abort(aborted);  // reaches the GC at once
+
+    EXPECT_EQ(gc.PerformGarbageCollection().second, 0u)
+        << "the abort finished after the reader began";
+    log_manager.ForceFlush();
+    EXPECT_EQ(gc.PerformGarbageCollection().second, 1u)
+        << "the logged commit finished before the reader began";
+    EXPECT_EQ(gc.PerformGarbageCollection().second, 0u) << "the reader is still open";
+
+    txn_manager.Commit(reader);  // waits in the log queue
+    EXPECT_EQ(gc.PerformGarbageCollection().second, 1u) << "the abort is visible to no one";
+    log_manager.ForceFlush();
+    gc.FullGC();
+  }
+  std::remove(log_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

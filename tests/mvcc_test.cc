@@ -6,6 +6,8 @@
 
 #include "common/cpu_relax.h"
 #include "gc/garbage_collector.h"
+#include "metrics/engine_metrics.h"
+#include "metrics/metrics_registry.h"
 #include "storage/data_table.h"
 #include "storage/storage_util.h"
 #include "transaction/transaction_manager.h"
@@ -219,6 +221,7 @@ TEST_F(MVCCTest, GarbageCollectionPrunesChains) {
 
 // GC must not prune versions still visible to an active transaction.
 TEST_F(MVCCTest, GCRespectsActiveReaders) {
+  const bool metrics_on = metrics::MetricsRegistry::Global().Enabled();
   const TupleSlot slot = InsertTuple(1, 0);
   auto *old_reader = txn_manager_.BeginTransaction();
   auto *writer = txn_manager_.BeginTransaction();
@@ -229,8 +232,27 @@ TEST_F(MVCCTest, GCRespectsActiveReaders) {
   gc_.PerformGarbageCollection();
   // The chain still serves old_reader's snapshot.
   EXPECT_EQ(Read(old_reader, slot).second, 1);
+
+  // Later writers and passes must not reclaim the versions the reader needs;
+  // what waits on the reader shows up in the backlog.
+  for (int64_t value = 3; value < 8; value++) {
+    auto *later = txn_manager_.BeginTransaction();
+    ASSERT_TRUE(WriteCol0(later, slot, value));
+    txn_manager_.Commit(later);
+    gc_.PerformGarbageCollection();
+    EXPECT_EQ(Read(old_reader, slot).second, 1);
+    if (metrics_on) {
+      EXPECT_GT(metrics::Gc().backlog->Value(), 0);
+    }
+  }
+
   txn_manager_.Commit(old_reader);
-  gc_.FullGC();
+  gc_.PerformGarbageCollection();
+  gc_.PerformGarbageCollection();
+  EXPECT_EQ(table_.Accessor().VersionPtr(slot).load(), nullptr);
+  if (metrics_on) {
+    EXPECT_EQ(metrics::Gc().backlog->Value(), 0);
+  }
 }
 
 // Concurrent single-row counter increments: committed increments must all
