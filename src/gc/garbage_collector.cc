@@ -1,6 +1,7 @@
 #include "gc/garbage_collector.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <unordered_set>
 
 #include "metrics/engine_metrics.h"
@@ -15,7 +16,9 @@ GarbageCollector::~GarbageCollector() {
   FullGC();
   // Anything left could not be reclaimed (should not happen once all
   // transactions have finished); free the contexts to avoid leaks.
-  for (auto *txn : txns_to_unlink_) transaction::TransactionManager::DeallocateTransaction(txn);
+  for (auto &[finish_time, txn] : txns_to_unlink_) {
+    transaction::TransactionManager::DeallocateTransaction(txn);
+  }
   for (Reclamation &entry : reclamations_) {
     if (entry.txn != nullptr) transaction::TransactionManager::DeallocateTransaction(entry.txn);
   }
@@ -63,25 +66,25 @@ uint32_t GarbageCollector::ProcessUnlinkQueue(transaction::timestamp_t oldest) {
   }
   // Transactions arrive in completion order, not finish-time order; sort the
   // batch and merge it in, so the unlinkable transactions form a prefix.
-  const auto by_finish_time = [](const transaction::TransactionContext *a,
-                                 const transaction::TransactionContext *b) {
-    return a->FinishTime() < b->FinishTime();
-  };
-  std::sort(drained.begin(), drained.end(), by_finish_time);
-  const auto merged =
-      txns_to_unlink_.insert(txns_to_unlink_.end(), drained.begin(), drained.end());
-  std::inplace_merge(txns_to_unlink_.begin(), merged, txns_to_unlink_.end(), by_finish_time);
+  const auto by_finish_time = [](const auto &a, const auto &b) { return a.first < b.first; };
+  const auto batch = static_cast<std::ptrdiff_t>(txns_to_unlink_.size());
+  for (transaction::TransactionContext *txn : drained) {
+    txns_to_unlink_.emplace_back(txn->FinishTime(), txn);
+  }
+  std::sort(txns_to_unlink_.begin() + batch, txns_to_unlink_.end(), by_finish_time);
+  std::inplace_merge(txns_to_unlink_.begin(), txns_to_unlink_.begin() + batch,
+                     txns_to_unlink_.end(), by_finish_time);
 
   // Transactions finished at or after `oldest` are still visible to some
   // active transaction; they wait for a later run.
-  const auto visible = std::partition_point(
-      txns_to_unlink_.begin(), txns_to_unlink_.end(),
-      [oldest](const transaction::TransactionContext *txn) { return txn->FinishTime() < oldest; });
+  const auto visible =
+      std::partition_point(txns_to_unlink_.begin(), txns_to_unlink_.end(),
+                           [oldest](const auto &entry) { return entry.first < oldest; });
   if (visible == txns_to_unlink_.begin()) return 0;
   // Each version chain only needs truncating once per run.
   std::unordered_set<storage::TupleSlot> visited;
   for (auto it = txns_to_unlink_.begin(); it != visible; ++it) {
-    for (storage::UndoRecord *undo : (*it)->UndoRecords()) {
+    for (storage::UndoRecord *undo : it->second->UndoRecords()) {
       storage::DataTable *table = undo->Table();
       if (table == nullptr) continue;  // never installed
       if (!visited.insert(undo->Slot()).second) continue;
@@ -94,7 +97,7 @@ uint32_t GarbageCollector::ProcessUnlinkQueue(transaction::timestamp_t oldest) {
     common::SpinLatch::ScopedSpinLatch guard(&actions_latch_);
     const transaction::timestamp_t stamp = txn_manager_->CheckoutTimestamp();
     for (auto it = txns_to_unlink_.begin(); it != visible; ++it) {
-      reclamations_.push_back({stamp, *it, nullptr});
+      reclamations_.push_back({stamp, it->second, nullptr});
     }
   }
   const auto unlinked = static_cast<uint32_t>(visible - txns_to_unlink_.begin());

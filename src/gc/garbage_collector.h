@@ -89,8 +89,9 @@ class GarbageCollector {
 
   // GC-thread-only state: PerformGarbageCollection is single-caller by
   // contract (one GC thread, or tests calling it inline), so the unlink
-  // queue needs no latch. Sorted by FinishTime().
-  std::vector<transaction::TransactionContext *> txns_to_unlink_;
+  // queue needs no latch. Sorted by finish time, which each entry caches.
+  std::vector<std::pair<transaction::timestamp_t, transaction::TransactionContext *>>
+      txns_to_unlink_;
 
   // Guards the reclamation FIFO, which RegisterDeferredAction feeds from
   // other threads. Every stamp is drawn while it is held; entries run after

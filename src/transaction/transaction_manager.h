@@ -82,16 +82,13 @@ class TransactionManager {
   timestamp_t CurrentTime() const { return time_.load(std::memory_order_acquire); }
 
   /// Swap out the queue of finished transactions for GC processing, in
-  /// completion order (not finish-time order: with logging, commits arrive
-  /// once their records are flushed, while aborts skip the log).
+  /// completion order (with logging, not finish-time order).
   std::vector<TransactionContext *> CompletedTransactionsForGC();
 
   /// Delete a finished transaction. A committed one first frees the varlen
-  /// buffers its before-images own: after a committed update or delete, the
-  /// undo record holds the only reference to the old value. An aborted one
-  /// frees none, because its rollback restored those buffers into the block
-  /// (its own new values were freed at abort time). The tables its undo
-  /// records name must still be alive.
+  /// buffers its before-images own (the undo record holds the only reference
+  /// to an old value); an aborted one's rollback put them back in the block.
+  /// The tables its undo records name must still be alive.
   static void DeallocateTransaction(TransactionContext *txn);
 
  private:
