@@ -1,10 +1,16 @@
 // Durability: run transactions with write-ahead logging and group commit,
-// "crash", then recover the database from the log in a fresh engine.
+// "crash", then recover the database from the log in a fresh engine. It
+// recovers twice: from a copy of the log taken while the engine ran (as a
+// crash would leave it, zeroed tail included) and from the log a clean
+// shutdown left.
 //
 //   $ ./build/examples/durability
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <thread>
 
 #include "catalog/catalog.h"
 #include "gc/garbage_collector.h"
@@ -19,11 +25,45 @@ namespace {
 // Relative to the working directory, so concurrent runs (e.g. two build
 // trees' smoke tests) don't clobber each other's log.
 const char *kLogPath = "mainline_durability_demo.log";
+const char *kRunningCopyPath = "mainline_durability_demo.running.log";
 
 catalog::Schema AccountsSchema() {
   return catalog::Schema({{"id", catalog::TypeId::kBigInt},
                           {"owner", catalog::TypeId::kVarchar},
                           {"balance", catalog::TypeId::kDecimal}});
+}
+
+/// Recover the log at `path` into a fresh engine and report what it holds.
+/// \return the number of accounts recovered
+uint64_t RecoverAccounts(const char *path) {
+  storage::BlockStore block_store(100, 10);
+  storage::RecordBufferSegmentPool buffer_pool(100000, 100);
+  catalog::Catalog catalog(&block_store);
+  transaction::TransactionManager txn_manager(&buffer_pool, true, nullptr);
+  gc::GarbageCollector gc(&txn_manager);
+  auto *accounts = catalog.GetTable(catalog.CreateTable("accounts", AccountsSchema()));
+
+  transaction::RecoveryManager recovery(catalog.TableMap(), &txn_manager);
+  const uint64_t replayed = recovery.Recover(path);
+
+  const auto initializer = accounts->FullInitializer();
+  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+  auto *txn = txn_manager.BeginTransaction();
+  uint64_t rows = 0;
+  double total = 0;
+  for (auto it = accounts->begin(); !it.Done(); ++it) {
+    storage::ProjectedRow *r = initializer.InitializeRow(buffer.data());
+    if (!accounts->Select(txn, *it, r)) continue;
+    rows++;
+    total += workload::Get<double>(*r, 2);
+  }
+  txn_manager.Commit(txn);
+  gc.FullGC();
+
+  std::printf("lifetime 2 (%s): replayed %lu transactions -> %lu rows, total balance %.2f\n",
+              path, static_cast<unsigned long>(replayed), static_cast<unsigned long>(rows),
+              total);
+  return rows;
 }
 }  // namespace
 
@@ -67,6 +107,12 @@ int main() {
     accounts->Insert(doomed, *row);
     // (no commit — simulated crash below)
 
+    // What a crash would leave: the log as it stands once every commit is
+    // durable, with the zeroed region past its last frame.
+    while (durable.load() < 100) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::filesystem::copy_file(kLogPath, kRunningCopyPath,
+                               std::filesystem::copy_options::overwrite_existing);
+
     log_manager.Shutdown();
     std::printf("lifetime 1: 100 commits, %d durable callbacks fired, %lu log bytes\n",
                 durable.load(), static_cast<unsigned long>(log_manager.BytesWritten()));
@@ -74,32 +120,9 @@ int main() {
   }
 
   // ---- lifetime 2: recover ------------------------------------------------
-  storage::BlockStore block_store(100, 10);
-  storage::RecordBufferSegmentPool buffer_pool(100000, 100);
-  catalog::Catalog catalog(&block_store);
-  transaction::TransactionManager txn_manager(&buffer_pool, true, nullptr);
-  gc::GarbageCollector gc(&txn_manager);
-  auto *accounts = catalog.GetTable(catalog.CreateTable("accounts", AccountsSchema()));
-
-  transaction::RecoveryManager recovery(catalog.TableMap(), &txn_manager);
-  const uint64_t replayed = recovery.Recover(kLogPath);
-
-  const auto initializer = accounts->FullInitializer();
-  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
-  auto *txn = txn_manager.BeginTransaction();
-  uint64_t rows = 0;
-  double total = 0;
-  for (auto it = accounts->begin(); !it.Done(); ++it) {
-    storage::ProjectedRow *r = initializer.InitializeRow(buffer.data());
-    if (!accounts->Select(txn, *it, r)) continue;
-    rows++;
-    total += workload::Get<double>(*r, 2);
-  }
-  txn_manager.Commit(txn);
-  gc.FullGC();
-
-  std::printf("lifetime 2: replayed %lu transactions -> %lu rows, total balance %.2f\n",
-              static_cast<unsigned long>(replayed), static_cast<unsigned long>(rows), total);
+  const uint64_t from_copy = RecoverAccounts(kRunningCopyPath);
+  const uint64_t from_log = RecoverAccounts(kLogPath);
+  std::remove(kRunningCopyPath);
   std::remove(kLogPath);
-  return rows == 100 ? 0 : 1;
+  return from_copy == 100 && from_log == 100 ? 0 : 1;
 }

@@ -3,9 +3,16 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 
+#include "common/crc32c.h"
+#include "common/timer.h"
 #include "common/typedefs.h"
+#include "metrics/engine_metrics.h"
+#include "metrics/metrics_registry.h"
 #include "storage/block_layout.h"
 #include "storage/data_table.h"
 #include "storage/projected_row.h"
@@ -13,10 +20,36 @@
 
 namespace mainline::logging {
 
+namespace {
+
+uint64_t RoundUp(uint64_t value, uint64_t multiple) {
+  return (value + multiple - 1) / multiple * multiple;
+}
+
+/// pwrite all of `size` bytes, resuming after a partial write.
+bool WriteAll(int fd, const byte *data, uint64_t size, uint64_t offset) {
+  while (size > 0) {
+    const ssize_t written = pwrite(fd, data, size, static_cast<off_t>(offset));
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) return false;
+    data += written;
+    size -= static_cast<uint64_t>(written);
+    offset += static_cast<uint64_t>(written);
+  }
+  return true;
+}
+
+}  // namespace
+
 LogManager::LogManager(std::string log_file_path)
-    : log_file_path_(std::move(log_file_path)) {
-  fd_ = open(log_file_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  MAINLINE_ASSERT(fd_ >= 0, "failed to open log file");
+    : log_file_path_(std::move(log_file_path)), out_buffer_(sizeof(FrameHeader)) {
+  constexpr int kFlags = O_WRONLY | O_CREAT | O_TRUNC;
+  fd_ = open(log_file_path_.c_str(), kFlags | O_DIRECT | O_DSYNC, 0644);
+  direct_ = fd_ >= 0;
+  // EINVAL: the filesystem does not do direct I/O.
+  if (fd_ < 0 && errno == EINVAL) fd_ = open(log_file_path_.c_str(), kFlags, 0644);
+  // relaxed: set before any other thread can see this object.
+  if (fd_ < 0) failed_.store(true, std::memory_order_relaxed);
 }
 
 LogManager::~LogManager() {
@@ -40,6 +73,12 @@ void LogManager::Shutdown() {
     flush_thread_.join();
   }
   ForceFlush();
+  // The zeros past the last frame only serve in-place writes; a clean
+  // shutdown leaves the file ending at its last frame.
+  if (!Failed() && zeroed_end_ > frame_offset_) {
+    if (ftruncate(fd_, static_cast<off_t>(frame_offset_)) != 0 || fdatasync(fd_) != 0) Fail();
+    zeroed_end_ = frame_offset_;
+  }
 }
 
 void LogManager::Submit(const LogSubmission &submission) {
@@ -72,13 +111,24 @@ void LogManager::ForceFlush() {
   }
   if (batch.empty()) return;
 
-  std::vector<std::pair<CommitRecord::DurabilityCallback, void *>> callbacks;
-  for (const LogSubmission &submission : batch) ProcessSubmission(submission, &callbacks);
-  FlushAndSync();
-  // Group commit: only after fsync do the transactions' results become
-  // publishable to clients.
-  for (auto &[callback, arg] : callbacks) {
-    if (callback != nullptr) callback(arg);
+  // A failed log acknowledges nothing more, but still reports every
+  // submission finished below, so the GC reclaims the transactions.
+  if (!Failed()) {
+    std::vector<std::pair<CommitRecord::DurabilityCallback, void *>> callbacks;
+    uint64_t records = 0;
+    for (const LogSubmission &submission : batch) {
+      records += ProcessSubmission(submission, &callbacks);
+    }
+    // Group commit: only once the frame is durable do the transactions'
+    // results become publishable to clients.
+    if (WriteFrame(batch.size())) {
+      // relaxed: monotonic statistic read by tests and monitors; readers
+      // need a current-ish value, not ordering against the written bytes.
+      records_written_.fetch_add(records, std::memory_order_relaxed);
+      for (auto &[callback, arg] : callbacks) {
+        if (callback != nullptr) callback(arg);
+      }
+    }
   }
   // Now that the records are serialized, report each submission upward (the
   // transaction layer forwards it to the GC, which may then reclaim its
@@ -90,9 +140,10 @@ void LogManager::ForceFlush() {
   }
 }
 
-void LogManager::ProcessSubmission(
+uint64_t LogManager::ProcessSubmission(
     const LogSubmission &submission,
     std::vector<std::pair<CommitRecord::DurabilityCallback, void *>> *callbacks) {
+  uint64_t records = 0;
   for (const LogRecord *record : *submission.records) {
     if (record->RecordType() == LogRecordType::kCommit) {
       const auto *commit = record->GetUnderlyingRecordBodyAs<CommitRecord>();
@@ -102,7 +153,9 @@ void LogManager::ProcessSubmission(
       if (commit->IsReadOnly()) continue;
     }
     SerializeRecord(*record);
+    records++;
   }
+  return records;
 }
 
 void LogManager::SerializeRecord(const LogRecord &record) {
@@ -153,21 +206,61 @@ void LogManager::SerializeRecord(const LogRecord &record) {
     case LogRecordType::kAbort:
       break;
   }
-  // relaxed: monotonic statistic read by tests and monitors; readers need a
-  // current-ish value, not ordering against the serialized bytes.
-  records_written_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void LogManager::FlushAndSync() {
-  if (!out_buffer_.empty()) {
-    ssize_t written = write(fd_, out_buffer_.data(), out_buffer_.size());
-    MAINLINE_ASSERT(written == static_cast<ssize_t>(out_buffer_.size()), "short write to log");
-    (void)written;
-    // relaxed: same as records_written_ — a monitoring tally, no ordering.
-    bytes_written_.fetch_add(out_buffer_.size(), std::memory_order_relaxed);
-    out_buffer_.clear();
+bool LogManager::WriteFrame(uint64_t batch_txns) {
+  const uint64_t block_start = frame_offset_ - frame_offset_ % kBlockSize;
+  const uint64_t header_at = frame_offset_ - block_start;
+  const uint64_t length = out_buffer_.size() - header_at - sizeof(FrameHeader);
+  if (length == 0) return true;  // only read-only commits: nothing to make durable
+  // A frame's length field is 32 bits; a bigger batch cannot be framed.
+  if (length > UINT32_MAX) return Fail();
+  byte *header_slot = out_buffer_.data() + header_at;
+  const FrameHeader header{static_cast<uint32_t>(length),
+                           common::Crc32c(header_slot + sizeof(FrameHeader), length)};
+  std::memcpy(header_slot, &header, sizeof(header));
+
+  // Whole blocks through the frame's end. Past the zeroed region, the same
+  // write extends it to the next kExtension boundary.
+  const uint64_t frame_end = frame_offset_ + sizeof(FrameHeader) + length;
+  uint64_t write_end = RoundUp(frame_end, kBlockSize);
+  if (write_end > zeroed_end_) write_end = RoundUp(frame_end, kExtension);
+  out_buffer_.resize(write_end - block_start);  // zero-fills the padding
+
+  metrics::LogMetrics &log_metrics = metrics::Log();
+  const bool timed = metrics::MetricsRegistry::Global().Enabled();
+  const common::Timer::TimePoint start =
+      timed ? common::Timer::Now() : common::Timer::TimePoint{};
+  if (!WriteAll(fd_, out_buffer_.data(), out_buffer_.size(), block_start) ||
+      (!direct_ && fdatasync(fd_) != 0)) {
+    return Fail();
   }
-  fsync(fd_);
+  if (timed) {
+    log_metrics.sync_us->Observe(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(common::Timer::Now() - start)
+            .count()));
+  }
+  log_metrics.syncs->Add(1);
+  log_metrics.batch_txns->Observe(batch_txns);
+
+  zeroed_end_ = std::max(zeroed_end_, write_end);
+  // relaxed: same as records_written_.
+  bytes_written_.fetch_add(frame_end - frame_offset_, std::memory_order_relaxed);
+  frame_offset_ = frame_end;
+  // The next write starts at the block holding the new frame_offset_ and
+  // rewrites its earlier bytes, so keep them.
+  const uint64_t tail_start = frame_end - frame_end % kBlockSize;
+  const uint64_t tail = frame_end - tail_start;
+  std::memmove(out_buffer_.data(), out_buffer_.data() + (tail_start - block_start), tail);
+  out_buffer_.resize(tail + sizeof(FrameHeader));
+  return true;
+}
+
+bool LogManager::Fail() {
+  // relaxed: see Failed().
+  failed_.store(true, std::memory_order_relaxed);
+  out_buffer_.clear();
+  return false;
 }
 
 }  // namespace mainline::logging

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,12 +29,28 @@ struct LogSubmission {
 };
 
 /// Write-ahead log manager (Section 3.4). Committing transactions enqueue
-/// their redo buffers; a background thread serializes the records into an
-/// on-disk format, flushes with fsync (group commit), and then invokes the
+/// their redo buffers; a background thread serializes each batch of them
+/// into one frame (logging::FrameHeader: length, CRC32C, records), writes
+/// the frame with one synced write (group commit), and then invokes the
 /// commit callbacks embedded in the commit records. The rest of the system
 /// treats a transaction as committed as soon as its commit record is
 /// enqueued, but its result is not released to the client until the callback
 /// fires.
+///
+/// The frame goes in place, into a region of the file that already holds
+/// zeros, so a synced write changes no file metadata and needs no journal
+/// commit. The write covers whole 4 KiB blocks from a 4 KiB-aligned buffer
+/// that starts with the earlier bytes of the current tail block, through an
+/// O_DIRECT | O_DSYNC descriptor; where the filesystem refuses O_DIRECT, the
+/// same writes go through a buffered descriptor followed by fdatasync. A
+/// frame that runs past the zeroed region extends it, in the same write, to
+/// the next 1 MiB boundary. A torn in-place write leaves old zeros inside
+/// the frame, which its CRC exposes to recovery. A clean Shutdown truncates
+/// the file at the end of its last frame.
+///
+/// An error opening, writing or syncing the file latches a failed state
+/// (Failed()): from then on nothing is written and no durability callback
+/// fires, but submissions are still reported finished.
 ///
 /// Read-only transactions also pass through the queue (to guard against the
 /// speculative-read anomaly described in the paper) but their commit records
@@ -52,11 +69,12 @@ class LogManager {
   using TableResolver = std::function<storage::DataTable *(catalog::table_oid_t)>;
 
   /// Invoked once per submission after its records are serialized and the
-  /// batch is durable. `context` is the pointer given to
-  /// SetFinishedCallback; `handle` is the submission's handle.
+  /// batch is durable, or the log has failed. `context` is the pointer given
+  /// to SetFinishedCallback; `handle` is the submission's handle.
   using FinishedCallback = void (*)(void *context, void *handle);
 
-  /// \param log_file_path file the serialized log is appended to
+  /// \param log_file_path file the log is written to; truncated on open. If
+  ///        it cannot be opened, the log starts out failed.
   explicit LogManager(std::string log_file_path);
 
   DISALLOW_COPY_AND_MOVE(LogManager)
@@ -66,14 +84,15 @@ class LogManager {
   /// Spawn the background serializer thread.
   void Start();
 
-  /// Drain the queue, flush, and join the background thread.
+  /// Drain the queue, flush, join the background thread, and truncate the
+  /// file at the end of its last frame.
   void Shutdown() EXCLUDES(queue_latch_);
 
   /// Enqueue one committed (or read-only) transaction's staged records.
   void Submit(const LogSubmission &submission) EXCLUDES(queue_latch_);
 
-  /// Synchronously process everything currently queued (serialize + fsync +
-  /// run callbacks). Used by tests and single-threaded setups.
+  /// Synchronously process everything currently queued (serialize, write one
+  /// synced frame, run callbacks). Used by tests and single-threaded setups.
   void ForceFlush() EXCLUDES(queue_latch_);
 
   /// Install the table resolver used to interpret redo record payloads.
@@ -91,19 +110,32 @@ class LogManager {
   // relaxed: monitoring counters — a reader racing the flush thread gets a
   // slightly stale tally, which is all these promise.
   uint64_t RecordsWritten() const { return records_written_.load(std::memory_order_relaxed); }
-  /// \return number of bytes written to disk so far.
+  /// \return number of frame bytes (headers and records) written to disk so
+  /// far; block padding, rewritten tail blocks and zeros are not counted.
   // relaxed: same contract as RecordsWritten.
   uint64_t BytesWritten() const { return bytes_written_.load(std::memory_order_relaxed); }
+
+  /// \return whether opening, writing or syncing the log file has failed.
+  /// Once set it stays set: later commits are never acknowledged durable.
+  // relaxed: a status flag; nothing else is published through it.
+  bool Failed() const { return failed_.load(std::memory_order_relaxed); }
 
  private:
   void FlushLoop() EXCLUDES(queue_latch_);
   /// Serialize and stage one submission's records; collects its durability
   /// callback (if any) into `callbacks`.
-  void ProcessSubmission(const LogSubmission &submission,
-                         std::vector<std::pair<CommitRecord::DurabilityCallback, void *>>
-                             *callbacks);
+  /// \return number of records serialized.
+  uint64_t ProcessSubmission(const LogSubmission &submission,
+                             std::vector<std::pair<CommitRecord::DurabilityCallback, void *>>
+                                 *callbacks);
   void SerializeRecord(const LogRecord &record);
-  void FlushAndSync();
+  /// Write the staged records as one frame and make it durable.
+  /// \param batch_txns submissions in the batch, for the metrics
+  /// \return false if the log has failed; true if the frame is durable or
+  ///         there was nothing to write
+  bool WriteFrame(uint64_t batch_txns);
+  /// Latch the failed state and drop the staged bytes. \return false
+  bool Fail();
 
   template <typename T>
   void WriteValue(const T &value) {
@@ -114,9 +146,29 @@ class LogManager {
     out_buffer_.insert(out_buffer_.end(), bytes, bytes + size);
   }
 
+  /// O_DIRECT needs the buffer, the file offset and the length of a write
+  /// aligned to the device's logical block; this covers every common one.
+  static constexpr uint64_t kBlockSize = 4096;
+  /// The zeroed region past the last frame is extended to a multiple of this.
+  static constexpr uint64_t kExtension = uint64_t{1} << 20;
+
+  /// Allocates the staging buffer on a kBlockSize boundary.
+  template <typename T>
+  struct BlockAlignedAllocator {
+    using value_type = T;
+    BlockAlignedAllocator() = default;
+    template <typename U>
+    BlockAlignedAllocator(const BlockAlignedAllocator<U> & /*other*/) {}  // NOLINT: rebinding
+    T *allocate(size_t n) {
+      return static_cast<T *>(::operator new(n * sizeof(T), std::align_val_t{kBlockSize}));
+    }
+    void deallocate(T *p, size_t /*n*/) { ::operator delete(p, std::align_val_t{kBlockSize}); }
+    bool operator==(const BlockAlignedAllocator & /*other*/) const { return true; }
+  };
+
   std::string log_file_path_;
-  // Serializer-path-only state (table_resolver_, fd_, out_buffer_): touched
-  // exclusively by whichever single thread is inside ForceFlush — the flush
+  // Serializer-path-only state (table_resolver_, fd_ through out_buffer_):
+  // touched exclusively by whichever single thread is inside ForceFlush — the flush
   // thread, or the caller's thread in tests/single-threaded setups before
   // Start. Installing the resolver and the finished callback must happen
   // before logging begins.
@@ -124,14 +176,21 @@ class LogManager {
   FinishedCallback finished_callback_ = nullptr;
   void *finished_context_ = nullptr;
   int fd_ = -1;
+  bool direct_ = false;         // fd_ is O_DIRECT | O_DSYNC, else buffered
+  uint64_t frame_offset_ = 0;   // end of the last frame: where the next goes
+  uint64_t zeroed_end_ = 0;     // the file holds zeros from frame_offset_ to here
+  // The next write, from the start of the block holding frame_offset_: that
+  // block's bytes before frame_offset_, a FrameHeader slot, then the records
+  // serialized so far.
+  std::vector<byte, BlockAlignedAllocator<byte>> out_buffer_;
 
   common::Mutex queue_latch_;
   std::vector<LogSubmission> flush_queue_ GUARDED_BY(queue_latch_);
   common::ConditionVariable flush_cv_;
 
-  std::vector<byte> out_buffer_;
   std::atomic<uint64_t> records_written_{0};
   std::atomic<uint64_t> bytes_written_{0};
+  std::atomic<bool> failed_{false};
 
   std::thread flush_thread_;
   std::atomic<bool> run_flush_thread_{false};

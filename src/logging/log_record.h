@@ -26,6 +26,19 @@ enum class LogRecordType : uint8_t {
   kAbort,
 };
 
+/// Header of one frame of the on-disk log. Each group-commit batch is one
+/// frame: this header, then the batch's serialized records. Frames follow
+/// each other with no gap, and the file may continue past the last one with
+/// zeros. Recovery's durable prefix ends at the first header whose length is
+/// zero, whose records run past the end of the file, or whose CRC does not
+/// match them.
+struct FrameHeader {
+  uint32_t length;  ///< bytes of records after the header; never 0
+  uint32_t crc;     ///< common::Crc32c of those bytes
+};
+
+static_assert(sizeof(FrameHeader) == 8, "FrameHeader layout");
+
 /// Generic header of every log record. Records live in a transaction's redo
 /// buffer and are later serialized to disk by the log manager. The system
 /// orders records implicitly by their transaction's commit timestamp instead

@@ -49,6 +49,19 @@ TxnMetrics &Txn() {
   return handles;
 }
 
+LogMetrics &Log() {
+  static LogMetrics handles = [] {
+    MetricsRegistry &r = MetricsRegistry::Global();
+    return LogMetrics{
+        r.RegisterCounter("log.syncs"),
+        r.RegisterHistogram("log.sync_us", {20, 50, 100, 200, 500, 1000, 2000, 5000, 20000,
+                                            100000, 1000000}),
+        r.RegisterHistogram("log.batch_txns", {1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}),
+    };
+  }();
+  return handles;
+}
+
 GcMetrics &Gc() {
   static GcMetrics handles = [] {
     MetricsRegistry &r = MetricsRegistry::Global();

@@ -30,6 +30,14 @@ struct TxnMetrics {
 };
 TxnMetrics &Txn();
 
+/// log.* — the write-ahead log's group commit: one synced frame per batch.
+struct LogMetrics {
+  Counter *syncs;         ///< log.syncs — frames written with a synced write
+  Histogram *sync_us;     ///< log.sync_us — one frame's write until durable
+  Histogram *batch_txns;  ///< log.batch_txns — submissions per synced frame
+};
+LogMetrics &Log();
+
 /// gc.* — epoch-based garbage collection progress and backlog.
 struct GcMetrics {
   Counter *txns_unlinked;     ///< gc.txns_unlinked — version chains unlinked

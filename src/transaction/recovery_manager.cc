@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "logging/log_record.h"
 #include "storage/block_layout.h"
 #include "storage/data_table.h"
@@ -38,36 +39,75 @@ struct ParsedTxn {
   bool committed = false;
 };
 
+/// Reads a log file frame by frame (logging::FrameHeader).
 class LogFileReader {
  public:
-  explicit LogFileReader(const std::string &path) : in_(path, std::ios::binary) {}
-
-  bool Good() const { return in_.good(); }
-
-  template <typename T>
-  bool Read(T *out) {
-    in_.read(reinterpret_cast<char *>(out), sizeof(T));
-    return in_.gcount() == sizeof(T);
+  explicit LogFileReader(const std::string &path)
+      : in_(path, std::ios::binary | std::ios::ate),
+        remaining_(in_ ? static_cast<uint64_t>(in_.tellg()) : 0) {
+    in_.seekg(0);
   }
 
-  bool ReadBytes(byte *out, uint64_t size) {
-    in_.read(reinterpret_cast<char *>(out), static_cast<std::streamsize>(size));
-    return in_.gcount() == static_cast<std::streamsize>(size);
+  /// Read the next frame's records into `records`.
+  /// \return false at the end of the durable prefix: the end of the file, a
+  ///         zero length (the zeroed tail past the last frame), a frame cut
+  ///         short (a torn append), or a CRC mismatch (a torn or corrupt
+  ///         in-place write).
+  bool NextFrame(std::vector<byte> *records) {
+    logging::FrameHeader header;
+    if (remaining_ < sizeof(header) || !Read(&header, sizeof(header))) return false;
+    remaining_ -= sizeof(header);
+    if (header.length == 0 || header.length > remaining_) return false;
+    records->resize(header.length);
+    if (!Read(records->data(), header.length)) return false;
+    remaining_ -= header.length;
+    return common::Crc32c(records->data(), records->size()) == header.crc;
   }
 
  private:
+  bool Read(void *out, uint64_t size) {
+    return static_cast<bool>(
+        in_.read(static_cast<char *>(out), static_cast<std::streamsize>(size)));
+  }
+
   std::ifstream in_;
+  uint64_t remaining_;
+};
+
+/// Reads the fields of one frame's records, never past its end.
+class RecordReader {
+ public:
+  explicit RecordReader(const std::vector<byte> &records)
+      : pos_(records.data()), end_(records.data() + records.size()) {}
+
+  bool Done() const { return pos_ == end_; }
+
+  template <typename T>
+  bool Read(T *out) {
+    return ReadBytes(reinterpret_cast<byte *>(out), sizeof(T));
+  }
+
+  bool ReadBytes(byte *out, uint64_t size) {
+    if (static_cast<uint64_t>(end_ - pos_) < size) return false;
+    std::memcpy(out, pos_, size);
+    pos_ += size;
+    return true;
+  }
+
+ private:
+  const byte *pos_;
+  const byte *end_;
 };
 
 using TxnMap = std::unordered_map<transaction::timestamp_t, ParsedTxn>;
 
 /// Parse the record at the reader's position into its transaction's entry in
-/// `txns`. The log's durable prefix ends at the first record that cannot be
-/// parsed: a torn tail (the crash cut a record short), an unknown type byte,
-/// or a table oid or column id the engine does not have (nothing after
-/// either can be framed, nor can the record be applied).
+/// `txns`. Inside a frame whose CRC matched, the log's durable prefix ends at
+/// the first record that cannot be parsed: one that runs past its frame, an
+/// unknown type byte, or a table oid or column id the engine does not have
+/// (nothing after either can be delimited, nor can the record be applied).
 /// \return false at the end of the durable prefix.
-bool ParseRecord(LogFileReader *reader,
+bool ParseRecord(RecordReader *reader,
                  const std::unordered_map<catalog::table_oid_t, storage::DataTable *> &tables,
                  TxnMap *txns) {
   uint8_t type_byte;
@@ -146,17 +186,28 @@ bool ParseRecord(LogFileReader *reader,
   return false;  // unknown type byte
 }
 
+/// Parse every record of one frame.
+/// \return false if the durable prefix ends inside the frame.
+bool ParseFrame(const std::vector<byte> &records,
+                const std::unordered_map<catalog::table_oid_t, storage::DataTable *> &tables,
+                TxnMap *txns) {
+  RecordReader reader(records);
+  while (!reader.Done()) {
+    if (!ParseRecord(&reader, tables, txns)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 uint64_t RecoveryManager::Recover(const std::string &log_file_path) {
-  LogFileReader reader(log_file_path);
-  if (!reader.Good()) return 0;
-
   // Phase 1: parse the log's durable prefix, grouping records by
   // transaction. A transaction whose commit record lies past the prefix is
   // dropped like one that never committed.
+  LogFileReader reader(log_file_path);
   TxnMap txns;
-  while (ParseRecord(&reader, tables_, &txns)) continue;
+  std::vector<byte> records;
+  while (reader.NextFrame(&records) && ParseFrame(records, tables_, &txns)) continue;
 
   // Phase 2: replay committed transactions in commit-timestamp order.
   std::map<transaction::timestamp_t, ParsedTxn *> commit_order;

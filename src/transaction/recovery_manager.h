@@ -20,14 +20,18 @@ class TransactionManager;
 ///
 /// The log contains no log sequence numbers: records are ordered implicitly
 /// by their transaction's commit timestamp. Recovery therefore reads the
-/// log's durable prefix — everything up to the first torn record, unknown
-/// type byte, table oid missing from `tables`, or column id past its table's
-/// layout — groups records by transaction, discards transactions without a
-/// complete commit record in that prefix (aborted or in-flight at the
-/// crash), and replays committed transactions in commit-timestamp order.
-/// So a table left out of `tables` ends the replay at its first record, with
-/// no error: that transaction and every one whose commit record follows are
-/// lost, for all tables. Register every table the log names.
+/// log's durable prefix, groups records by transaction, discards
+/// transactions without a commit record in that prefix (aborted or in-flight
+/// at the crash), and replays committed transactions in commit-timestamp
+/// order. The log is a sequence of frames (logging::FrameHeader), and the
+/// prefix ends at the first frame that is missing or damaged: a zero length
+/// (the zeroed tail a running log keeps past its last frame), a frame cut
+/// short, or a CRC mismatch (a torn or corrupt write). Inside an intact
+/// frame it also ends at an unknown type byte, a table oid missing from
+/// `tables`, or a column id past its table's layout. So a table left out of
+/// `tables` ends the replay at its first record, with no error: that
+/// transaction and every one whose commit record follows are lost, for all
+/// tables. Register every table the log names.
 ///
 /// TupleSlots in the log are physical addresses from the previous process
 /// lifetime; the recovery manager remaps them to freshly inserted slots as it

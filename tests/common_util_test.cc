@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <thread>
+#include <vector>
 
+#include "common/crc32c.h"
 #include "common/rand_util.h"
 #include "common/worker_pool.h"
 #include "storage/block_access_controller.h"
@@ -53,6 +57,31 @@ TEST(RandUtilTest, ZipfIsSkewedTowardLowRanks) {
   }
   // With theta=0.9, far more than 10% of draws land in the first 10% of keys.
   EXPECT_GT(low, total / 3);
+}
+
+TEST(Crc32cTest, BothImplementationsGiveTheCheckValue) {
+  const char *check = "123456789";
+  constexpr uint32_t kCheckValue = 0xE3069283;
+  EXPECT_EQ(common::Crc32cTable(check, std::strlen(check)), kCheckValue);
+  EXPECT_EQ(common::Crc32c(check, std::strlen(check)), kCheckValue);
+  if (common::Crc32cHardwareAvailable()) {
+    EXPECT_EQ(common::Crc32cHardware(check, std::strlen(check)), kCheckValue);
+  }
+  EXPECT_EQ(common::Crc32c(check, 0), 0u) << "empty input";
+}
+
+TEST(Crc32cTest, HardwareMatchesTheTableAtEveryLengthAndAlignment) {
+  if (!common::Crc32cHardwareAvailable()) return;  // nothing to compare the table against
+  common::Xorshift rng(3);
+  std::vector<uint8_t> bytes(256);
+  for (uint8_t &b : bytes) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t size = 0; offset + size <= bytes.size(); size++) {
+      ASSERT_EQ(common::Crc32cHardware(bytes.data() + offset, size),
+                common::Crc32cTable(bytes.data() + offset, size))
+          << "offset " << offset << ", size " << size;
+    }
+  }
 }
 
 TEST(BlockAccessControllerTest, StateProtocol) {

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/crc32c.h"
 #include "gc/garbage_collector.h"
 #include "logging/log_manager.h"
 #include "transaction/recovery_manager.h"
@@ -27,6 +31,50 @@ catalog::Schema TestSchema() {
                           {"name", catalog::TypeId::kVarchar, true},
                           {"score", catalog::TypeId::kInteger}});
 }
+
+/// A fresh engine whose one table, TestSchema's "t", is logged to
+/// `log_path`. Its rows get score 3 * id.
+struct LoggedEngine {
+  explicit LoggedEngine(const std::string &log_path)
+      : log_manager(log_path), txn_manager(&buffer_pool, true, &log_manager) {
+    log_manager.SetTableResolver([this](catalog::table_oid_t oid) {
+      return &catalog.GetTable(oid)->UnderlyingTable();
+    });
+  }
+
+  /// Insert rows with ids [first, first + count) in `txn`.
+  void Insert(transaction::TransactionContext *txn, int64_t first, int64_t count,
+              const std::string &name) {
+    const auto initializer = table->FullInitializer();
+    std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+    for (int64_t id = first; id < first + count; id++) {
+      storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+      workload::Set<int64_t>(row, 0, id);
+      workload::SetVarchar(row, 1, name);
+      workload::Set<int32_t>(row, 2, static_cast<int32_t>(id * 3));
+      table->Insert(txn, *row);
+    }
+  }
+
+  /// Commit one transaction of Insert(first, count, name) and flush it as
+  /// its own frame.
+  void CommitRows(int64_t first, int64_t count, const std::string &name) {
+    auto *txn = txn_manager.BeginTransaction();
+    Insert(txn, first, count, name);
+    txn_manager.Commit(txn);
+    log_manager.ForceFlush();
+  }
+
+  storage::BlockStore block_store{100, 10};
+  storage::RecordBufferSegmentPool buffer_pool{100000, 100};
+  catalog::Catalog catalog{&block_store};
+  logging::LogManager log_manager;
+  transaction::TransactionManager txn_manager;
+  gc::GarbageCollector gc{&txn_manager};
+  catalog::SqlTable *table = catalog.GetTable(catalog.CreateTable("t", TestSchema()));
+};
+
+void CountAck(void *arg) { static_cast<std::atomic<int> *>(arg)->fetch_add(1); }
 }  // namespace
 
 TEST(LoggingTest, CommitCallbackFiresAfterFlush) {
@@ -72,7 +120,8 @@ TEST(LoggingTest, CommitCallbackFiresAfterFlush) {
 
 /// Run a small logged workload into kLogPath: two committed 25-row insert
 /// transactions, one committed transaction that updates ids 0..9 and deletes
-/// ids 40..44, and one aborted insert.
+/// ids 40..44, and one aborted insert. Each commit is flushed as its own
+/// frame, so the log holds three.
 void WriteWorkloadLog() {
   storage::BlockStore block_store(100, 10);
   storage::RecordBufferSegmentPool buffer_pool(100000, 100);
@@ -103,6 +152,7 @@ void WriteWorkloadLog() {
       slots.push_back(table->Insert(txn, *row));
     }
     logged.Commit(txn);
+    log_manager.ForceFlush();
   }
   // Update some, delete some.
   {
@@ -118,6 +168,7 @@ void WriteWorkloadLog() {
       ASSERT_TRUE(table->Delete(txn, slots[static_cast<size_t>(id)]));
     }
     logged.Commit(txn);
+    log_manager.ForceFlush();
   }
   // An aborted transaction must not be replayed.
   {
@@ -129,7 +180,6 @@ void WriteWorkloadLog() {
     table->Insert(txn, *row);
     logged.Abort(txn);
   }
-  log_manager.ForceFlush();
   log_manager.Shutdown();
 }
 
@@ -180,22 +230,53 @@ TEST(LoggingTest, RecoveryRebuildsTables) {
   std::remove(kLogPath);
 }
 
-/// Where each record of a serialized log ends, and whether it is a commit
-/// record. Walks the on-disk format LogManager::SerializeRecord writes: a
-/// 9-byte header (type byte, txn begin timestamp), then the type's body.
+/// One frame of a log file: where its FrameHeader starts, and its records.
+struct Frame {
+  size_t offset;
+  std::string records;
+};
+
+/// The frames of a log file (logging::FrameHeader: u32 length, u32 CRC32C,
+/// then the records), up to the first zero length or the end of the file.
+std::vector<Frame> Frames(const std::string &log) {
+  std::vector<Frame> frames;
+  size_t pos = 0;
+  logging::FrameHeader header;
+  while (pos + sizeof(header) <= log.size()) {
+    std::memcpy(&header, log.data() + pos, sizeof(header));
+    if (header.length == 0) break;
+    frames.push_back({pos, log.substr(pos + sizeof(header), header.length)});
+    pos += sizeof(header) + header.length;
+  }
+  return frames;
+}
+
+/// `records` as one frame with a valid CRC, as the log manager writes a batch.
+std::string FrameOf(const std::string &records) {
+  const logging::FrameHeader header{static_cast<uint32_t>(records.size()),
+                                    common::Crc32c(records.data(), records.size())};
+  std::string frame(sizeof(header), '\0');
+  std::memcpy(frame.data(), &header, sizeof(header));
+  return frame + records;
+}
+
+/// Where each record of a frame's records ends, and whether it is a commit
+/// record. Walks the format LogManager::SerializeRecord writes: a 9-byte
+/// header (type byte, txn begin timestamp), then the type's body.
 struct RecordEnd {
   size_t offset;
   bool commit;
 };
 
-std::vector<RecordEnd> RecordEnds(const std::string &log, const storage::BlockLayout &layout) {
+std::vector<RecordEnd> RecordEnds(const std::string &records,
+                                  const storage::BlockLayout &layout) {
   std::vector<RecordEnd> ends;
   size_t pos = 0;
   const auto take = [&](auto *value) {
-    std::memcpy(value, log.data() + pos, sizeof(*value));
+    std::memcpy(value, records.data() + pos, sizeof(*value));
     pos += sizeof(*value);
   };
-  while (pos < log.size()) {
+  while (pos < records.size()) {
     uint8_t type;
     take(&type);
     pos += sizeof(transaction::timestamp_t);
@@ -248,9 +329,19 @@ void WriteFile(const char *path, const std::string &bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// One recovered row of TestSchema.
+struct Row {
+  int32_t score;
+  std::string name;  // empty if NULL
+};
+
+struct Recovered {
+  uint64_t replayed;                // transactions replayed
+  std::multimap<int64_t, Row> rows;  // visible afterwards, by id
+};
+
 /// Recover the log at `path` into a fresh engine.
-/// \return {transactions replayed, rows visible afterwards}
-std::pair<uint64_t, uint64_t> RecoverFresh(const char *path) {
+Recovered RecoverFresh(const char *path) {
   storage::BlockStore block_store(100, 10);
   storage::RecordBufferSegmentPool buffer_pool(100000, 100);
   catalog::Catalog catalog(&block_store);
@@ -258,88 +349,182 @@ std::pair<uint64_t, uint64_t> RecoverFresh(const char *path) {
   gc::GarbageCollector gc(&txn_manager);
   auto *table = catalog.GetTable(catalog.CreateTable("t", TestSchema()));
   transaction::RecoveryManager recovery(catalog.TableMap(), &txn_manager);
-  const uint64_t replayed = recovery.Recover(path);
+  Recovered recovered{recovery.Recover(path), {}};
 
-  const auto initializer = table->InitializerForColumns({0});
+  const auto initializer = table->FullInitializer();
   std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
   auto *txn = txn_manager.BeginTransaction();
-  uint64_t visible = 0;
   for (auto it = table->begin(); !it.Done(); ++it) {
-    if (table->Select(txn, *it, initializer.InitializeRow(buffer.data()))) visible++;
+    storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+    if (!table->Select(txn, *it, row)) continue;
+    const byte *name = row->AccessWithNullCheck(1);
+    recovered.rows.emplace(
+        workload::Get<int64_t>(*row, 0),
+        Row{workload::Get<int32_t>(*row, 2),
+            name == nullptr ? std::string() : std::string(workload::GetVarchar(*row, 1))});
   }
   txn_manager.Commit(txn);
   gc.FullGC();
-  return {replayed, visible};
+  return recovered;
 }
 
-/// A crash can tear the log anywhere. Recovery must replay exactly the
-/// transactions whose commit record made it to disk complete, whether the
-/// cut falls on a record boundary, inside a record's 9-byte header, or
-/// inside its body.
+/// A crash can cut the log anywhere. Recovery must replay exactly the
+/// frames that reached the disk whole: a cut at a frame boundary keeps every
+/// frame before it, and a cut inside a frame's header, on a record boundary
+/// inside the frame, or inside a record drops that frame.
 TEST(LoggingTest, RecoveryReplaysTheDurablePrefixOfATornLog) {
   WriteWorkloadLog();
   const std::string log = ReadFile(kLogPath);
-  const std::vector<RecordEnd> ends = RecordEnds(log, TestSchema().ToBlockLayout());
-  ASSERT_FALSE(ends.empty());
-  ASSERT_EQ(ends.back().offset, log.size()) << "the test's format walk lost sync";
-  // Rows visible after each committed transaction: 25, 50, then 50 - 5
-  // deleted.
-  const std::vector<uint64_t> rows_after_commits = {0, 25, 50, 45};
-  ASSERT_EQ(std::count_if(ends.begin(), ends.end(), [](const RecordEnd &e) { return e.commit; }),
-            3);
+  const std::vector<Frame> frames = Frames(log);
+  ASSERT_EQ(frames.size(), 3u) << "one frame per committed transaction";
+  ASSERT_EQ(frames.back().offset + sizeof(logging::FrameHeader) + frames.back().records.size(),
+            log.size())
+      << "a clean shutdown ends the file at its last frame";
+  // Rows visible after each frame: 25, 50, then 50 - 5 deleted.
+  const std::vector<size_t> rows_after_frames = {0, 25, 50, 45};
 
-  std::vector<size_t> cuts = {0};
-  size_t begin = 0;
-  for (const RecordEnd &end : ends) {
-    cuts.push_back(begin + (end.offset - begin) / 2);  // mid-record
-    cuts.push_back(end.offset);                        // record boundary
-    begin = end.offset;
+  std::vector<std::pair<size_t, size_t>> cuts;  // {cut, whole frames before it}
+  for (size_t f = 0; f < frames.size(); f++) {
+    cuts.emplace_back(frames[f].offset, f);                     // frame boundary
+    cuts.emplace_back(frames[f].offset + sizeof(uint32_t), f);  // mid-header
+    const std::vector<RecordEnd> ends = RecordEnds(frames[f].records, TestSchema().ToBlockLayout());
+    ASSERT_EQ(ends.back().offset, frames[f].records.size()) << "the test's format walk lost sync";
+    ASSERT_TRUE(ends.back().commit) << "a frame ends with its transaction's commit record";
+    const size_t records_at = frames[f].offset + sizeof(logging::FrameHeader);
+    size_t begin = 0;
+    for (const RecordEnd &end : ends) {
+      cuts.emplace_back(records_at + begin + (end.offset - begin) / 2, f);  // mid-record
+      const bool frame_end = end.offset == frames[f].records.size();
+      cuts.emplace_back(records_at + end.offset, frame_end ? f + 1 : f);  // record boundary
+      begin = end.offset;
+    }
   }
   const char *torn_path = "/tmp/mainline_torn_test.log";
-  for (const size_t cut : cuts) {
-    size_t commits = 0;
-    for (const RecordEnd &end : ends) commits += end.commit && end.offset <= cut ? 1 : 0;
+  for (const auto &[cut, whole_frames] : cuts) {
     WriteFile(torn_path, log.substr(0, cut));
-    const auto [replayed, visible] = RecoverFresh(torn_path);
-    EXPECT_EQ(replayed, commits) << "log cut at byte " << cut << " of " << log.size();
-    EXPECT_EQ(visible, rows_after_commits[commits]) << "log cut at byte " << cut;
+    const Recovered recovered = RecoverFresh(torn_path);
+    EXPECT_EQ(recovered.replayed, whole_frames)
+        << "log cut at byte " << cut << " of " << log.size();
+    EXPECT_EQ(recovered.rows.size(), rows_after_frames[whole_frames]) << "log cut at byte " << cut;
   }
   std::remove(torn_path);
   std::remove(kLogPath);
 }
 
-/// An unknown record type cannot be framed, so parsing stops there and the
-/// valid prefix is replayed — even when the bytes after it would parse as a
-/// well-formed commit record.
+/// A torn in-place write can leave a page of the zeros it overwrote inside
+/// a frame whose other bytes still parse. Here the page falls inside one long
+/// varchar value, so only the frame's CRC shows the frame is damaged: replay
+/// stops before it.
+TEST(LoggingTest, RecoveryStopsAtAZeroedPageInsideTheLastFrame) {
+  const std::string long_name(3 * 4096, 'v');
+  {
+    LoggedEngine engine(kLogPath);
+    engine.CommitRows(0, 25, "short");
+    engine.CommitRows(25, 1, long_name);
+    engine.log_manager.Shutdown();
+  }
+  std::string log = ReadFile(kLogPath);
+  const std::vector<Frame> frames = Frames(log);
+  ASSERT_EQ(frames.size(), 2u);
+  Recovered recovered = RecoverFresh(kLogPath);
+  EXPECT_EQ(recovered.replayed, 2u) << "the undamaged log";
+  EXPECT_EQ(recovered.rows.size(), 26u) << "the undamaged log";
+
+  const size_t value_at = log.find(long_name);
+  ASSERT_GT(value_at, frames[1].offset);
+  const size_t page = (value_at + 4095) / 4096 * 4096;
+  ASSERT_LE(page + 4096, value_at + long_name.size());
+  log.replace(page, 4096, 4096, '\0');
+  WriteFile(kLogPath, log);
+  recovered = RecoverFresh(kLogPath);
+  EXPECT_EQ(recovered.replayed, 1u);
+  EXPECT_EQ(recovered.rows.size(), 25u);
+  std::remove(kLogPath);
+}
+
+/// One flipped byte inside a varchar value of the middle frame: the bytes
+/// still parse, but the CRC does not match, so replay stops before that frame.
+TEST(LoggingTest, RecoveryStopsBeforeAFrameWithAFlippedByte) {
+  WriteWorkloadLog();
+  std::string log = ReadFile(kLogPath);
+  const std::vector<Frame> frames = Frames(log);
+  ASSERT_EQ(frames.size(), 3u);
+  const size_t name_at = frames[1].records.find("row-xxxx");
+  ASSERT_NE(name_at, std::string::npos);
+  log[frames[1].offset + sizeof(logging::FrameHeader) + name_at + 5] ^= 0x01;
+  WriteFile(kLogPath, log);
+  const Recovered recovered = RecoverFresh(kLogPath);
+  EXPECT_EQ(recovered.replayed, 1u);
+  EXPECT_EQ(recovered.rows.size(), 25u);
+  std::remove(kLogPath);
+}
+
+/// A log copied from a running engine ends in the zeroed region past its
+/// last frame, which recovery reads as the end of the log. A clean Shutdown
+/// then truncates the file at the end of its last frame.
+TEST(LoggingTest, RecoveryReadsALogCopiedBeforeShutdown) {
+  std::string running_copy;
+  uint64_t bytes_written = 0;
+  {
+    LoggedEngine engine(kLogPath);
+    engine.CommitRows(0, 25, "first");
+    engine.CommitRows(25, 25, "second");
+    running_copy = ReadFile(kLogPath);
+    bytes_written = engine.log_manager.BytesWritten();
+    engine.log_manager.Shutdown();
+    EXPECT_FALSE(engine.log_manager.Failed());
+  }
+  const std::string log = ReadFile(kLogPath);
+  EXPECT_EQ(log.size(), bytes_written) << "BytesWritten counts frame bytes only";
+  ASSERT_EQ(running_copy.size(), uint64_t{1} << 20) << "one zeroed 1 MiB region";
+  EXPECT_EQ(running_copy.substr(0, log.size()), log);
+  EXPECT_EQ(running_copy.find_first_not_of('\0', log.size()), std::string::npos);
+
+  const char *copy_path = "/tmp/mainline_running_copy_test.log";
+  WriteFile(copy_path, running_copy);
+  const Recovered recovered = RecoverFresh(copy_path);
+  EXPECT_EQ(recovered.replayed, 2u);
+  EXPECT_EQ(recovered.rows.size(), 50u);
+  std::remove(copy_path);
+  std::remove(kLogPath);
+}
+
+/// An intact frame's record with an unknown type cannot be delimited, so
+/// parsing stops there and the valid prefix is replayed — even when the
+/// bytes after it would parse as a well-formed commit record.
 TEST(LoggingTest, RecoveryStopsAtAnUnknownRecordType) {
   WriteWorkloadLog();
   const std::string log = ReadFile(kLogPath);
   std::string commit_record(1, static_cast<char>(logging::LogRecordType::kCommit));
   commit_record.append(2 * sizeof(transaction::timestamp_t), '\x7f');  // begin, commit ts
-  for (const std::string &suffix :
+  for (const std::string &records :
        {std::string(1, '\xff'), std::string(1, '\xff') + std::string(8, '\0') + commit_record}) {
-    WriteFile(kLogPath, log + suffix);
-    const auto [replayed, visible] = RecoverFresh(kLogPath);
-    EXPECT_EQ(replayed, 3u) << "suffix of " << suffix.size() << " bytes";
-    EXPECT_EQ(visible, 45u) << "suffix of " << suffix.size() << " bytes";
+    WriteFile(kLogPath, log + FrameOf(records));
+    const Recovered recovered = RecoverFresh(kLogPath);
+    EXPECT_EQ(recovered.replayed, 3u) << "frame of " << records.size() << " bytes";
+    EXPECT_EQ(recovered.rows.size(), 45u) << "frame of " << records.size() << " bytes";
   }
   std::remove(kLogPath);
 }
 
 /// A record naming a table or column the recovering engine does not have can
-/// be neither applied nor framed (a record's size depends on its columns), so
-/// it ends the durable prefix like an unknown type byte: the valid prefix is
-/// replayed, the commit record after it is not. The same records naming a
-/// known table and column replay, which shows they are otherwise well formed.
+/// be neither applied nor delimited (a record's size depends on its columns),
+/// so it ends the durable prefix like an unknown type byte, even inside a
+/// frame whose CRC is valid: the valid prefix is replayed, the commit record
+/// after it is not. The same records naming a known table and column replay,
+/// which shows they are otherwise well formed.
 TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
   WriteWorkloadLog();
   const std::string log = ReadFile(kLogPath);
-  const std::vector<RecordEnd> ends = RecordEnds(log, TestSchema().ToBlockLayout());
+  const std::vector<Frame> frames = Frames(log);
+  ASSERT_FALSE(frames.empty());
+  const std::string &records = frames[0].records;
+  const std::vector<RecordEnd> ends = RecordEnds(records, TestSchema().ToBlockLayout());
   ASSERT_FALSE(ends.empty());
   // The log's first record: a redo insert of one full row. Its byte offsets:
   constexpr size_t kBegin = 1, kOid = 9, kSlot = 13, kFirstColId = 24;
-  ASSERT_EQ(log[0], static_cast<char>(logging::LogRecordType::kRedo));
-  const std::string first = log.substr(0, ends[0].offset);
+  ASSERT_EQ(records[0], static_cast<char>(logging::LogRecordType::kRedo));
+  const std::string first = records.substr(0, ends[0].offset);
 
   // All appended records belong to one new transaction that then commits.
   const transaction::timestamp_t begin = uint64_t{1} << 40;
@@ -377,11 +562,124 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
        45},
   };
   for (const auto &c : cases) {
-    WriteFile(kLogPath, log + c.record + commit);
-    const auto [replayed, visible] = RecoverFresh(kLogPath);
-    EXPECT_EQ(replayed, c.replayed) << c.what;
-    EXPECT_EQ(visible, c.visible) << c.what;
+    WriteFile(kLogPath, log + FrameOf(c.record + commit));
+    const Recovered recovered = RecoverFresh(kLogPath);
+    EXPECT_EQ(recovered.replayed, c.replayed) << c.what;
+    EXPECT_EQ(recovered.rows.size(), c.visible) << c.what;
   }
+  std::remove(kLogPath);
+}
+
+/// A log that cannot be opened, or whose writes fail, latches Failed(): no
+/// durability callback fires and nothing counts as written, but every
+/// transaction still reaches the GC. /dev/full refuses O_DIRECT, so it also
+/// runs the buffered path, whose writes fail with ENOSPC.
+TEST(LoggingTest, AFailedLogAcknowledgesNothingButReleasesEveryTransaction) {
+  for (const char *path : {"/dev/full", "/tmp/mainline-no-such-directory/test.log"}) {
+    LoggedEngine engine(path);
+    EXPECT_EQ(engine.log_manager.Failed(), path[1] == 't') << path << ": open fails";
+    std::atomic<int> acked{0};
+    for (int64_t id = 0; id < 2; id++) {
+      auto *txn = engine.txn_manager.BeginTransaction();
+      engine.Insert(txn, id, 1, "lost");
+      engine.txn_manager.Commit(txn, CountAck, &acked);
+      engine.log_manager.ForceFlush();
+      EXPECT_TRUE(engine.log_manager.Failed()) << path;
+      EXPECT_EQ(engine.gc.PerformGarbageCollection().second, 1u)
+          << path << ": the GC unlinks the transaction";
+    }
+    EXPECT_EQ(acked.load(), 0) << path;
+    EXPECT_EQ(engine.log_manager.BytesWritten(), 0u) << path;
+    EXPECT_EQ(engine.log_manager.RecordsWritten(), 0u) << path;
+  }
+}
+
+/// Four committers, each waiting for its commit to be acknowledged before
+/// the next, log enough to extend the zeroed region several times. A copy of
+/// the log taken mid-run recovers every transaction acknowledged before the
+/// copy began and none not yet submitted when it ended; after Shutdown the
+/// log recovers exactly the acknowledged transactions, every row intact.
+TEST(LoggingTest, ConcurrentCommittersRecoverTheAcknowledgedRows) {
+  constexpr int kThreads = 4;
+  constexpr int64_t kTxnsPerThread = 800, kRowsPerTxn = 4, kTxns = kThreads * kTxnsPerThread;
+  constexpr uint64_t kExtension = uint64_t{1} << 20;
+  const auto name_of = [](int64_t id) {
+    return std::string(500, static_cast<char>('a' + id % 26));
+  };
+  std::vector<std::atomic<int>> submitted(kTxns), acked(kTxns);
+  std::string running_copy;
+  std::vector<bool> acked_before_copy(kTxns), submitted_after_copy(kTxns);
+  {
+    LoggedEngine engine(kLogPath);
+    engine.log_manager.Start();
+    std::vector<std::thread> committers;
+    for (int t = 0; t < kThreads; t++) {
+      committers.emplace_back([&, t] {
+        for (int64_t txn_id = t * kTxnsPerThread; txn_id < (t + 1) * kTxnsPerThread; txn_id++) {
+          auto *txn = engine.txn_manager.BeginTransaction();
+          for (int64_t id = txn_id * kRowsPerTxn; id < (txn_id + 1) * kRowsPerTxn; id++) {
+            engine.Insert(txn, id, 1, name_of(id));
+          }
+          submitted[txn_id].store(1);
+          engine.txn_manager.Commit(txn, CountAck, &acked[txn_id]);
+          while (acked[txn_id].load() == 0 && !engine.log_manager.Failed()) {
+            std::this_thread::yield();
+          }
+        }
+      });
+    }
+    // Copy the log while the committers run, once it has crossed its first
+    // extension.
+    while (engine.log_manager.BytesWritten() < 3 * kExtension / 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (int64_t i = 0; i < kTxns; i++) acked_before_copy[i] = acked[i].load() != 0;
+    running_copy = ReadFile(kLogPath);
+    for (int64_t i = 0; i < kTxns; i++) submitted_after_copy[i] = submitted[i].load() != 0;
+
+    for (std::thread &committer : committers) committer.join();
+    engine.log_manager.Shutdown();
+    ASSERT_FALSE(engine.log_manager.Failed());
+    EXPECT_GT(engine.log_manager.BytesWritten(), 3 * kExtension);
+    EXPECT_EQ(ReadFile(kLogPath).size(), engine.log_manager.BytesWritten());
+  }
+  EXPECT_EQ(running_copy.size() % kExtension, 0u) << "a running log ends in its zeroed region";
+
+  // \return the transactions `recovered` holds, after checking that each
+  // holds all its rows, intact.
+  const auto recovered_txns = [&](const Recovered &recovered) {
+    std::map<int64_t, int64_t> rows_per_txn;
+    for (const auto &[id, row] : recovered.rows) {
+      EXPECT_EQ(row.score, id * 3) << "row " << id;
+      EXPECT_EQ(row.name, name_of(id)) << "row " << id;
+      rows_per_txn[id / kRowsPerTxn]++;
+    }
+    std::vector<bool> txns(kTxns);
+    for (const auto &[txn_id, rows] : rows_per_txn) {
+      EXPECT_EQ(rows, kRowsPerTxn) << "transaction " << txn_id << " recovered in part";
+      txns[static_cast<size_t>(txn_id)] = true;
+    }
+    EXPECT_EQ(recovered.replayed, rows_per_txn.size());
+    return txns;
+  };
+
+  const char *copy_path = "/tmp/mainline_running_copy_test.log";
+  WriteFile(copy_path, running_copy);
+  const std::vector<bool> in_copy = recovered_txns(RecoverFresh(copy_path));
+  for (int64_t i = 0; i < kTxns; i++) {
+    if (acked_before_copy[i]) {
+      EXPECT_TRUE(in_copy[i]) << "acknowledged transaction " << i;
+    }
+    if (in_copy[i]) {
+      EXPECT_TRUE(submitted_after_copy[i]) << "unsubmitted transaction " << i;
+    }
+  }
+  const std::vector<bool> in_log = recovered_txns(RecoverFresh(kLogPath));
+  for (int64_t i = 0; i < kTxns; i++) {
+    ASSERT_EQ(acked[i].load(), 1) << "transaction " << i;
+    EXPECT_TRUE(in_log[i]) << "acknowledged transaction " << i;
+  }
+  std::remove(copy_path);
   std::remove(kLogPath);
 }
 
