@@ -106,7 +106,7 @@ class LogManager {
     finished_context_ = context;
   }
 
-  /// \return number of log records written to disk so far.
+  /// \return number of log records in frames written to disk so far.
   // relaxed: monitoring counters — a reader racing the flush thread gets a
   // slightly stale tally, which is all these promise.
   uint64_t RecordsWritten() const { return records_written_.load(std::memory_order_relaxed); }
@@ -167,18 +167,18 @@ class LogManager {
   };
 
   std::string log_file_path_;
-  // Serializer-path-only state (table_resolver_, fd_ through out_buffer_):
-  // touched exclusively by whichever single thread is inside ForceFlush — the flush
-  // thread, or the caller's thread in tests/single-threaded setups before
-  // Start. Installing the resolver and the finished callback must happen
-  // before logging begins.
+  // Serializer-path-only state (table_resolver_ through out_buffer_):
+  // touched exclusively by whichever single thread is inside ForceFlush —
+  // the flush thread, or the caller's thread in tests/single-threaded setups
+  // before Start. Installing the resolver and the finished callback must
+  // happen before logging begins.
   TableResolver table_resolver_;
   FinishedCallback finished_callback_ = nullptr;
   void *finished_context_ = nullptr;
   int fd_ = -1;
-  bool direct_ = false;         // fd_ is O_DIRECT | O_DSYNC, else buffered
-  uint64_t frame_offset_ = 0;   // end of the last frame: where the next goes
-  uint64_t zeroed_end_ = 0;     // the file holds zeros from frame_offset_ to here
+  bool direct_ = false;        // fd_ is O_DIRECT | O_DSYNC, else buffered
+  uint64_t frame_offset_ = 0;  // end of the last frame: where the next goes
+  uint64_t zeroed_end_ = 0;    // the file holds zeros from frame_offset_ to here
   // The next write, from the start of the block holding frame_offset_: that
   // block's bytes before frame_offset_, a FrameHeader slot, then the records
   // serialized so far.

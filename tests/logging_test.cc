@@ -78,44 +78,24 @@ void CountAck(void *arg) { static_cast<std::atomic<int> *>(arg)->fetch_add(1); }
 }  // namespace
 
 TEST(LoggingTest, CommitCallbackFiresAfterFlush) {
-  storage::BlockStore block_store(100, 10);
-  storage::RecordBufferSegmentPool buffer_pool(100000, 100);
-  catalog::Catalog catalog(&block_store);
-  logging::LogManager log_manager(kLogPath);
-  transaction::TransactionManager logged_manager(&buffer_pool, true, &log_manager);
-  log_manager.SetTableResolver([&](catalog::table_oid_t oid) {
-    return &catalog.GetTable(oid)->UnderlyingTable();
-  });
-
-  auto *table = catalog.GetTable(catalog.CreateTable("t", TestSchema()));
-  const auto initializer = table->FullInitializer();
-  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
-
+  LoggedEngine engine(kLogPath);
   std::atomic<int> called{0};
-  auto *txn = logged_manager.BeginTransaction();
-  storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
-  workload::Set<int64_t>(row, 0, 7);
-  workload::SetVarchar(row, 1, "a varlen value that spills out of line");
-  workload::Set<int32_t>(row, 2, 11);
-  table->Insert(txn, *row);
-  logged_manager.Commit(
-      txn, [](void *arg) { static_cast<std::atomic<int> *>(arg)->fetch_add(1); }, &called);
+  auto *txn = engine.txn_manager.BeginTransaction();
+  engine.Insert(txn, 7, 1, "a varlen value that spills out of line");
+  engine.txn_manager.Commit(txn, CountAck, &called);
 
   // Not persistent yet: the callback must wait for the flush.
   EXPECT_EQ(called.load(), 0);
-  log_manager.ForceFlush();
+  engine.log_manager.ForceFlush();
   EXPECT_EQ(called.load(), 1);
-  EXPECT_GT(log_manager.BytesWritten(), 0u);
+  EXPECT_GT(engine.log_manager.BytesWritten(), 0u);
 
   // Read-only transactions get a commit record but it is not written.
-  const uint64_t bytes_before = log_manager.BytesWritten();
-  auto *read_only = logged_manager.BeginTransaction();
-  logged_manager.Commit(
-      read_only, [](void *arg) { static_cast<std::atomic<int> *>(arg)->fetch_add(1); },
-      &called);
-  log_manager.ForceFlush();
+  const uint64_t bytes_before = engine.log_manager.BytesWritten();
+  engine.txn_manager.Commit(engine.txn_manager.BeginTransaction(), CountAck, &called);
+  engine.log_manager.ForceFlush();
   EXPECT_EQ(called.load(), 2);
-  EXPECT_EQ(log_manager.BytesWritten(), bytes_before);
+  EXPECT_EQ(engine.log_manager.BytesWritten(), bytes_before);
 }
 
 /// Run a small logged workload into kLogPath: two committed 25-row insert
@@ -123,15 +103,10 @@ TEST(LoggingTest, CommitCallbackFiresAfterFlush) {
 /// ids 40..44, and one aborted insert. Each commit is flushed as its own
 /// frame, so the log holds three.
 void WriteWorkloadLog() {
-  storage::BlockStore block_store(100, 10);
-  storage::RecordBufferSegmentPool buffer_pool(100000, 100);
-  catalog::Catalog catalog(&block_store);
-  logging::LogManager log_manager(kLogPath);
-  transaction::TransactionManager logged(&buffer_pool, true, &log_manager);
-  log_manager.SetTableResolver([&](catalog::table_oid_t oid) {
-    return &catalog.GetTable(oid)->UnderlyingTable();
-  });
-  auto *table = catalog.GetTable(catalog.CreateTable("t", TestSchema()));
+  LoggedEngine engine(kLogPath);
+  transaction::TransactionManager &logged = engine.txn_manager;
+  logging::LogManager &log_manager = engine.log_manager;
+  catalog::SqlTable *table = engine.table;
   const auto initializer = table->FullInitializer();
   std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
 
