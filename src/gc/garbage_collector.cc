@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "metrics/engine_metrics.h"
 #include "storage/data_table.h"
+#include "storage/raw_block.h"
 #include "storage/undo_record.h"
 #include "transaction/transaction_context.h"
 #include "transaction/transaction_manager.h"
@@ -54,13 +56,16 @@ uint32_t GarbageCollector::ProcessUnlinkQueue(transaction::timestamp_t oldest) {
   std::vector<transaction::TransactionContext *> drained =
       txn_manager_->CompletedTransactionsForGC();
   // Feed the access observer at drain time: the GC epoch approximates each
-  // modification's timestamp (Section 4.2).
+  // modification's timestamp (Section 4.2). A transaction's writes cluster
+  // in few blocks, so the observer hears once per run of one block.
   WriteObserver *observer = observer_.load(std::memory_order_acquire);
   if (observer != nullptr) {
+    storage::RawBlock *last = nullptr;
     for (transaction::TransactionContext *txn : drained) {
       for (storage::UndoRecord *undo : txn->UndoRecords()) {
-        if (undo->Table() == nullptr) continue;
-        observer->ObserveWrite(undo->Slot().GetBlock());
+        if (undo->Table() == nullptr || undo->Slot().GetBlock() == last) continue;
+        last = undo->Slot().GetBlock();
+        observer->ObserveWrite(last);
       }
     }
   }
@@ -81,15 +86,20 @@ uint32_t GarbageCollector::ProcessUnlinkQueue(transaction::timestamp_t oldest) {
       std::partition_point(txns_to_unlink_.begin(), txns_to_unlink_.end(),
                            [oldest](const auto &entry) { return entry.first < oldest; });
   if (visible == txns_to_unlink_.begin()) return 0;
-  // Each version chain only needs truncating once per run.
-  std::unordered_set<storage::TupleSlot> visited;
+  // Each version chain only needs truncating once per run: sort the written
+  // slots, which also walks the blocks in address order, and skip repeats.
+  std::vector<std::pair<storage::TupleSlot, storage::DataTable *>> written;
   for (auto it = txns_to_unlink_.begin(); it != visible; ++it) {
     for (storage::UndoRecord *undo : it->second->UndoRecords()) {
-      storage::DataTable *table = undo->Table();
-      if (table == nullptr) continue;  // never installed
-      if (!visited.insert(undo->Slot()).second) continue;
-      TruncateVersionChain(table, undo->Slot(), oldest);
+      if (undo->Table() == nullptr) continue;  // never installed
+      written.emplace_back(undo->Slot(), undo->Table());
     }
+  }
+  const auto by_slot = [](const auto &a, const auto &b) { return a.first < b.first; };
+  std::sort(written.begin(), written.end(), by_slot);
+  for (size_t i = 0; i < written.size(); i++) {
+    if (i > 0 && written[i].first == written[i - 1].first) continue;
+    TruncateVersionChain(written[i].second, written[i].first, oldest);
   }
   {
     // Stamped after the truncation: a reader that began before it may still

@@ -34,10 +34,24 @@ namespace mainline::index {
 ///  - An insert whose leaf is full (about one in 32) releases it and starts
 ///    again from the root with exclusive-latch crabbing, splitting full nodes
 ///    preemptively on the way down, so an insertion never propagates back up.
-///  - Deletion is lazy: keys are removed from leaves but nodes are never
-///    merged (the common strategy for latch-based trees; structurally empty
-///    leaves remain valid routing targets), so a delete never falls back.
+///  - A delete that empties its leaf releases it and starts again from the
+///    root with exclusive-latch crabbing down to the leaf's parent. Holding
+///    the parent, it latches two adjacent children left then right: the
+///    emptied leaf's left neighbour and the leaf, or, for an empty first
+///    child, the leaf and its right sibling. If the leaf is still empty, the
+///    left one of the pair takes the right one's keys (none, unless it is the
+///    empty first child) and `next`, the parent drops the separator between
+///    them, and the right one is freed at once (free-at-empty, after Johnson
+///    & Shasha, JCSS 1993). A parent with one child keeps it even if empty,
+///    and inner nodes are never freed, so a structurally empty leaf is still
+///    a valid routing target.
 ///  - Latches are taken top-down, and left-to-right between leaves.
+///
+/// The immediate free is safe because a leaf pointer is only ever followed
+/// while holding the latch of the leaf's parent (descents) or of its left
+/// neighbour (hand-over-hand scans). The folding thread holds both
+/// exclusive, and then the freed leaf's own latch, so no thread is inside
+/// the leaf or waiting for it, and none can reach it afterwards.
 ///
 /// Hand-over-hand latching acquires a child before releasing its parent and
 /// returns latched nodes across function boundaries — a protocol Clang's
@@ -107,8 +121,9 @@ class BPlusTree final : public Index {
     return LeafCount() * LeafBytes() + InnerCount() * InnerBytes();
   }
 
-  /// Node census behind MemoryBytes(). Nodes are never freed before the
-  /// tree is, so the counts only grow.
+  /// Node census behind MemoryBytes(). Splits add nodes and folding an
+  /// emptied leaf frees one, so LeafCount() falls as well as rises; inner
+  /// nodes are freed only with the tree, so InnerCount() only grows.
   // relaxed: counts published for diagnostics only; the latches order the
   // nodes themselves.
   uint64_t LeafCount() const { return leaves_.load(std::memory_order_relaxed); }
@@ -206,8 +221,60 @@ class BPlusTree final : public Index {
       // structural change; the counter is diagnostics only.
       size_.fetch_sub(1, std::memory_order_relaxed);
     }
+    const bool emptied = found && leaf->count == 0;
     leaf->latch.UnlockExclusive();
+    if (emptied) FoldEmptyLeaf(key);
     return found;
+  }
+
+  // Free the leaf covering `key` if it is still empty and has a sibling
+  // under its parent (see the class comment). Exclusive crabbing as in
+  // WriteSplitting, down to the parent, which stays held to the end.
+  void FoldEmptyLeaf(const Key &key) NO_THREAD_SAFETY_ANALYSIS {
+    root_latch_.LockShared();
+    Node *node = root_;
+    node->latch.LockExclusive();
+    root_latch_.UnlockShared();
+    if (node->leaf) {  // a lone root leaf has no parent to fold it out of
+      node->latch.UnlockExclusive();
+      return;
+    }
+    auto *parent = static_cast<InnerNode *>(node);
+    uint16_t idx = parent->ChildIndex(key);
+    // `leaf` is fixed at construction, so a child's kind is known unlatched.
+    while (!parent->children[idx]->leaf) {
+      auto *child = static_cast<InnerNode *>(parent->children[idx]);
+      child->latch.LockExclusive();
+      parent->latch.UnlockExclusive();
+      parent = child;
+      idx = parent->ChildIndex(key);
+    }
+    if (parent->count > 0) {
+      const uint16_t l = idx == 0 ? 0 : idx - 1;
+      auto *left = static_cast<LeafNode *>(parent->children[l]);
+      auto *right = static_cast<LeafNode *>(parent->children[l + 1]);
+      left->latch.LockExclusive();
+      right->latch.LockExclusive();
+      if ((idx == 0 ? left : right)->count == 0) {
+        std::copy_n(right->keys, right->count, left->keys + left->count);
+        std::copy_n(right->values, right->count, left->values + left->count);
+        left->count += right->count;
+        left->next = right->next;
+        for (uint16_t i = l; i + 1 < parent->count; i++) {
+          parent->keys[i] = parent->keys[i + 1];
+          parent->children[i + 1] = parent->children[i + 2];
+        }
+        parent->count--;
+        right->latch.UnlockExclusive();
+        // relaxed: census tally only (see LeafCount).
+        leaves_.fetch_sub(1, std::memory_order_relaxed);
+        delete right;
+      } else {
+        right->latch.UnlockExclusive();
+      }
+      left->latch.UnlockExclusive();
+    }
+    parent->latch.UnlockExclusive();
   }
 
   // Point lookup via shared crab-down; same cross-function latch hand-off.
@@ -364,9 +431,13 @@ class BPlusTree final : public Index {
   void GrowRootIfFull() EXCLUDES(root_latch_) {
     common::SharedLatch::ScopedExclusiveLatch guard(&root_latch_);
     Node *old_root = root_;
-    if (!IsFull(old_root)) return;  // somebody else grew it
-    // Wait for in-flight operations already past the root latch.
+    // Wait for in-flight operations already past the root latch: a split
+    // below or a fold may still change the root's count.
     old_root->latch.LockExclusive();
+    if (!IsFull(old_root)) {  // somebody else grew it, or a fold shrank it
+      old_root->latch.UnlockExclusive();
+      return;
+    }
     auto *new_root = NewInner();
     new_root->children[0] = old_root;
     SplitChild(new_root, 0, old_root);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -11,6 +12,7 @@
 #include "gc/garbage_collector.h"
 #include "index/bplus_tree.h"
 #include "logging/log_manager.h"
+#include "storage/undo_record.h"
 #include "transform/transform_pipeline.h"
 #include "workload/row_util.h"
 
@@ -89,6 +91,72 @@ TEST(GarbageCollectorTest, UnlinksALateHandoffAheadOfAVisibleAbort) {
     gc.FullGC();
   }
   std::remove(log_path.c_str());
+}
+
+/// A long reader pins exactly the versions it can see: a GC run cuts the
+/// chain below the reader's snapshot and keeps every record above it, frees
+/// nothing the reader might still traverse, and once the reader ends the
+/// whole backlog behind it is deallocated.
+TEST(GarbageCollectorTest, LongReaderPinsExactlyItsVersions) {
+  storage::BlockStore store(100, 10);
+  storage::RecordBufferSegmentPool pool(100000, 100);
+  catalog::Catalog catalog(&store);
+  transaction::TransactionManager txn_manager(&pool, true, nullptr);
+  gc::GarbageCollector gc(&txn_manager);
+  auto *table = catalog.GetTable(
+      catalog.CreateTable("t", catalog::Schema({{"v", catalog::TypeId::kBigInt}})));
+  const auto initializer = table->FullInitializer();
+  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+  storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+
+  auto *txn = txn_manager.BeginTransaction();
+  workload::Set<int64_t>(row, 0, 0);
+  const storage::TupleSlot slot = table->Insert(txn, *row);
+  txn_manager.Commit(txn);
+  const auto update = [&](int64_t v) {
+    auto *writer = txn_manager.BeginTransaction();
+    workload::Set<int64_t>(row, 0, v);
+    ASSERT_TRUE(table->Update(writer, slot, *row));
+    txn_manager.Commit(writer);
+  };
+  const auto chain_length = [&] {
+    int length = 0;
+    for (storage::UndoRecord *undo =
+             table->UnderlyingTable().Accessor().VersionPtr(slot).load();
+         undo != nullptr; undo = undo->Next().load()) {
+      length++;
+    }
+    return length;
+  };
+  const auto read = [&](transaction::TransactionContext *reader) {
+    EXPECT_TRUE(table->Select(reader, slot, row));
+    return workload::Get<int64_t>(*row, 0);
+  };
+
+  constexpr int kBefore = 20, kAfter = 30;
+  for (int64_t v = 1; v <= kBefore; v++) update(v);
+  auto *reader = txn_manager.BeginTransaction();
+  for (int64_t v = kBefore + 1; v <= kBefore + kAfter; v++) update(v);
+  ASSERT_EQ(chain_length(), 1 + kBefore + kAfter);
+
+  // The insert and the updates before the reader are unlinked; the chain
+  // keeps exactly the records the reader needs to rebuild its version.
+  EXPECT_EQ(gc.PerformGarbageCollection(), std::make_pair(0u, 1u + kBefore));
+  for (int pass = 0; pass < 3; pass++) {
+    EXPECT_EQ(gc.PerformGarbageCollection(), std::make_pair(0u, 0u)) << "pass " << pass;
+    EXPECT_EQ(chain_length(), kAfter);
+    EXPECT_EQ(read(reader), kBefore);
+  }
+
+  txn_manager.Commit(reader);
+  EXPECT_EQ(gc.PerformGarbageCollection(), std::make_pair(1u + kBefore, kAfter + 1u));
+  EXPECT_EQ(chain_length(), 0);
+  EXPECT_EQ(gc.PerformGarbageCollection(), std::make_pair(kAfter + 1u, 0u));
+  EXPECT_EQ(gc.PerformGarbageCollection(), std::make_pair(0u, 0u));
+  auto *fresh = txn_manager.BeginTransaction();
+  EXPECT_EQ(read(fresh), kBefore + kAfter);
+  txn_manager.Commit(fresh);
+  gc.FullGC();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -231,10 +232,98 @@ TEST(BPlusTreeTest, MemoryBytesCountsNodes) {
   }
   EXPECT_EQ(tree.MemoryBytes(),
             tree.LeafCount() * Tree::LeafBytes() + tree.InnerCount() * Tree::InnerBytes());
-  // Deletes never free nodes.
-  const uint64_t bytes = tree.MemoryBytes();
+  // Deleting every key in order frees each emptied leaf that has a sibling:
+  // every parent of leaves (each inner node but the root) keeps one empty
+  // leaf, and the inner nodes stay.
+  ASSERT_EQ(tree.Height(), 3u);
+  const uint64_t inners = tree.InnerCount();
   for (int64_t i = 0; i < 5000; i++) ASSERT_TRUE(tree.Delete(Key(i)));
-  EXPECT_EQ(tree.MemoryBytes(), bytes);
+  EXPECT_EQ(tree.Size(), 0u);
+  EXPECT_EQ(tree.InnerCount(), inners);
+  EXPECT_EQ(tree.LeafCount(), inners - 1);
+  EXPECT_EQ(tree.MemoryBytes(), (inners - 1) * Tree::LeafBytes() + inners * Tree::InnerBytes());
+  // The folded tree still routes every key.
+  for (int64_t i = 0; i < 5000; i += 7) ASSERT_TRUE(tree.Insert(Key(i), Slot(1)));
+  std::vector<TupleSlot> all;
+  tree.ScanAscending(Key(0), Key(5000), 0, &all);
+  EXPECT_EQ(all.size(), 715u);
+}
+
+namespace {
+/// Key `seq` of range `range`: ranges are contiguous in key order, like a
+/// TPC-C district's orders.
+IndexKey RangeKey(int64_t range, int64_t seq) { return IndexKey().AddSigned(range).AddSigned(seq); }
+TupleSlot RangeSlot(int64_t range, int64_t seq) {
+  return Slot(static_cast<uint64_t>(range) << 24 | static_cast<uint64_t>(seq));
+}
+
+/// Leaves a queue-shaped key stream may keep: every leaf that is neither
+/// some range's front (partly deleted) or back (being appended to) holds at
+/// least half a leaf, i.e. 32 keys; and a parent with one child may keep that
+/// child empty.
+template <uint32_t W>
+uint64_t QueueLeafBound(const BPlusTree<W> &tree, uint64_t ranges) {
+  return tree.Size() / 32 + 2 * ranges + tree.InnerCount();
+}
+}  // namespace
+
+/// A queue per key range, as in TPC-C's NEW_ORDER: keys are appended at the
+/// back of each range and deleted from its front. Emptied leaves must be
+/// freed, so the leaf count follows the live keys rather than every key ever
+/// inserted, and Delivery's limited scan from the front of a range must
+/// agree with a std::map throughout. Fronts fall both on a parent's first
+/// child (folded with its right sibling) and on later children (folded into
+/// their left neighbour).
+TEST(BPlusTreeTest, QueueShapedDeletesFreeLeaves) {
+  constexpr int64_t kRanges = 8;
+  constexpr int kRounds = 400;
+  BPlusTree<16> tree;
+  std::map<std::pair<int64_t, int64_t>, TupleSlot> oracle;
+  std::vector<int64_t> front(kRanges, 0), back(kRanges, 0);
+  common::Xorshift rng(30);
+  uint64_t inserted = 0;
+  for (int round = 0; round < kRounds; round++) {
+    for (int64_t r = 0; r < kRanges; r++) {
+      for (auto n = rng.Uniform(1, 48); n > 0; n--, back[r]++, inserted++) {
+        ASSERT_TRUE(tree.Insert(RangeKey(r, back[r]), RangeSlot(r, back[r])));
+        oracle.emplace(std::pair(r, back[r]), RangeSlot(r, back[r]));
+      }
+      // Hold each range near a live target of its own.
+      const int64_t target = 100 + 60 * r;
+      const auto deletes = static_cast<int64_t>(
+          back[r] - front[r] > target ? rng.Uniform(1, 64) : rng.Uniform(0, 16));
+      for (int64_t n = 0; n < deletes && front[r] < back[r]; n++, front[r]++) {
+        ASSERT_TRUE(tree.Delete(RangeKey(r, front[r])));
+        oracle.erase(std::pair(r, front[r]));
+      }
+      std::vector<TupleSlot> oldest;
+      tree.ScanAscending(RangeKey(r, 0), RangeKey(r, INT32_MAX), 4, &oldest);
+      std::vector<TupleSlot> expected;
+      for (auto it = oracle.lower_bound({r, 0}); it != oracle.end() && it->first.first == r &&
+                                                 expected.size() < 4;
+           ++it) {
+        expected.push_back(it->second);
+      }
+      ASSERT_EQ(oldest, expected) << "range " << r << " round " << round;
+    }
+    ASSERT_EQ(tree.Size(), oracle.size());
+    ASSERT_LE(tree.LeafCount(), QueueLeafBound(tree, kRanges))
+        << "round " << round << ": " << inserted << " keys inserted";
+  }
+  // Without frees the leaves would number about inserted / 32.
+  EXPECT_LT(tree.LeafCount() * 8, inserted / 32);
+  std::vector<TupleSlot> all, expected;
+  tree.ScanAscending(RangeKey(0, 0), RangeKey(kRanges, 0), 0, &all);
+  for (const auto &[key, slot] : oracle) expected.push_back(slot);
+  ASSERT_EQ(all, expected);
+  for (int64_t r = 0; r < kRanges; r++) {
+    TupleSlot found;
+    if (front[r] > 0) {
+      EXPECT_FALSE(tree.Find(RangeKey(r, front[r] - 1), &found));
+    }
+  }
+  EXPECT_EQ(tree.MemoryBytes(), tree.LeafCount() * BPlusTree<16>::LeafBytes() +
+                                    tree.InnerCount() * BPlusTree<16>::InnerBytes());
 }
 
 TEST(HashIndexTest, BasicAndOverwrite) {
@@ -538,6 +627,97 @@ void CheckConcurrentAgainstOracle(bool ordered) {
     for (const auto &[bytes, k] : oracle) expected.push_back(k);
     ASSERT_EQ(all, Slots(expected));
   }
+}
+
+/// Concurrent queues, TPC-C Delivery style: per key range, an appender adds
+/// keys at the back while a deleter finds the oldest key with a limited
+/// ScanAscending from the range's start and deletes it, so leaves empty and
+/// are freed under scans. Full-range scanners check against the progress
+/// counters: a scan returns keys in order, every key it returns was live at
+/// some point during the scan, and every key live throughout it is returned.
+TEST(IndexConcurrencyTest, BPlusTreeFreesLeavesUnderQueueScans) {
+  constexpr int64_t kRanges = 3, kPerRange = 12000, kKeep = 500;
+  BPlusTree<16> tree;
+  std::vector<std::atomic<int64_t>> appended(kRanges), deleted(kRanges);
+  std::vector<std::thread> writers;
+  for (int64_t r = 0; r < kRanges; r++) {
+    writers.emplace_back([&, r] {
+      for (int64_t seq = 0; seq < kPerRange; seq++) {
+        ASSERT_TRUE(tree.Insert(RangeKey(r, seq), RangeSlot(r, seq)));
+        appended[r].store(seq + 1);
+      }
+    });
+    writers.emplace_back([&, r] {
+      int64_t next = 0;
+      while (next < kPerRange - kKeep) {
+        std::vector<TupleSlot> oldest;
+        tree.ScanAscending(RangeKey(r, 0), RangeKey(r, INT32_MAX), 4, &oldest);
+        if (oldest.empty()) {
+          std::this_thread::yield();
+          continue;
+        }
+        // Only this thread deletes from the range, and it appends in order,
+        // so the oldest keys are the next ones, consecutive.
+        for (size_t i = 0; i < oldest.size(); i++) {
+          ASSERT_EQ(oldest[i], RangeSlot(r, next + static_cast<int64_t>(i)));
+        }
+        ASSERT_TRUE(tree.Delete(RangeKey(r, next)));
+        deleted[r].store(++next);
+      }
+    });
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < 2; t++) {
+    scanners.emplace_back([&] {
+      while (!stop.load()) {
+        std::vector<int64_t> deleted_before(kRanges), appended_before(kRanges);
+        for (int64_t r = 0; r < kRanges; r++) {
+          deleted_before[r] = deleted[r].load();
+          appended_before[r] = appended[r].load();
+        }
+        std::vector<TupleSlot> all;
+        tree.ScanAscending(RangeKey(0, 0), RangeKey(kRanges, 0), 0, &all);
+        std::vector<std::vector<int64_t>> seqs(kRanges);
+        for (size_t i = 0; i < all.size(); i++) {
+          if (i > 0) {
+            ASSERT_LT(all[i - 1].RawBytes(), all[i].RawBytes());
+          }
+          const uint64_t v = all[i].RawBytes() >> 20;
+          seqs[v >> 24].push_back(static_cast<int64_t>(v & ((1u << 24) - 1)));
+        }
+        for (int64_t r = 0; r < kRanges; r++) {
+          // Each counter lags its operation, so one key per range may be
+          // in flight: `deleted_after` may be gone and `appended_after` may
+          // already be visible.
+          const int64_t deleted_after = deleted[r].load(), appended_after = appended[r].load();
+          for (const int64_t seq : seqs[r]) {
+            ASSERT_GE(seq, deleted_before[r]);
+            ASSERT_LE(seq, appended_after);
+          }
+          auto it = std::lower_bound(seqs[r].begin(), seqs[r].end(), deleted_after + 1);
+          for (int64_t seq = deleted_after + 1; seq < appended_before[r]; seq++, ++it) {
+            ASSERT_TRUE(it != seqs[r].end() && *it == seq)
+                << "range " << r << " missed live key " << seq;
+          }
+        }
+      }
+    });
+  }
+  for (auto &thread : writers) thread.join();
+  stop.store(true);
+  for (auto &thread : scanners) thread.join();
+
+  ASSERT_EQ(tree.Size(), static_cast<uint64_t>(kRanges * kKeep));
+  std::vector<TupleSlot> all, expected;
+  tree.ScanAscending(RangeKey(0, 0), RangeKey(kRanges, 0), 0, &all);
+  for (int64_t r = 0; r < kRanges; r++) {
+    for (int64_t seq = kPerRange - kKeep; seq < kPerRange; seq++) {
+      expected.push_back(RangeSlot(r, seq));
+    }
+  }
+  ASSERT_EQ(all, expected);
+  EXPECT_LE(tree.LeafCount(), QueueLeafBound(tree, kRanges));
 }
 
 TEST(IndexConcurrencyTest, BPlusTreeSplitsUnderDeletesAndScans) {
