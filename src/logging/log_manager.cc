@@ -82,11 +82,8 @@ void LogManager::Shutdown() {
 }
 
 void LogManager::Submit(const LogSubmission &submission) {
-  {
-    common::MutexGuard lock(&queue_latch_);
-    flush_queue_.push_back(submission);
-  }
-  flush_cv_.NotifyOne();
+  common::MutexGuard lock(&queue_latch_);
+  flush_queue_.push_back(submission);
 }
 
 void LogManager::FlushLoop() {
@@ -104,24 +101,23 @@ void LogManager::FlushLoop() {
 }
 
 void LogManager::ForceFlush() {
-  std::vector<LogSubmission> batch;
   {
     common::MutexGuard lock(&queue_latch_);
-    batch.swap(flush_queue_);
+    batch_.swap(flush_queue_);
   }
-  if (batch.empty()) return;
+  if (batch_.empty()) return;
 
   // A failed log acknowledges nothing more, but still reports every
   // submission finished below, so the GC reclaims the transactions.
   if (!Failed()) {
     std::vector<std::pair<CommitRecord::DurabilityCallback, void *>> callbacks;
     uint64_t records = 0;
-    for (const LogSubmission &submission : batch) {
+    for (const LogSubmission &submission : batch_) {
       records += ProcessSubmission(submission, &callbacks);
     }
     // Group commit: only once the frame is durable do the transactions'
     // results become publishable to clients.
-    if (WriteFrame(batch.size())) {
+    if (WriteFrame(batch_.size())) {
       // relaxed: monotonic statistic read by tests and monitors; readers
       // need a current-ish value, not ordering against the written bytes.
       records_written_.fetch_add(records, std::memory_order_relaxed);
@@ -130,14 +126,11 @@ void LogManager::ForceFlush() {
       }
     }
   }
-  // Now that the records are serialized, report each submission upward (the
+  // Now that the records are serialized, report the batch upward (the
   // transaction layer forwards it to the GC, which may then reclaim its
   // buffers).
-  if (finished_callback_ != nullptr) {
-    for (const LogSubmission &submission : batch) {
-      finished_callback_(finished_context_, submission.handle);
-    }
-  }
+  if (finished_callback_ != nullptr) finished_callback_(finished_context_, batch_);
+  batch_.clear();
 }
 
 uint64_t LogManager::ProcessSubmission(
@@ -203,8 +196,6 @@ void LogManager::SerializeRecord(const LogRecord &record) {
       WriteValue(commit->CommitTime());
       break;
     }
-    case LogRecordType::kAbort:
-      break;
   }
 }
 

@@ -32,10 +32,11 @@ struct LogSubmission {
 /// their redo buffers; a background thread serializes each batch of them
 /// into one frame (logging::FrameHeader: length, CRC32C, records), writes
 /// the frame with one synced write (group commit), and then invokes the
-/// commit callbacks embedded in the commit records. The rest of the system
-/// treats a transaction as committed as soon as its commit record is
-/// enqueued, but its result is not released to the client until the callback
-/// fires.
+/// commit callbacks embedded in the commit records. Submissions arrive in
+/// commit order, so every frame holds whole transactions in increasing
+/// commit-timestamp order. The rest of the system treats a transaction as
+/// committed as soon as its commit record is enqueued, but its result is not
+/// released to the client until the callback fires.
 ///
 /// The frame goes in place, into a region of the file that already holds
 /// zeros, so a synced write changes no file metadata and needs no journal
@@ -56,9 +57,9 @@ struct LogSubmission {
 /// speculative-read anomaly described in the paper) but their commit records
 /// are not written to disk.
 ///
-/// A submission is reported back through the finished callback only after
-/// its records are serialized; the transaction layer uses that signal to
-/// forward the transaction to the garbage collector, so the GC can never
+/// Each batch is reported back through the finished callback only after its
+/// records are serialized; the transaction layer uses that signal to forward
+/// the transactions to the garbage collector, so the GC can never
 /// reclaim varlen buffers the serializer still references. The log manager
 /// itself knows nothing about transactions — it sees record vectors and
 /// opaque handles.
@@ -68,10 +69,11 @@ class LogManager {
   /// attribute sizes and varlen columns. Installed by the catalog.
   using TableResolver = std::function<storage::DataTable *(catalog::table_oid_t)>;
 
-  /// Invoked once per submission after its records are serialized and the
+  /// Invoked once per flushed batch after its records are serialized and the
   /// batch is durable, or the log has failed. `context` is the pointer given
-  /// to SetFinishedCallback; `handle` is the submission's handle.
-  using FinishedCallback = void (*)(void *context, void *handle);
+  /// to SetFinishedCallback; `batch` holds the batch's submissions in queue
+  /// order and is valid only during the call.
+  using FinishedCallback = void (*)(void *context, const std::vector<LogSubmission> &batch);
 
   /// \param log_file_path file the log is written to; truncated on open. If
   ///        it cannot be opened, the log starts out failed.
@@ -88,8 +90,11 @@ class LogManager {
   /// file at the end of its last frame.
   void Shutdown() EXCLUDES(queue_latch_);
 
-  /// Enqueue one committed (or read-only) transaction's staged records.
+  /// Enqueue one committed (or read-only) transaction's staged records,
+  /// without waking the flush thread (WakeFlushThread does). Called inside
+  /// the transaction manager's commit_latch_; queue_latch_ is a leaf.
   void Submit(const LogSubmission &submission) EXCLUDES(queue_latch_);
+  void WakeFlushThread() { flush_cv_.NotifyOne(); }
 
   /// Synchronously process everything currently queued (serialize, write one
   /// synced frame, run callbacks). Used by tests and single-threaded setups.
@@ -167,7 +172,7 @@ class LogManager {
   };
 
   std::string log_file_path_;
-  // Serializer-path-only state (table_resolver_ through out_buffer_):
+  // Serializer-path-only state (table_resolver_ through batch_):
   // touched exclusively by whichever single thread is inside ForceFlush —
   // the flush thread, or the caller's thread in tests/single-threaded setups
   // before Start. Installing the resolver and the finished callback must
@@ -183,6 +188,9 @@ class LogManager {
   // block's bytes before frame_offset_, a FrameHeader slot, then the records
   // serialized so far.
   std::vector<byte, BlockAlignedAllocator<byte>> out_buffer_;
+  // The batch being flushed. It trades buffers with flush_queue_ and keeps
+  // its capacity, so Submit's push stops allocating.
+  std::vector<LogSubmission> batch_;
 
   common::Mutex queue_latch_;
   std::vector<LogSubmission> flush_queue_ GUARDED_BY(queue_latch_);

@@ -8,10 +8,6 @@
 #include "storage/projected_row.h"
 #include "storage/storage_defs.h"
 
-namespace mainline::transaction {
-class TransactionContext;
-}
-
 namespace mainline::logging {
 
 /// Kind of a write-ahead log record (Section 3.4).
@@ -22,8 +18,6 @@ enum class LogRecordType : uint8_t {
   kDelete,
   /// Transaction commit; carries the durability callback.
   kCommit,
-  /// Transaction abort (only present if records were flushed incrementally).
-  kAbort,
 };
 
 /// Header of one frame of the on-disk log. Each group-commit batch is one
@@ -40,9 +34,12 @@ struct FrameHeader {
 static_assert(sizeof(FrameHeader) == 8, "FrameHeader layout");
 
 /// Generic header of every log record. Records live in a transaction's redo
-/// buffer and are later serialized to disk by the log manager. The system
-/// orders records implicitly by their transaction's commit timestamp instead
-/// of log sequence numbers.
+/// buffer and are later serialized to disk by the log manager. A record has
+/// no log sequence number: its transaction's commit timestamp gives its place
+/// in the log. The transaction manager submits each committing transaction
+/// from inside its commit critical section, so the log holds whole
+/// transactions, each ending in its commit record, in strictly increasing
+/// commit-timestamp order. Aborted transactions never reach the log.
 class LogRecord {
  public:
   LogRecord() = delete;
@@ -174,24 +171,24 @@ class CommitRecord {
   bool IsReadOnly() const { return is_read_only_; }
   DurabilityCallback Callback() const { return callback_; }
   void *CallbackArg() const { return callback_arg_; }
-  transaction::TransactionContext *Txn() const { return txn_; }
 
   static uint32_t Size() {
     return static_cast<uint32_t>(sizeof(LogRecord) + sizeof(CommitRecord));
   }
 
-  static LogRecord *Initialize(byte *head, transaction::timestamp_t txn_begin,
-                               transaction::timestamp_t commit_time, bool is_read_only,
-                               DurabilityCallback callback, void *callback_arg,
-                               transaction::TransactionContext *txn) {
+  /// Set inside the commit critical section, once the timestamp is drawn.
+  void SetCommitTime(transaction::timestamp_t commit_time) { commit_time_ = commit_time; }
+
+  /// Initialize a commit record whose commit time is set later.
+  static LogRecord *Initialize(byte *head, transaction::timestamp_t txn_begin, bool is_read_only,
+                               DurabilityCallback callback, void *callback_arg) {
     LogRecord *record =
         LogRecord::InitializeHeader(head, LogRecordType::kCommit, Size(), txn_begin);
     auto *body = record->GetUnderlyingRecordBodyAs<CommitRecord>();
-    body->commit_time_ = commit_time;
+    body->commit_time_ = transaction::kInvalidTimestamp;
     body->is_read_only_ = is_read_only;
     body->callback_ = callback;
     body->callback_arg_ = callback_arg;
-    body->txn_ = txn;
     return record;
   }
 
@@ -199,7 +196,6 @@ class CommitRecord {
   transaction::timestamp_t commit_time_;
   DurabilityCallback callback_;
   void *callback_arg_;
-  transaction::TransactionContext *txn_;
   bool is_read_only_;
   uint8_t padding_[7];
 };

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -12,6 +11,7 @@
 #include "storage/block_layout.h"
 #include "storage/data_table.h"
 #include "storage/projected_row.h"
+#include "storage/storage_util.h"
 #include "storage/varlen_entry.h"
 #include "transaction/transaction_context.h"
 #include "transaction/transaction_manager.h"
@@ -19,25 +19,6 @@
 namespace mainline::transaction {
 
 namespace {
-
-/// A parsed, engine-independent log record used only during replay.
-struct ParsedRecord {
-  logging::LogRecordType type;
-  catalog::table_oid_t table_oid{0};
-  storage::TupleSlot slot;
-  bool is_insert = false;
-  std::vector<storage::col_id_t> col_ids;
-  // Parallel to col_ids: null flag and raw value bytes (varlen contents for
-  // varlen columns).
-  std::vector<bool> nulls;
-  std::vector<std::vector<byte>> values;
-};
-
-struct ParsedTxn {
-  std::vector<ParsedRecord> records;
-  transaction::timestamp_t commit_ts = transaction::kInvalidTimestamp;
-  bool committed = false;
-};
 
 /// Reads a log file frame by frame (logging::FrameHeader).
 class LogFileReader {
@@ -84,14 +65,17 @@ class RecordReader {
 
   template <typename T>
   bool Read(T *out) {
-    return ReadBytes(reinterpret_cast<byte *>(out), sizeof(T));
+    const byte *bytes = Take(sizeof(T));
+    if (bytes != nullptr) std::memcpy(out, bytes, sizeof(T));
+    return bytes != nullptr;
   }
 
-  bool ReadBytes(byte *out, uint64_t size) {
-    if (static_cast<uint64_t>(end_ - pos_) < size) return false;
-    std::memcpy(out, pos_, size);
+  /// \return the next `size` bytes, in place, or nullptr past the frame.
+  const byte *Take(uint64_t size) {
+    if (static_cast<uint64_t>(end_ - pos_) < size) return nullptr;
+    const byte *bytes = pos_;
     pos_ += size;
-    return true;
+    return bytes;
   }
 
  private:
@@ -99,176 +83,170 @@ class RecordReader {
   const byte *end_;
 };
 
-using TxnMap = std::unordered_map<transaction::timestamp_t, ParsedTxn>;
+/// Applies log records in file order to the open replay transaction; a
+/// commit record commits it. Each Apply either applies its whole record or
+/// stops the replay, and destroying the Replay rolls back a transaction
+/// whose commit record was never applied.
+class Replay {
+ public:
+  Replay(const std::unordered_map<catalog::table_oid_t, storage::DataTable *> &tables,
+         TransactionManager *txn_manager,
+         std::unordered_map<storage::TupleSlot, storage::TupleSlot> *slot_map)
+      : tables_(tables), txn_manager_(txn_manager), slot_map_(slot_map) {}
 
-/// Parse the record at the reader's position into its transaction's entry in
-/// `txns`. Inside a frame whose CRC matched, the log's durable prefix ends at
-/// the first record that cannot be parsed: one that runs past its frame, an
-/// unknown type byte, or a table oid or column id the engine does not have
-/// (nothing after either can be delimited, nor can the record be applied).
-/// \return false at the end of the durable prefix.
-bool ParseRecord(RecordReader *reader,
-                 const std::unordered_map<catalog::table_oid_t, storage::DataTable *> &tables,
-                 TxnMap *txns) {
-  uint8_t type_byte;
-  transaction::timestamp_t txn_begin;
-  if (!reader->Read(&type_byte) || !reader->Read(&txn_begin)) return false;
-  const auto type = static_cast<logging::LogRecordType>(type_byte);
-  switch (type) {
-    case logging::LogRecordType::kRedo: {
-      ParsedRecord record;
-      record.type = type;
-      uint32_t oid;
-      uint64_t slot_bytes;
-      uint8_t is_insert;
-      uint16_t num_cols;
-      if (!reader->Read(&oid) || !reader->Read(&slot_bytes) || !reader->Read(&is_insert) ||
-          !reader->Read(&num_cols)) {
-        return false;
-      }
-      record.table_oid = catalog::table_oid_t(oid);
-      record.slot = storage::TupleSlot::FromRawBytes(slot_bytes);
-      record.is_insert = is_insert != 0;
-      const auto table = tables.find(record.table_oid);
-      if (table == tables.end()) return false;
-      const storage::BlockLayout &layout = table->second->GetLayout();
-      record.col_ids.resize(num_cols);
-      for (auto &col : record.col_ids) {
-        uint16_t raw;
-        if (!reader->Read(&raw) || raw >= layout.NumColumns()) return false;
-        col = storage::col_id_t(raw);
-      }
-      record.nulls.resize(num_cols);
-      record.values.resize(num_cols);
-      for (uint16_t i = 0; i < num_cols; i++) {
-        uint8_t not_null;
-        if (!reader->Read(&not_null)) return false;
-        record.nulls[i] = not_null == 0;
-        if (record.nulls[i]) continue;
-        uint64_t size;
-        if (layout.IsVarlen(record.col_ids[i])) {
-          uint32_t varlen_size;
-          if (!reader->Read(&varlen_size)) return false;
-          size = varlen_size;
-        } else {
-          size = layout.AttrSize(record.col_ids[i]);
-        }
-        record.values[i].resize(size);
-        if (size > 0 && !reader->ReadBytes(record.values[i].data(), size)) return false;
-      }
-      (*txns)[txn_begin].records.push_back(std::move(record));
-      return true;
-    }
-    case logging::LogRecordType::kDelete: {
-      ParsedRecord record;
-      record.type = type;
-      uint32_t oid;
-      uint64_t slot_bytes;
-      if (!reader->Read(&oid) || !reader->Read(&slot_bytes)) return false;
-      record.table_oid = catalog::table_oid_t(oid);
-      if (tables.count(record.table_oid) == 0) return false;
-      record.slot = storage::TupleSlot::FromRawBytes(slot_bytes);
-      (*txns)[txn_begin].records.push_back(std::move(record));
-      return true;
-    }
-    case logging::LogRecordType::kCommit: {
-      transaction::timestamp_t commit_ts;
-      if (!reader->Read(&commit_ts)) return false;
-      ParsedTxn &txn = (*txns)[txn_begin];
-      txn.commit_ts = commit_ts;
-      txn.committed = true;
-      return true;
-    }
-    case logging::LogRecordType::kAbort:
-      (*txns)[txn_begin].records.clear();
-      return true;
-  }
-  return false;  // unknown type byte
-}
+  DISALLOW_COPY_AND_MOVE(Replay)
 
-/// Parse every record of one frame.
-/// \return false if the durable prefix ends inside the frame.
-bool ParseFrame(const std::vector<byte> &records,
-                const std::unordered_map<catalog::table_oid_t, storage::DataTable *> &tables,
-                TxnMap *txns) {
-  RecordReader reader(records);
-  while (!reader.Done()) {
-    if (!ParseRecord(&reader, tables, txns)) return false;
+  ~Replay() {
+    if (txn_ != nullptr) txn_manager_->Abort(txn_);
   }
-  return true;
-}
+
+  /// Apply the record at the reader's position.
+  /// \return false where the replay stops (see RecoveryManager).
+  bool Apply(RecordReader *reader) {
+    uint8_t type_byte;
+    timestamp_t txn_begin;
+    if (!reader->Read(&type_byte) || !reader->Read(&txn_begin)) return false;
+    if (txn_ == nullptr) {
+      txn_ = txn_manager_->BeginTransaction();
+      txn_begin_ = txn_begin;
+    } else if (txn_begin != txn_begin_) {
+      return false;  // another transaction's record before this one's commit
+    }
+    switch (static_cast<logging::LogRecordType>(type_byte)) {
+      case logging::LogRecordType::kRedo:
+        return ApplyRedo(reader);
+      case logging::LogRecordType::kDelete:
+        return ApplyDelete(reader);
+      case logging::LogRecordType::kCommit: {
+        timestamp_t commit_time;
+        if (!reader->Read(&commit_time) || commit_time <= last_commit_time_) return false;
+        txn_manager_->Commit(txn_);
+        txn_ = nullptr;
+        last_commit_time_ = commit_time;
+        replayed_++;
+        return true;
+      }
+    }
+    return false;  // unknown type byte
+  }
+
+  /// \return number of transactions committed so far.
+  uint64_t Replayed() const { return replayed_; }
+
+ private:
+  storage::DataTable *FindTable(uint32_t oid) const {
+    const auto it = tables_.find(catalog::table_oid_t(oid));
+    return it == tables_.end() ? nullptr : it->second;
+  }
+
+  bool ApplyRedo(RecordReader *reader) {
+    uint32_t oid;
+    uint64_t slot_bytes;
+    uint8_t is_insert;
+    uint16_t num_cols;
+    if (!reader->Read(&oid) || !reader->Read(&slot_bytes) || !reader->Read(&is_insert) ||
+        !reader->Read(&num_cols) || num_cols == 0) {
+      return false;
+    }
+    storage::DataTable *table = FindTable(oid);
+    if (table == nullptr) return false;
+    const storage::BlockLayout &layout = table->GetLayout();
+    col_ids_.resize(num_cols);
+    for (storage::col_id_t &col : col_ids_) {
+      uint16_t raw;
+      if (!reader->Read(&raw) || raw >= layout.NumColumns()) return false;
+      col = storage::col_id_t(raw);
+    }
+    // Consecutive records mostly name the same columns of the same table.
+    if (table != row_table_ || col_ids_ != initializer_->ColumnIds()) {
+      row_table_ = nullptr;
+      initializer_ = storage::ProjectedRowInitializer::Create(layout, col_ids_);
+      const std::vector<storage::col_id_t> &sorted = initializer_->ColumnIds();
+      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) return false;
+      row_table_ = table;
+      row_buffer_.resize((initializer_->ProjectedRowSize() + 7) / 8);
+    }
+    // Every column starts out null; values go straight into the row.
+    storage::ProjectedRow *row =
+        initializer_->InitializeRow(reinterpret_cast<byte *>(row_buffer_.data()));
+    const std::vector<storage::col_id_t> &row_cols = initializer_->ColumnIds();
+    for (const storage::col_id_t col : col_ids_) {
+      const auto i = static_cast<uint16_t>(
+          std::lower_bound(row_cols.begin(), row_cols.end(), col) - row_cols.begin());
+      uint8_t not_null;
+      if (!reader->Read(&not_null)) return Discard(layout, *row);
+      if (not_null == 0) continue;
+      uint32_t size = layout.AttrSize(col);
+      if (layout.IsVarlen(col) && !reader->Read(&size)) return Discard(layout, *row);
+      const byte *value = reader->Take(size);
+      if (value == nullptr) return Discard(layout, *row);
+      if (!layout.IsVarlen(col)) {
+        std::memcpy(row->AccessForceNotNull(i), value, size);
+        continue;
+      }
+      const storage::VarlenEntry entry =
+          storage::AllocateVarlen({reinterpret_cast<const char *>(value), size});
+      std::memcpy(row->AccessForceNotNull(i), &entry, sizeof(entry));
+    }
+
+    const storage::TupleSlot slot = storage::TupleSlot::FromRawBytes(slot_bytes);
+    if (is_insert != 0) {
+      (*slot_map_)[slot] = table->Insert(txn_, *row);
+      return true;
+    }
+    const auto it = slot_map_->find(slot);
+    if (it == slot_map_->end()) return Discard(layout, *row);
+    // A failed update hands the row's varlens to txn_, whose rollback frees
+    // them.
+    return table->Update(txn_, it->second, *row);
+  }
+
+  bool ApplyDelete(RecordReader *reader) {
+    uint32_t oid;
+    uint64_t slot_bytes;
+    if (!reader->Read(&oid) || !reader->Read(&slot_bytes)) return false;
+    storage::DataTable *table = FindTable(oid);
+    if (table == nullptr) return false;
+    const auto it = slot_map_->find(storage::TupleSlot::FromRawBytes(slot_bytes));
+    if (it == slot_map_->end() || !table->Delete(txn_, it->second)) return false;
+    slot_map_->erase(it);  // a later record can name the slot only by reinserting it
+    return true;
+  }
+
+  /// Free the varlens of a row that will not be applied. \return false
+  static bool Discard(const storage::BlockLayout &layout, const storage::ProjectedRow &row) {
+    storage::StorageUtil::DeallocateVarlensInDelta(layout, row);
+    return false;
+  }
+
+  const std::unordered_map<catalog::table_oid_t, storage::DataTable *> &tables_;
+  TransactionManager *txn_manager_;
+  std::unordered_map<storage::TupleSlot, storage::TupleSlot> *slot_map_;
+  TransactionContext *txn_ = nullptr;  // the open replay transaction
+  timestamp_t txn_begin_ = kInitialTimestamp;
+  timestamp_t last_commit_time_ = kInitialTimestamp;
+  uint64_t replayed_ = 0;
+  // The row the last redo record was parsed into, reused while consecutive
+  // records name the same table and columns.
+  std::vector<storage::col_id_t> col_ids_;
+  const storage::DataTable *row_table_ = nullptr;
+  std::optional<storage::ProjectedRowInitializer> initializer_;
+  std::vector<uint64_t> row_buffer_;  // 8-byte aligned, as a ProjectedRow needs
+};
 
 }  // namespace
 
 uint64_t RecoveryManager::Recover(const std::string &log_file_path) {
-  // Phase 1: parse the log's durable prefix, grouping records by
-  // transaction. A transaction whose commit record lies past the prefix is
-  // dropped like one that never committed.
-  LogFileReader reader(log_file_path);
-  TxnMap txns;
-  std::vector<byte> records;
-  while (reader.NextFrame(&records) && ParseFrame(records, tables_, &txns)) continue;
-
-  // Phase 2: replay committed transactions in commit-timestamp order.
-  std::map<transaction::timestamp_t, ParsedTxn *> commit_order;
-  for (auto &[begin_ts, txn] : txns) {
-    if (txn.committed) commit_order.emplace(txn.commit_ts, &txn);
-  }
-
-  uint64_t replayed = 0;
-  for (auto &[commit_ts, parsed] : commit_order) {
-    transaction::TransactionContext *txn = txn_manager_->BeginTransaction();
-    for (const ParsedRecord &record : parsed->records) {
-      storage::DataTable *table = tables_.at(record.table_oid);
-      const storage::BlockLayout &layout = table->GetLayout();
-      if (record.type == logging::LogRecordType::kDelete) {
-        const auto it = slot_map_.find(record.slot);
-        MAINLINE_ASSERT(it != slot_map_.end(), "delete of unknown slot during recovery");
-        const bool deleted = table->Delete(txn, it->second);
-        MAINLINE_ASSERT(deleted, "replayed delete must succeed");
-        (void)deleted;
-        continue;
-      }
-      // Build the after-image projection.
-      const storage::ProjectedRowInitializer initializer =
-          storage::ProjectedRowInitializer::Create(layout, record.col_ids);
-      std::unique_ptr<byte[]> buffer(new byte[initializer.ProjectedRowSize()]);
-      storage::ProjectedRow *row = initializer.InitializeRow(buffer.get());
-      for (uint16_t i = 0; i < row->NumColumns(); i++) {
-        // The initializer sorts column ids; find the log position for this
-        // projection index.
-        const storage::col_id_t col = row->ColumnIds()[i];
-        const auto pos = static_cast<size_t>(
-            std::find(record.col_ids.begin(), record.col_ids.end(), col) -
-            record.col_ids.begin());
-        if (record.nulls[pos]) {
-          row->SetNull(i);
-          continue;
-        }
-        byte *value = row->AccessForceNotNull(i);
-        if (layout.IsVarlen(col)) {
-          const auto &bytes = record.values[pos];
-          const storage::VarlenEntry entry = storage::AllocateVarlen(
-              {reinterpret_cast<const char *>(bytes.data()), bytes.size()});
-          std::memcpy(value, &entry, sizeof(storage::VarlenEntry));
-        } else {
-          std::memcpy(value, record.values[pos].data(), record.values[pos].size());
-        }
-      }
-      if (record.is_insert) {
-        slot_map_[record.slot] = table->Insert(txn, *row);
-      } else {
-        const auto it = slot_map_.find(record.slot);
-        MAINLINE_ASSERT(it != slot_map_.end(), "update of unknown slot during recovery");
-        const bool updated = table->Update(txn, it->second, *row);
-        MAINLINE_ASSERT(updated, "replayed update must succeed");
-        (void)updated;
-      }
+  LogFileReader file(log_file_path);
+  Replay replay(tables_, txn_manager_, &slot_map_);
+  std::vector<byte> frame;
+  while (file.NextFrame(&frame)) {
+    RecordReader records(frame);
+    while (!records.Done()) {
+      if (!replay.Apply(&records)) return replay.Replayed();
     }
-    txn_manager_->Commit(txn);
-    replayed++;
   }
-  return replayed;
+  return replay.Replayed();
 }
 
 }  // namespace mainline::transaction

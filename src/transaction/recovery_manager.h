@@ -18,20 +18,24 @@ class TransactionManager;
 
 /// Rebuilds table contents from a serialized write-ahead log (Section 3.4).
 ///
-/// The log contains no log sequence numbers: records are ordered implicitly
-/// by their transaction's commit timestamp. Recovery therefore reads the
-/// log's durable prefix, groups records by transaction, discards
-/// transactions without a commit record in that prefix (aborted or in-flight
-/// at the crash), and replays committed transactions in commit-timestamp
-/// order. The log is a sequence of frames (logging::FrameHeader), and the
-/// prefix ends at the first frame that is missing or damaged: a zero length
-/// (the zeroed tail a running log keeps past its last frame), a frame cut
-/// short, or a CRC mismatch (a torn or corrupt write). Inside an intact
-/// frame it also ends at an unknown type byte, a table oid missing from
-/// `tables`, or a column id past its table's layout. So a table left out of
-/// `tables` ends the replay at its first record, with no error: that
-/// transaction and every one whose commit record follows are lost, for all
-/// tables. Register every table the log names.
+/// The log has no log sequence numbers: it holds whole transactions in
+/// increasing commit-timestamp order. Recovery is one pass over its frames
+/// (logging::FrameHeader), with no grouping or sort: each record is parsed
+/// into a reused ProjectedRow and applied to the open replay transaction,
+/// which its commit record commits. It holds one frame plus the slot map.
+///
+/// Replay stops, rolling back the open transaction, at the first of:
+/// - a frame that is missing or damaged: a zero length (a running log's
+///   zeroed tail), a frame cut short, or a CRC mismatch (a torn write);
+/// - an unknown type byte, or a record cut short by its frame;
+/// - a table oid missing from `tables`, a column id past its layout, or a
+///   redo naming no column or one twice;
+/// - a commit timestamp not above the previous one;
+/// - a record whose begin timestamp is not the open transaction's;
+/// - an update or delete of a slot no live replayed row holds, or a
+///   replayed write that fails.
+/// So a table left out of `tables` loses its first logged transaction and
+/// every later one, for all tables. Register every table the log names.
 ///
 /// TupleSlots in the log are physical addresses from the previous process
 /// lifetime; the recovery manager remaps them to freshly inserted slots as it
@@ -50,7 +54,7 @@ class RecoveryManager {
   DISALLOW_COPY_AND_MOVE(RecoveryManager)
 
   /// Replay the log at `log_file_path`.
-  /// \return number of transactions replayed.
+  /// \return number of transactions replayed before the replay stopped.
   uint64_t Recover(const std::string &log_file_path);
 
  private:

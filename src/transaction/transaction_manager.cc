@@ -17,17 +17,22 @@ TransactionManager::TransactionManager(storage::RecordBufferSegmentPool *buffer_
                                        bool /*gc_enabled*/, logging::LogManager *log_manager)
     : buffer_pool_(buffer_pool), log_manager_(log_manager) {
   if (log_manager_ != nullptr) {
-    // The log manager sees only record vectors and opaque handles; this sink
-    // turns a finished submission's handle back into its transaction and
-    // forwards it to the GC queue. Its redo records are serialized by then
-    // and the GC reads only undo records, so the redo segments go back to
-    // the pool now instead of waiting out the GC backlog.
+    // The log manager reports each flushed batch, in commit order. Its redo
+    // records are serialized by then and the GC reads only undo records, so
+    // the redo segments go back to the pool now instead of waiting out the
+    // GC backlog; the batch joins the GC queue under one latch acquisition.
     log_manager_->SetFinishedCallback(
-        +[](void *context, void *handle) {
-          auto *txn = static_cast<TransactionContext *>(handle);
-          txn->redo_records_.clear();
-          txn->redo_buffer_.Release();
-          static_cast<TransactionManager *>(context)->TransactionFinished(txn);
+        +[](void *context, const std::vector<logging::LogSubmission> &batch) {
+          auto *self = static_cast<TransactionManager *>(context);
+          for (const logging::LogSubmission &submission : batch) {
+            auto *txn = static_cast<TransactionContext *>(submission.handle);
+            txn->redo_records_.clear();
+            txn->redo_buffer_.Release();
+          }
+          common::SpinLatch::ScopedSpinLatch guard(&self->completed_latch_);
+          for (const logging::LogSubmission &submission : batch) {
+            self->completed_txns_.push_back(static_cast<TransactionContext *>(submission.handle));
+          }
         },
         this);
   }
@@ -74,6 +79,7 @@ TransactionContext *TransactionManager::BeginTransaction() {
 timestamp_t TransactionManager::Commit(TransactionContext *txn,
                                        logging::CommitRecord::DurabilityCallback callback,
                                        void *callback_arg) {
+  const timestamp_t start_time = txn->StartTime();
   MAINLINE_ASSERT(!txn->aborted_, "cannot commit an aborted transaction");
   // The contract is assert-enforced only: in NDEBUG builds a contract-
   // violating commit leaks the failed redo's varlens rather than freeing
@@ -84,28 +90,43 @@ timestamp_t TransactionManager::Commit(TransactionContext *txn,
   MAINLINE_ASSERT(!txn->MustAbort(),
                   "a transaction whose write failed must abort (its failed redo's varlens are "
                   "reclaimed only by Abort)");
+  txn->loose_varlens_.clear();  // committed values now owned by block storage
+  logging::CommitRecord *commit_record = nullptr;
+  if (log_manager_ != nullptr) {
+    logging::LogRecord *record = logging::CommitRecord::Initialize(
+        txn->ReserveCommitRecord(), start_time, txn->IsReadOnly(), callback, callback_arg);
+    txn->redo_records_.push_back(record);
+    commit_record = record->GetUnderlyingRecordBodyAs<logging::CommitRecord>();
+  }
   timestamp_t commit_time;
   {
     // The small commit critical section of Section 3.1: obtain the commit
-    // timestamp and stamp the delta records.
+    // timestamp, stamp the delta records and, with logging, queue the
+    // records, so the log is in commit order (a transaction that read
+    // another's write is logged after it). Nothing here allocates, makes a
+    // system call or waits, except on the log's queue latch. The flush
+    // thread and the GC may read txn once it is queued: nothing touches it
+    // after the Submit.
     common::SpinLatch::ScopedSpinLatch guard(&commit_latch_);
     commit_time = time_++;
     for (storage::UndoRecord *undo : txn->UndoRecords()) {
       undo->Timestamp().store(commit_time, std::memory_order_release);
     }
+    txn->finish_time_.store(commit_time, std::memory_order_release);
+    if (commit_record != nullptr) {
+      commit_record->SetCommitTime(commit_time);
+      log_manager_->Submit(logging::LogSubmission{&txn->RedoRecords(), txn});
+    }
   }
-  txn->finish_time_.store(commit_time, std::memory_order_release);
-  txn->loose_varlens_.clear();  // committed values now owned by block storage
-
   if (log_manager_ != nullptr) {
-    LogCommit(txn, commit_time, callback, callback_arg);
+    log_manager_->WakeFlushThread();
   } else if (callback != nullptr) {
     callback(callback_arg);
   }
 
   {
     common::SpinLatch::ScopedSpinLatch guard(&curr_running_latch_);
-    curr_running_.erase(curr_running_.find(txn->StartTime()));
+    curr_running_.erase(curr_running_.find(start_time));
   }
   // With logging, the log manager forwards the transaction to the GC queue
   // only after its records are serialized, so the GC can never reclaim
@@ -113,16 +134,6 @@ timestamp_t TransactionManager::Commit(TransactionContext *txn,
   if (log_manager_ == nullptr) TransactionFinished(txn);
   metrics::Txn().commits->Add(1);
   return commit_time;
-}
-
-void TransactionManager::LogCommit(TransactionContext *txn, timestamp_t commit_time,
-                                   logging::CommitRecord::DurabilityCallback callback,
-                                   void *callback_arg) {
-  byte *head = txn->ReserveCommitRecord();
-  logging::LogRecord *record = logging::CommitRecord::Initialize(
-      head, txn->StartTime(), commit_time, txn->IsReadOnly(), callback, callback_arg, txn);
-  txn->redo_records_.push_back(record);
-  log_manager_->Submit(logging::LogSubmission{&txn->RedoRecords(), txn});
 }
 
 timestamp_t TransactionManager::Abort(TransactionContext *txn) {

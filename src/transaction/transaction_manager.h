@@ -82,7 +82,8 @@ class TransactionManager {
   timestamp_t CurrentTime() const { return time_.load(std::memory_order_acquire); }
 
   /// Swap out the queue of finished transactions for GC processing, in
-  /// completion order (with logging, not finish-time order).
+  /// completion order (with logging, committed ones join per flushed log
+  /// batch, in commit order).
   std::vector<TransactionContext *> CompletedTransactionsForGC();
 
   /// Delete a finished transaction. A committed one first frees the varlen
@@ -92,21 +93,20 @@ class TransactionManager {
   static void DeallocateTransaction(TransactionContext *txn);
 
  private:
-  void LogCommit(TransactionContext *txn, timestamp_t commit_time,
-                 logging::CommitRecord::DurabilityCallback callback, void *callback_arg);
   void Rollback(TransactionContext *txn);
-  void TransactionFinished(TransactionContext *txn);
+  void TransactionFinished(TransactionContext *txn) EXCLUDES(completed_latch_);
 
   std::atomic<timestamp_t> time_{kInitialTimestamp + 1};
   // Latch order: commit_latch_, then curr_running_latch_ (BeginTransaction
   // holds both; nothing takes them the other way round).
   common::SpinLatch curr_running_latch_ ACQUIRED_AFTER(commit_latch_);
   std::multiset<timestamp_t> curr_running_ GUARDED_BY(curr_running_latch_);
-  // Serializes the commit critical section (timestamp draw + delta
-  // stamping) against itself and against start-timestamp draws; it guards an
-  // ordering invariant, not data — the fields it orders are the delta
-  // records' atomics. Referenced by Commit's and BeginTransaction's EXCLUDES.
-  // Latch order: commit_latch_ first, then curr_running_latch_.
+  // Serializes the commit critical section (timestamp draw, delta stamping,
+  // log submission) against itself and against start-timestamp draws; it
+  // guards an ordering invariant, not data — the fields it orders are the
+  // delta records' atomics and the log queue's order. Referenced by Commit's
+  // and BeginTransaction's EXCLUDES. Latch order: commit_latch_ first, then
+  // curr_running_latch_ or LogManager's queue_latch_ (a leaf).
   common::SpinLatch commit_latch_;
   common::SpinLatch completed_latch_;
   std::vector<TransactionContext *> completed_txns_ GUARDED_BY(completed_latch_);

@@ -235,12 +235,14 @@ std::string FrameOf(const std::string &records) {
   return frame + records;
 }
 
-/// Where each record of a frame's records ends, and whether it is a commit
-/// record. Walks the format LogManager::SerializeRecord writes: a 9-byte
-/// header (type byte, txn begin timestamp), then the type's body.
+/// Where each record of a frame's records ends, whether it is a commit
+/// record, and its transaction's begin timestamp. Walks the format
+/// LogManager::SerializeRecord writes: a 9-byte header (type byte, txn begin
+/// timestamp), then the type's body.
 struct RecordEnd {
   size_t offset;
   bool commit;
+  transaction::timestamp_t begin;
 };
 
 std::vector<RecordEnd> RecordEnds(const std::string &records,
@@ -253,8 +255,9 @@ std::vector<RecordEnd> RecordEnds(const std::string &records,
   };
   while (pos < records.size()) {
     uint8_t type;
+    transaction::timestamp_t begin;
     take(&type);
-    pos += sizeof(transaction::timestamp_t);
+    take(&begin);
     switch (static_cast<logging::LogRecordType>(type)) {
       case logging::LogRecordType::kRedo: {
         pos += sizeof(uint32_t) + sizeof(uint64_t) + sizeof(uint8_t);  // oid, slot, insert
@@ -286,10 +289,8 @@ std::vector<RecordEnd> RecordEnds(const std::string &records,
       case logging::LogRecordType::kCommit:
         pos += sizeof(transaction::timestamp_t);
         break;
-      case logging::LogRecordType::kAbort:
-        break;
     }
-    ends.push_back({pos, type == static_cast<uint8_t>(logging::LogRecordType::kCommit)});
+    ends.push_back({pos, type == static_cast<uint8_t>(logging::LogRecordType::kCommit), begin});
   }
   return ends;
 }
@@ -487,7 +488,11 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownRecordType) {
 /// so it ends the durable prefix like an unknown type byte, even inside a
 /// frame whose CRC is valid: the valid prefix is replayed, the commit record
 /// after it is not. The same records naming a known table and column replay,
-/// which shows they are otherwise well formed.
+/// which shows they are otherwise well formed. Replay also stops, rolling
+/// back the open transaction, at a write to a slot no replayed insert
+/// created or whose row a replayed delete removed, at a commit timestamp
+/// below the previous one, and at a record of another transaction before the
+/// open one's commit record.
 TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
   WriteWorkloadLog();
   const std::string log = ReadFile(kLogPath);
@@ -497,7 +502,7 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
   const std::vector<RecordEnd> ends = RecordEnds(records, TestSchema().ToBlockLayout());
   ASSERT_FALSE(ends.empty());
   // The log's first record: a redo insert of one full row. Its byte offsets:
-  constexpr size_t kBegin = 1, kOid = 9, kSlot = 13, kFirstColId = 24;
+  constexpr size_t kBegin = 1, kOid = 9, kSlot = 13, kIsInsert = 21, kFirstColId = 24;
   ASSERT_EQ(records[0], static_cast<char>(logging::LogRecordType::kRedo));
   const std::string first = records.substr(0, ends[0].offset);
 
@@ -517,9 +522,32 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
     record.append(first, kSlot, sizeof(uint64_t));
     return patch(patch(record, kBegin, begin), kOid, table_oid);
   };
-  std::string commit(1, static_cast<char>(logging::LogRecordType::kCommit));
-  commit.append(sizeof(begin) + sizeof(commit_ts), '\0');
-  commit = patch(patch(commit, kBegin, begin), kBegin + sizeof(begin), commit_ts);
+  const auto commit_of = [&](transaction::timestamp_t txn_begin, transaction::timestamp_t ts) {
+    std::string record(1, static_cast<char>(logging::LogRecordType::kCommit));
+    record.append(sizeof(txn_begin) + sizeof(ts), '\0');
+    return patch(patch(record, kBegin, txn_begin), kBegin + sizeof(txn_begin), ts);
+  };
+  const std::string commit = commit_of(begin, commit_ts);
+  const auto update = [&](uint64_t slot) {
+    return patch(patch(redo, kSlot, slot), kIsInsert, uint8_t{0});
+  };
+  constexpr uint64_t kNeverInserted = 0x7777;  // offset 0x7777 of no block
+  // The last commit timestamp in the log, and the slot of a row its third
+  // transaction deletes.
+  transaction::timestamp_t last_commit;
+  std::memcpy(&last_commit, frames.back().records.data() + frames.back().records.size() -
+                                sizeof(last_commit),
+              sizeof(last_commit));
+  uint64_t deleted_slot = 0;
+  size_t start = 0;
+  for (const RecordEnd &end : RecordEnds(frames.at(2).records, TestSchema().ToBlockLayout())) {
+    if (frames[2].records[start] == static_cast<char>(logging::LogRecordType::kDelete)) {
+      std::memcpy(&deleted_slot, frames[2].records.data() + start + kSlot, sizeof(deleted_slot));
+      break;
+    }
+    start = end.offset;
+  }
+  ASSERT_NE(deleted_slot, 0u);
 
   const uint32_t unknown_oid = oid + 1000;
   const uint16_t past_last_column = TestSchema().ToBlockLayout().NumColumns();
@@ -535,6 +563,13 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
       {"redo, column id past the layout", patch(redo, kFirstColId, past_last_column), 3, 45},
       {"redo, column id far past the layout", patch(redo, kFirstColId, uint16_t{0xffff}), 3,
        45},
+      {"update of a slot never inserted", update(kNeverInserted), 3, 45},
+      {"delete of a slot never inserted", patch(del(oid), kSlot, kNeverInserted), 3, 45},
+      {"update of a row a logged delete removed", update(deleted_slot), 3, 45},
+      {"commit timestamp below the previous one",
+       patch(redo, kBegin, begin - 1) + commit_of(begin - 1, last_commit - 1), 3, 45},
+      {"record under another transaction's begin timestamp",
+       redo + patch(redo, kBegin, begin + 2), 3, 45},
   };
   for (const auto &c : cases) {
     WriteFile(kLogPath, log + FrameOf(c.record + commit));
@@ -569,8 +604,49 @@ TEST(LoggingTest, AFailedLogAcknowledgesNothingButReleasesEveryTransaction) {
   }
 }
 
+/// How the intact frames of a log (up to the first whose CRC fails, as
+/// recovery reads them) break commit order: commit timestamps that are not
+/// above the one before them in the file, and records whose begin timestamp
+/// differs from that of the next commit record (their transaction's).
+struct CommitOrder {
+  uint64_t commits = 0, not_increasing = 0, foreign_records = 0;
+};
+
+CommitOrder WalkCommitOrder(const std::string &log) {
+  const storage::BlockLayout layout = TestSchema().ToBlockLayout();
+  CommitOrder order;
+  transaction::timestamp_t last_commit = 0;
+  std::vector<transaction::timestamp_t> begins;  // of the records since the last commit
+  for (const Frame &frame : Frames(log)) {
+    logging::FrameHeader header;
+    std::memcpy(&header, log.data() + frame.offset, sizeof(header));
+    if (frame.records.size() != header.length ||
+        common::Crc32c(frame.records.data(), frame.records.size()) != header.crc) {
+      break;
+    }
+    for (const RecordEnd &end : RecordEnds(frame.records, layout)) {
+      if (!end.commit) {
+        begins.push_back(end.begin);
+        continue;
+      }
+      transaction::timestamp_t commit_ts;
+      std::memcpy(&commit_ts, frame.records.data() + end.offset - sizeof(commit_ts),
+                  sizeof(commit_ts));
+      order.commits++;
+      if (commit_ts <= last_commit) order.not_increasing++;
+      last_commit = commit_ts;
+      order.foreign_records += static_cast<uint64_t>(std::count_if(
+          begins.begin(), begins.end(), [&](auto b) { return b != end.begin; }));
+      begins.clear();
+    }
+  }
+  return order;
+}
+
 /// Four committers, each waiting for its commit to be acknowledged before
-/// the next, log enough to extend the zeroed region several times. A copy of
+/// the next, log enough to extend the zeroed region several times. Both the
+/// running copy and the final log hold whole transactions in strictly
+/// increasing commit-timestamp order. A copy of
 /// the log taken mid-run recovers every transaction acknowledged before the
 /// copy began and none not yet submitted when it ended; after Shutdown the
 /// log recovers exactly the acknowledged transactions, every row intact.
@@ -637,6 +713,17 @@ TEST(LoggingTest, ConcurrentCommittersRecoverTheAcknowledgedRows) {
     EXPECT_EQ(recovered.replayed, rows_per_txn.size());
     return txns;
   };
+
+  const std::string log = ReadFile(kLogPath);
+  for (const auto &[what, bytes] :
+       {std::pair<const char *, const std::string &>{"running copy", running_copy},
+        {"final log", log}}) {
+    const CommitOrder order = WalkCommitOrder(bytes);
+    EXPECT_GT(order.commits, 0u) << what;
+    EXPECT_EQ(order.not_increasing, 0u) << what << ": commit timestamps out of file order";
+    EXPECT_EQ(order.foreign_records, 0u) << what << ": records before another's commit";
+  }
+  EXPECT_EQ(WalkCommitOrder(log).commits, static_cast<uint64_t>(kTxns));
 
   const char *copy_path = "/tmp/mainline_running_copy_test.log";
   WriteFile(copy_path, running_copy);
