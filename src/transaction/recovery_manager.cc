@@ -1,6 +1,5 @@
 #include "transaction/recovery_manager.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -151,28 +150,27 @@ class Replay {
     storage::DataTable *table = FindTable(oid);
     if (table == nullptr) return false;
     const storage::BlockLayout &layout = table->GetLayout();
+    // The serializer writes a ProjectedRow's column ids, which ascend.
     col_ids_.resize(num_cols);
-    for (storage::col_id_t &col : col_ids_) {
+    for (uint16_t i = 0; i < num_cols; i++) {
       uint16_t raw;
-      if (!reader->Read(&raw) || raw >= layout.NumColumns()) return false;
-      col = storage::col_id_t(raw);
+      if (!reader->Read(&raw) || raw >= layout.NumColumns() ||
+          (i > 0 && raw <= col_ids_[i - 1].UnderlyingValue())) {
+        return false;
+      }
+      col_ids_[i] = storage::col_id_t(raw);
     }
     // Consecutive records mostly name the same columns of the same table.
     if (table != row_table_ || col_ids_ != initializer_->ColumnIds()) {
-      row_table_ = nullptr;
       initializer_ = storage::ProjectedRowInitializer::Create(layout, col_ids_);
-      const std::vector<storage::col_id_t> &sorted = initializer_->ColumnIds();
-      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) return false;
       row_table_ = table;
       row_buffer_.resize((initializer_->ProjectedRowSize() + 7) / 8);
     }
     // Every column starts out null; values go straight into the row.
     storage::ProjectedRow *row =
         initializer_->InitializeRow(reinterpret_cast<byte *>(row_buffer_.data()));
-    const std::vector<storage::col_id_t> &row_cols = initializer_->ColumnIds();
-    for (const storage::col_id_t col : col_ids_) {
-      const auto i = static_cast<uint16_t>(
-          std::lower_bound(row_cols.begin(), row_cols.end(), col) - row_cols.begin());
+    for (uint16_t i = 0; i < num_cols; i++) {
+      const storage::col_id_t col = col_ids_[i];
       uint8_t not_null;
       if (!reader->Read(&not_null)) return Discard(layout, *row);
       if (not_null == 0) continue;

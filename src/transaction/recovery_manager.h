@@ -29,7 +29,7 @@ class TransactionManager;
 ///   zeroed tail), a frame cut short, or a CRC mismatch (a torn write);
 /// - an unknown type byte, or a record cut short by its frame;
 /// - a table oid missing from `tables`, a column id past its layout, or a
-///   redo naming no column or one twice;
+///   redo whose column ids are missing or not ascending;
 /// - a commit timestamp not above the previous one;
 /// - a record whose begin timestamp is not the open transaction's;
 /// - an update or delete of a slot no live replayed row holds, or a

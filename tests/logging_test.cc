@@ -489,7 +489,8 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownRecordType) {
 /// frame whose CRC is valid: the valid prefix is replayed, the commit record
 /// after it is not. The same records naming a known table and column replay,
 /// which shows they are otherwise well formed. Replay also stops, rolling
-/// back the open transaction, at a write to a slot no replayed insert
+/// back the open transaction, at a redo naming one column twice, at a write
+/// to a slot no replayed insert
 /// created or whose row a replayed delete removed, at a commit timestamp
 /// below the previous one, and at a record of another transaction before the
 /// open one's commit record.
@@ -549,6 +550,8 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
   }
   ASSERT_NE(deleted_slot, 0u);
 
+  uint16_t first_col_id;
+  std::memcpy(&first_col_id, first.data() + kFirstColId, sizeof(first_col_id));
   const uint32_t unknown_oid = oid + 1000;
   const uint16_t past_last_column = TestSchema().ToBlockLayout().NumColumns();
   const struct {
@@ -563,6 +566,8 @@ TEST(LoggingTest, RecoveryStopsAtAnUnknownTableOrColumn) {
       {"redo, column id past the layout", patch(redo, kFirstColId, past_last_column), 3, 45},
       {"redo, column id far past the layout", patch(redo, kFirstColId, uint16_t{0xffff}), 3,
        45},
+      {"redo, a column id repeated", patch(redo, kFirstColId + sizeof(uint16_t), first_col_id),
+       3, 45},
       {"update of a slot never inserted", update(kNeverInserted), 3, 45},
       {"delete of a slot never inserted", patch(del(oid), kSlot, kNeverInserted), 3, 45},
       {"update of a row a logged delete removed", update(deleted_slot), 3, 45},
