@@ -139,14 +139,14 @@ int main() {
 
   std::printf(
       "== Figure 10: TPC-C, one warehouse per worker, %d s per cell ==\n"
-      "%-9s %16s %16s %16s %22s %22s %24s\n",
+      "%-9s %16s %16s %16s %22s %22s %29s\n",
       seconds, "#workers", "none (K txn/s)", "gather (K txn/s)", "dict (K txn/s)",
       "gather %frozen/%cool", "dict %frozen/%cool", "index MB/ktxn none/gath/dict");
   for (uint32_t workers = 1; workers <= max_workers; workers *= 2) {
     const RunResult none = RunTPCC(workers, Mode::kDisabled, seconds);
     const RunResult gather = RunTPCC(workers, Mode::kGather, seconds);
     const RunResult dict = RunTPCC(workers, Mode::kDictionary, seconds);
-    std::printf("%-9u %16.1f %16.1f %16.1f %14.1f / %5.1f %14.1f / %5.1f %12.2f/%6.2f/%6.2f\n",
+    std::printf("%-9u %16.1f %16.1f %16.1f %14.1f / %5.1f %14.1f / %5.1f %15.2f/%6.2f/%6.2f\n",
                 workers, none.ktps, gather.ktps, dict.ktps, gather.frozen_pct,
                 gather.cooling_pct, dict.frozen_pct, dict.cooling_pct, none.index_mb_per_ktxn,
                 gather.index_mb_per_ktxn, dict.index_mb_per_ktxn);

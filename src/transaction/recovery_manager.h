@@ -22,7 +22,8 @@ class TransactionManager;
 /// increasing commit-timestamp order. Recovery is one pass over its frames
 /// (logging::FrameHeader), with no grouping or sort: each record is parsed
 /// into a reused ProjectedRow and applied to the open replay transaction,
-/// which its commit record commits. It holds one frame plus the slot map.
+/// which its commit record commits. Of its own it holds one frame plus the
+/// slot map; replayed transactions go to the GC queue like any other.
 ///
 /// Replay stops, rolling back the open transaction, at the first of:
 /// - a frame that is missing or damaged: a zero length (a running log's
