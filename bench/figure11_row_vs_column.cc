@@ -28,7 +28,7 @@ storage::BlockLayout ColumnLayout(uint16_t num_attrs) {
 /// Throughput (M op/s) of `ops` inserts into a fresh table with `layout`.
 double InsertThroughput(const storage::BlockLayout &layout, uint64_t ops) {
   Engine engine;
-  storage::DataTable table(&engine.block_store, layout, storage::layout_version_t(0));
+  storage::DataTable table(&engine.block_store, layout, catalog::table_oid_t(1));
   const auto initializer = storage::ProjectedRowInitializer::CreateFull(layout);
   std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
   auto *txn = engine.txn_manager.BeginTransaction();
@@ -48,7 +48,7 @@ double InsertThroughput(const storage::BlockLayout &layout, uint64_t ops) {
 double UpdateThroughput(const storage::BlockLayout &layout, uint16_t attrs_updated,
                         bool row_store, uint64_t ops) {
   Engine engine;
-  storage::DataTable table(&engine.block_store, layout, storage::layout_version_t(0));
+  storage::DataTable table(&engine.block_store, layout, catalog::table_oid_t(1));
   const auto full = storage::ProjectedRowInitializer::CreateFull(layout);
   std::vector<byte> buffer(full.ProjectedRowSize() + 8);
   // Preload 100k tuples to update.

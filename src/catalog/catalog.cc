@@ -53,7 +53,7 @@ index::Index *Catalog::GetIndex(const std::string &name) {
 std::unordered_map<table_oid_t, storage::DataTable *> Catalog::TableMap() {
   common::SpinLatch::ScopedSpinLatch guard(&latch_);
   std::unordered_map<table_oid_t, storage::DataTable *> result;
-  for (auto &[oid, entry] : tables_) result.emplace(oid, &entry.table->UnderlyingTable());
+  for (auto &[oid, entry] : tables_) result.emplace(oid, entry.table.get());
   return result;
 }
 

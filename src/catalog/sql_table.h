@@ -1,71 +1,26 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "catalog/schema.h"
-#include "common/macros.h"
 #include "common/typedefs.h"
-#include "logging/log_record.h"
 #include "storage/data_table.h"
 #include "storage/projected_row.h"
 #include "storage/raw_block.h"
 #include "storage/storage_defs.h"
-#include "transaction/transaction_context.h"
 
 namespace mainline::catalog {
 
-/// The typed table abstraction over storage::DataTable: maps a catalog
-/// Schema onto a block layout (schema column `i` == physical column id `i`),
-/// and stages write-ahead log records for every modification when logging is
-/// enabled. Lives in catalog/ because it is the point where schemas meet
-/// storage — the raw block layer below knows nothing about either.
-class SqlTable {
+/// A storage::DataTable with a catalog Schema: maps the schema onto a block
+/// layout (schema column `i` == physical column id `i`) and builds
+/// projections by schema position. Reads, writes and their log records are
+/// all the DataTable's. Lives in catalog/ because it is the point where
+/// schemas meet storage — the raw block layer below knows nothing about
+/// either.
+class SqlTable final : public storage::DataTable {
  public:
   SqlTable(storage::BlockStore *store, const Schema &schema, table_oid_t oid)
-      : schema_(schema),
-        oid_(oid),
-        table_(store, schema.ToBlockLayout(), storage::layout_version_t(0)) {}
-
-  DISALLOW_COPY_AND_MOVE(SqlTable)
-
-  /// Insert `redo` and stage its log record.
-  /// \return the slot of the new tuple.
-  storage::TupleSlot Insert(transaction::TransactionContext *txn,
-                            const storage::ProjectedRow &redo) {
-    const storage::TupleSlot slot = table_.Insert(txn, redo);
-    if (txn->LoggingEnabled()) {
-      logging::LogRecord *record = txn->StageWriteCopy(oid_, true, redo);
-      record->GetUnderlyingRecordBodyAs<logging::RedoRecord>()->SetSlot(slot);
-    }
-    return slot;
-  }
-
-  /// Update `slot` with the attributes in `delta`.
-  /// \return true on success; false on write-write conflict (caller aborts).
-  bool Update(transaction::TransactionContext *txn, storage::TupleSlot slot,
-              const storage::ProjectedRow &delta) {
-    if (!table_.Update(txn, slot, delta)) return false;
-    if (txn->LoggingEnabled()) {
-      logging::LogRecord *record = txn->StageWriteCopy(oid_, false, delta);
-      record->GetUnderlyingRecordBodyAs<logging::RedoRecord>()->SetSlot(slot);
-    }
-    return true;
-  }
-
-  /// Delete `slot`.
-  /// \return true on success; false on conflict (caller aborts).
-  bool Delete(transaction::TransactionContext *txn, storage::TupleSlot slot) {
-    if (!table_.Delete(txn, slot)) return false;
-    if (txn->LoggingEnabled()) txn->StageDelete(oid_, slot);
-    return true;
-  }
-
-  /// Materialize the visible version of `slot` into `out_buffer`.
-  bool Select(transaction::TransactionContext *txn, storage::TupleSlot slot,
-              storage::ProjectedRow *out_buffer) const {
-    return table_.Select(txn, slot, out_buffer);
-  }
+      : DataTable(store, schema.ToBlockLayout(), oid), schema_(schema) {}
 
   /// Build an initializer projecting the given schema columns (by position).
   storage::ProjectedRowInitializer InitializerForColumns(
@@ -73,24 +28,18 @@ class SqlTable {
     std::vector<storage::col_id_t> ids;
     ids.reserve(cols.size());
     for (const uint16_t c : cols) ids.emplace_back(c);
-    return storage::ProjectedRowInitializer::Create(table_.GetLayout(), ids);
+    return storage::ProjectedRowInitializer::Create(GetLayout(), ids);
   }
 
   /// Initializer covering all columns.
-  storage::ProjectedRowInitializer FullInitializer() const {
-    return storage::ProjectedRowInitializer::CreateFull(table_.GetLayout());
-  }
+  storage::ProjectedRowInitializer FullInitializer() const { return FullRowInitializer(); }
 
-  storage::DataTable &UnderlyingTable() { return table_; }
-  const storage::DataTable &UnderlyingTable() const { return table_; }
+  storage::DataTable &UnderlyingTable() { return *this; }
+  const storage::DataTable &UnderlyingTable() const { return *this; }
   const Schema &GetSchema() const { return schema_; }
-  table_oid_t Oid() const { return oid_; }
-  storage::DataTable::SlotIterator begin() const { return table_.begin(); }
 
  private:
   Schema schema_;
-  table_oid_t oid_;
-  storage::DataTable table_;
 };
 
 }  // namespace mainline::catalog

@@ -26,8 +26,6 @@ namespace storage {
 /// Physical column id inside a block layout. The storage layer identifies
 /// columns by these ids; the catalog maps schema columns onto them.
 STRONG_TYPEDEF(col_id_t, uint16_t);
-/// Version of a block layout (reserved for schema evolution).
-STRONG_TYPEDEF(layout_version_t, uint32_t);
 }  // namespace storage
 
 namespace transaction {

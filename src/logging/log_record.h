@@ -93,9 +93,6 @@ class RedoRecord {
   /// Inserts create new tuples at replay; updates modify remapped ones.
   bool IsInsert() const { return is_insert_; }
 
-  /// Set after DataTable::Insert determines the slot.
-  void SetSlot(storage::TupleSlot slot) { slot_ = slot; }
-
   /// The after-image values.
   storage::ProjectedRow *Delta() {
     return reinterpret_cast<storage::ProjectedRow *>(varlen_contents_);
@@ -104,16 +101,17 @@ class RedoRecord {
     return reinterpret_cast<const storage::ProjectedRow *>(varlen_contents_);
   }
 
-  /// Initialize a redo record whose delta is a byte-wise copy of `redo`.
+  /// Initialize a redo record of the write of `redo` to `slot`; its delta is
+  /// a byte-wise copy of `redo`.
   static LogRecord *InitializeByCopy(byte *head, transaction::timestamp_t txn_begin,
                                      catalog::table_oid_t table_oid, bool is_insert,
-                                     const storage::ProjectedRow &redo) {
+                                     storage::TupleSlot slot, const storage::ProjectedRow &redo) {
     const auto size =
         static_cast<uint32_t>(sizeof(LogRecord) + sizeof(RedoRecord)) + redo.Size();
     LogRecord *record = LogRecord::InitializeHeader(head, LogRecordType::kRedo, size, txn_begin);
     auto *body = record->GetUnderlyingRecordBodyAs<RedoRecord>();
     body->table_oid_ = table_oid;
-    body->slot_ = storage::TupleSlot();
+    body->slot_ = slot;
     body->is_insert_ = is_insert;
     std::memcpy(static_cast<void *>(body->varlen_contents_),
                 static_cast<const void *>(&redo), redo.Size());

@@ -18,10 +18,10 @@
 
 namespace mainline::storage {
 
-DataTable::DataTable(BlockStore *store, const BlockLayout &layout, layout_version_t version)
+DataTable::DataTable(BlockStore *store, const BlockLayout &layout, catalog::table_oid_t oid)
     : block_store_(store),
       accessor_(layout),
-      version_(version),
+      oid_(oid),
       full_row_initializer_(ProjectedRowInitializer::CreateFull(layout)) {
   insertion_block_.store(NewBlock(), std::memory_order_release);
 }
@@ -161,6 +161,7 @@ bool DataTable::Update(transaction::TransactionContext *txn, TupleSlot slot,
   // Apply the update in place. Readers that copied torn data repair it via
   // the undo record installed above.
   WriteValues(slot, redo);
+  if (txn->LoggingEnabled()) txn->StageWriteCopy(oid_, false, slot, redo);
   metrics::Storage().updates->Add(1);
   return true;
 }
@@ -178,7 +179,7 @@ TupleSlot DataTable::Insert(transaction::TransactionContext *txn, const Projecte
       if (insertion_block_.load(std::memory_order_acquire) == block) {
         RawBlock *new_block = block_store_->Get();
         MAINLINE_ASSERT(new_block != nullptr, "block store exhausted");
-        accessor_.InitializeRawBlock(this, new_block, version_);
+        accessor_.InitializeRawBlock(this, new_block);
         blocks_.push_back(new_block);
         insertion_block_.store(new_block, std::memory_order_release);
       }
@@ -206,6 +207,7 @@ TupleSlot DataTable::Insert(transaction::TransactionContext *txn, const Projecte
     WriteValues(slot, redo);
     RegisterLooseVarlens(txn, redo);
     accessor_.SetAllocated(slot);
+    if (txn->LoggingEnabled()) txn->StageWriteCopy(oid_, true, slot, redo);
     metrics::Storage().inserts->Add(1);
     return slot;
   }
@@ -245,6 +247,7 @@ bool DataTable::InsertInto(transaction::TransactionContext *txn, TupleSlot dest,
   while (cur <= dest.GetOffset() &&
          !head.compare_exchange_weak(cur, dest.GetOffset() + 1, std::memory_order_acq_rel)) {
   }
+  if (txn->LoggingEnabled()) txn->StageWriteCopy(oid_, true, dest, redo);
   return true;
 }
 
@@ -272,6 +275,7 @@ bool DataTable::Delete(transaction::TransactionContext *txn, TupleSlot slot) {
     if (version_ptr.compare_exchange_strong(head, undo, std::memory_order_seq_cst)) break;
   }
   accessor_.SetDeallocated(slot);
+  if (txn->LoggingEnabled()) txn->StageDelete(oid_, slot);
   metrics::Storage().deletes->Add(1);
   return true;
 }
@@ -289,7 +293,7 @@ bool DataTable::HasActiveVersions(RawBlock *block) const {
 RawBlock *DataTable::NewBlock() {
   RawBlock *block = block_store_->Get();
   MAINLINE_ASSERT(block != nullptr, "block store exhausted");
-  accessor_.InitializeRawBlock(this, block, version_);
+  accessor_.InitializeRawBlock(this, block);
   common::SharedLatch::ScopedExclusiveLatch guard(&blocks_latch_);
   blocks_.push_back(block);
   return block;

@@ -27,6 +27,14 @@ namespace mainline::storage {
 /// isolation reads and first-writer-wins writes; write-write conflicts are
 /// disallowed to avoid cascading rollbacks.
 ///
+/// The table is the one write path to its tuples, and so the one place that
+/// decides what reaches the write-ahead log (Section 3.4): when the writing
+/// transaction has logging enabled, every successful Insert, InsertInto,
+/// Update and Delete stages its redo or delete record, tagged with the
+/// table's oid and the slot the write chose. A compaction move (Section 4.3)
+/// is thus logged as the ordinary delete of its source plus insert into its
+/// destination. A failed write stages nothing.
+///
 /// All methods are safe to call concurrently from many transactions. The
 /// block transformation pipeline (Section 4) coordinates with updaters via
 /// each block's BlockAccessController.
@@ -34,8 +42,8 @@ class DataTable {
  public:
   /// \param store block pool to draw storage from
   /// \param layout physical layout of this table's blocks
-  /// \param version layout version tag stamped on new blocks
-  DataTable(BlockStore *store, const BlockLayout &layout, layout_version_t version);
+  /// \param oid the table's catalog oid, which its log records carry
+  DataTable(BlockStore *store, const BlockLayout &layout, catalog::table_oid_t oid);
 
   DISALLOW_COPY_AND_MOVE(DataTable)
 
@@ -116,6 +124,8 @@ class DataTable {
   /// \return iterator positioned at the first slot.
   SlotIterator begin() const { return SlotIterator(Blocks(), 0, 0); }
 
+  /// \return the catalog oid this table's log records carry.
+  catalog::table_oid_t Oid() const { return oid_; }
   const TupleAccessStrategy &Accessor() const { return accessor_; }
   const BlockLayout &GetLayout() const { return accessor_.GetBlockLayout(); }
   BlockStore *GetBlockStore() const { return block_store_; }
@@ -194,7 +204,7 @@ class DataTable {
 
   BlockStore *block_store_;
   TupleAccessStrategy accessor_;
-  layout_version_t version_;
+  const catalog::table_oid_t oid_;
   ProjectedRowInitializer full_row_initializer_;
 
   mutable common::SharedLatch blocks_latch_;

@@ -22,8 +22,6 @@ struct RawBlock {
   /// Next never-used slot; monotonically increasing. Slots freed by deletes
   /// are only recycled by the compaction phase, never by inserts.
   std::atomic<uint32_t> insert_head;
-  /// Layout version of the owning table (reserved for schema evolution).
-  layout_version_t layout_version;
   /// Hot/cooling/freezing/frozen coordination (Section 4).
   BlockAccessController controller;
   /// Back-pointer to the owning table, so the GC's access observer and the
@@ -36,8 +34,8 @@ struct RawBlock {
   /// Section 4.2). Written by the GC, read by the access observer.
   std::atomic<uint64_t> last_touched_epoch;
 
-  /// Start of layout-governed content. The 24 bytes of padding up to
-  /// kHeaderSize are reserved.
+  /// Start of layout-governed content. The bytes between the fields above
+  /// and kHeaderSize (alignment padding included) are reserved.
   byte content_[0];
 };
 

@@ -4,10 +4,8 @@
 
 namespace mainline::storage {
 
-void TupleAccessStrategy::InitializeRawBlock(DataTable *table, RawBlock *block,
-                                             layout_version_t version) const {
+void TupleAccessStrategy::InitializeRawBlock(DataTable *table, RawBlock *block) const {
   block->data_table = table;
-  block->layout_version = version;
   // relaxed: initialization of a block no other thread can reach yet; the
   // caller's publication into the block list orders these stores.
   block->insert_head.store(0, std::memory_order_relaxed);

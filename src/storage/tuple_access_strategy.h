@@ -24,7 +24,7 @@ class TupleAccessStrategy {
   const BlockLayout &GetBlockLayout() const { return layout_; }
 
   /// Format a freshly allocated block: clear bitmaps and version pointers.
-  void InitializeRawBlock(DataTable *table, RawBlock *block, layout_version_t version) const;
+  void InitializeRawBlock(DataTable *table, RawBlock *block) const;
 
   /// Reserve the next never-used slot in `block`.
   /// \return true and the new slot in `out` on success; false if the block's

@@ -46,8 +46,10 @@ class RecoveryManager {
   /// \param tables map from table oid to the (empty) table to replay into;
   ///        must hold every table the log names, since a record naming a
   ///        missing oid ends the replay
-  /// \param txn_manager transaction manager of the recovering instance (must
-  ///        have logging disabled to avoid re-logging the replay)
+  /// \param txn_manager transaction manager of the recovering instance. It
+  ///        must have no log manager: replay writes through the DataTable,
+  ///        which logs every write of a logging-enabled transaction, so a
+  ///        logging manager would log the replayed writes again
   RecoveryManager(std::unordered_map<catalog::table_oid_t, storage::DataTable *> tables,
                   TransactionManager *txn_manager)
       : tables_(std::move(tables)), txn_manager_(txn_manager) {}

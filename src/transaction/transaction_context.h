@@ -87,22 +87,22 @@ class TransactionContext {
   /// All undo records created by this transaction, in creation order.
   std::vector<storage::UndoRecord *> &UndoRecords() { return undo_records_; }
 
-  /// Stage a redo log record whose delta is copied from `redo`.
-  logging::LogRecord *StageWriteCopy(catalog::table_oid_t table_oid, bool is_insert,
-                                     const storage::ProjectedRow &redo) {
+  /// Stage a redo log record of the write of `redo` to `slot`. Called by the
+  /// DataTable once the write has succeeded.
+  void StageWriteCopy(catalog::table_oid_t table_oid, bool is_insert, storage::TupleSlot slot,
+                      const storage::ProjectedRow &redo) {
     byte *head = redo_buffer_.NewEntry(
         static_cast<uint32_t>(sizeof(logging::LogRecord) + sizeof(logging::RedoRecord)) +
         redo.Size());
-    logging::LogRecord *record =
-        logging::RedoRecord::InitializeByCopy(head, start_time_, table_oid, is_insert, redo);
-    redo_records_.push_back(record);
-    return record;
+    redo_records_.push_back(
+        logging::RedoRecord::InitializeByCopy(head, start_time_, table_oid, is_insert, slot, redo));
   }
 
   /// \return true if this transaction's writes go to the write-ahead log.
   bool LoggingEnabled() const { return logging_enabled_; }
 
-  /// Stage a delete log record.
+  /// Stage a delete log record. Called by the DataTable once the delete has
+  /// succeeded.
   void StageDelete(catalog::table_oid_t table_oid, storage::TupleSlot slot) {
     byte *head = redo_buffer_.NewEntry(logging::DeleteRecord::Size());
     redo_records_.push_back(logging::DeleteRecord::Initialize(head, start_time_, table_oid, slot));

@@ -54,7 +54,8 @@ struct TransformStats {
 /// **Phase 1 (compaction)** runs one transaction per compaction group that
 /// shuffles tuples (delete + insert pairs) to make the group's tuples
 /// logically contiguous, marks the group's blocks *cooling* before
-/// committing, and registers emptied blocks for recycling.
+/// committing, and registers emptied blocks for recycling. Its writes go
+/// through the DataTable, so with logging they are logged like any other.
 ///
 /// **Phase 2 (gathering)** runs once every transaction that overlapped the
 /// compaction transaction has finished (closing the check-and-miss race of

@@ -9,7 +9,6 @@
 #include "execution/scan_block.h"
 #include "transaction/transaction_context.h"
 #include "workload/tpch/tpch_queries.h"
-#include "catalog/sql_table.h"
 #include "transaction/transaction_manager.h"
 
 namespace mainline::workload {

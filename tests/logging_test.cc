@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "logging/log_manager.h"
 #include "transaction/recovery_manager.h"
 #include "transaction/transaction_manager.h"
+#include "transform/block_transformer.h"
 #include "workload/row_util.h"
 
 namespace mainline {
@@ -305,11 +307,33 @@ void WriteFile(const char *path, const std::string &bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// One recovered row of TestSchema.
+/// One row of TestSchema.
 struct Row {
   int32_t score;
   std::string name;  // empty if NULL
+
+  bool operator==(const Row &other) const = default;
 };
+
+/// The rows of `table` a new transaction sees, by id.
+std::multimap<int64_t, Row> VisibleRows(catalog::SqlTable *table,
+                                        transaction::TransactionManager *txn_manager) {
+  std::multimap<int64_t, Row> rows;
+  const auto initializer = table->FullInitializer();
+  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+  auto *txn = txn_manager->BeginTransaction();
+  for (auto it = table->begin(); !it.Done(); ++it) {
+    storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+    if (!table->Select(txn, *it, row)) continue;
+    const byte *name = row->AccessWithNullCheck(1);
+    rows.emplace(
+        workload::Get<int64_t>(*row, 0),
+        Row{workload::Get<int32_t>(*row, 2),
+            name == nullptr ? std::string() : std::string(workload::GetVarchar(*row, 1))});
+  }
+  txn_manager->Commit(txn);
+  return rows;
+}
 
 struct Recovered {
   uint64_t replayed;                // transactions replayed
@@ -325,21 +349,8 @@ Recovered RecoverFresh(const char *path) {
   gc::GarbageCollector gc(&txn_manager);
   auto *table = catalog.GetTable(catalog.CreateTable("t", TestSchema()));
   transaction::RecoveryManager recovery(catalog.TableMap(), &txn_manager);
-  Recovered recovered{recovery.Recover(path), {}};
-
-  const auto initializer = table->FullInitializer();
-  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
-  auto *txn = txn_manager.BeginTransaction();
-  for (auto it = table->begin(); !it.Done(); ++it) {
-    storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
-    if (!table->Select(txn, *it, row)) continue;
-    const byte *name = row->AccessWithNullCheck(1);
-    recovered.rows.emplace(
-        workload::Get<int64_t>(*row, 0),
-        Row{workload::Get<int32_t>(*row, 2),
-            name == nullptr ? std::string() : std::string(workload::GetVarchar(*row, 1))});
-  }
-  txn_manager.Commit(txn);
+  const uint64_t replayed = recovery.Recover(path);
+  Recovered recovered{replayed, VisibleRows(table, &txn_manager)};
   gc.FullGC();
   return recovered;
 }
@@ -747,6 +758,204 @@ TEST(LoggingTest, ConcurrentCommittersRecoverTheAcknowledgedRows) {
     EXPECT_TRUE(in_log[i]) << "acknowledged transaction " << i;
   }
   std::remove(copy_path);
+  std::remove(kLogPath);
+}
+
+/// \return the slot in which `txn` sees the row with `id`, or an invalid
+/// slot if it sees none. Tries `hint`, if valid, before scanning the table.
+storage::TupleSlot SlotOf(catalog::SqlTable *table, transaction::TransactionContext *txn,
+                          int64_t id, storage::TupleSlot hint = {}) {
+  const auto initializer = table->InitializerForColumns({0});
+  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+  storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+  const auto holds_id = [&](storage::TupleSlot slot) {
+    return table->Select(txn, slot, row) && workload::Get<int64_t>(*row, 0) == id;
+  };
+  if (hint != storage::TupleSlot() && holds_id(hint)) return hint;
+  for (auto it = table->begin(); !it.Done(); ++it) {
+    if (holds_id(*it)) return *it;
+  }
+  return {};
+}
+
+/// A compaction move is logged as the delete of its source slot and the
+/// insert into its destination, so a later write to a moved row names a slot
+/// the replay knows: the update below survives recovery, and so does every
+/// other row.
+TEST(LoggingTest, RecoveryReplaysCompactionMovesAndLaterWrites) {
+  const std::string name = "a name long enough to be stored out of line";
+  Recovered recovered{};
+  std::multimap<int64_t, Row> live;
+  {
+    LoggedEngine engine(kLogPath);
+    catalog::SqlTable *table = engine.table;
+    // Three blocks of rows, one transaction per block; slots[id] holds id.
+    const int64_t per_block = table->GetLayout().NumSlots();
+    for (int64_t block = 0; block < 3; block++) {
+      engine.CommitRows(block * per_block, per_block, name);
+    }
+    std::vector<storage::TupleSlot> slots;
+    for (auto it = table->begin(); !it.Done(); ++it) slots.push_back(*it);
+    ASSERT_EQ(slots.size(), static_cast<size_t>(3 * per_block));
+    const std::vector<storage::RawBlock *> blocks = table->Blocks();
+
+    // Delete 90% of block 0 and 10% of block 1, then compact the two.
+    auto *txn = engine.txn_manager.BeginTransaction();
+    for (int64_t i = 0; i < per_block; i++) {
+      const size_t id = static_cast<size_t>(i % 10 == 0 ? per_block + i : i);
+      ASSERT_TRUE(table->Delete(txn, slots[id]));
+    }
+    engine.txn_manager.Commit(txn);
+    transform::BlockTransformer transformer(&engine.txn_manager, &engine.gc);
+    transform::TransformStats stats;
+    ASSERT_TRUE(transformer.CompactGroup(table, {blocks[0], blocks[1]}, &stats, nullptr));
+    // Block 1 is the fuller one: every survivor of block 0 fills one of its
+    // gaps.
+    EXPECT_EQ(stats.tuples_moved, static_cast<uint64_t>((per_block + 9) / 10));
+
+    // Row 0 moved out of block 0; update it where it now lives.
+    txn = engine.txn_manager.BeginTransaction();
+    const storage::TupleSlot slot = SlotOf(table, txn, 0);
+    ASSERT_NE(slot, slots[0]);
+    const auto delta_init = table->InitializerForColumns({2});
+    std::vector<byte> delta_buffer(delta_init.ProjectedRowSize() + 8);
+    storage::ProjectedRow *delta = delta_init.InitializeRow(delta_buffer.data());
+    workload::Set<int32_t>(delta, 0, -7);
+    ASSERT_TRUE(table->Update(txn, slot, *delta));
+    engine.txn_manager.Commit(txn);
+    engine.log_manager.ForceFlush();
+
+    live = VisibleRows(table, &engine.txn_manager);
+    recovered = RecoverFresh(kLogPath);
+  }
+  EXPECT_EQ(recovered.replayed, 6u) << "3 inserts, the deletes, the compaction, the update";
+  ASSERT_EQ(recovered.rows.count(0), 1u);
+  EXPECT_EQ(recovered.rows.find(0)->second.score, -7);
+  EXPECT_TRUE(recovered.rows == live) << recovered.rows.size() << " rows recovered of "
+                                      << live.size();
+  std::remove(kLogPath);
+}
+
+/// Logged writers insert, update and delete rows while a compactor keeps
+/// compacting the table's blocks and running the GC. The log still holds
+/// whole transactions in commit order, and it recovers exactly the rows
+/// visible at the end, which are exactly the writers' committed rows. A
+/// compaction aborts when one of its moves meets a writer's write, and the
+/// rows left to move grow while compactions fail, so once past their quota
+/// the writers run one transaction per compaction attempt until enough
+/// compactions have moved rows among them.
+TEST(LoggingTest, CompactionAmongLoggedWritersRecoversTheLiveRows) {
+  constexpr int kWriters = 3, kOps = 300, kMaxOps = 20 * kOps, kMovingCompactions = 3;
+  constexpr int64_t kInitialRows = 100;  // per writer
+  std::vector<std::map<int64_t, Row>> committed(kWriters);  // per writer, by id
+  std::atomic<int> compactions{0}, moving_compactions{0}, lost{0};
+  std::multimap<int64_t, Row> live;
+  {
+    LoggedEngine engine(kLogPath);
+    engine.log_manager.Start();
+    catalog::SqlTable *table = engine.table;
+    std::atomic<bool> writers_done{false};
+    std::thread compactor([&] {
+      transform::BlockTransformer transformer(&engine.txn_manager, &engine.gc);
+      while (!writers_done.load()) {
+        transform::TransformStats stats;
+        if (transformer.CompactGroup(table, table->Blocks(), &stats, nullptr) &&
+            stats.tuples_moved > 0) {
+          moving_compactions.fetch_add(1);
+        }
+        engine.gc.PerformGarbageCollection();
+        compactions.fetch_add(1);
+      }
+    });
+
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; w++) {
+      writers.emplace_back([&, w] {
+        std::mt19937 rng(static_cast<uint32_t>(w + 1));
+        std::map<int64_t, Row> &mine = committed[static_cast<size_t>(w)];
+        std::map<int64_t, storage::TupleSlot> last_seen;  // where a row was, by id
+        const auto full = table->FullInitializer();
+        const auto delta_init = table->InitializerForColumns({1, 2});
+        std::vector<byte> buffer(full.ProjectedRowSize() + 8);
+        int64_t next_id = w;
+        int compactions_seen = 0;
+        // Each op is one transaction; ids are owned by one writer each. The
+        // first kInitialRows ops insert; later ones pick at random.
+        for (int op = 0; op < kMaxOps; op++) {
+          if (op >= kInitialRows + kOps) {
+            if (moving_compactions.load() >= kMovingCompactions) break;
+            while (compactions.load() == compactions_seen) {
+              std::this_thread::sleep_for(std::chrono::microseconds(100));
+            }
+            compactions_seen = compactions.load();
+          }
+          const int32_t score = static_cast<int32_t>(rng() % 1000);
+          const Row row{score, "writer " + std::to_string(w) + " row, long enough to spill " +
+                                   std::to_string(score)};
+          const uint32_t kind = op < kInitialRows || mine.empty() ? 0 : rng() % 3;
+          auto *txn = engine.txn_manager.BeginTransaction();
+          if (kind == 0) {
+            storage::ProjectedRow *redo = full.InitializeRow(buffer.data());
+            workload::Set<int64_t>(redo, 0, next_id);
+            workload::SetVarchar(redo, 1, row.name);
+            workload::Set<int32_t>(redo, 2, score);
+            last_seen[next_id] = table->Insert(txn, *redo);
+            engine.txn_manager.Commit(txn);
+            mine.emplace(next_id, row);
+            next_id += kWriters;
+            continue;
+          }
+          const auto victim = std::next(mine.begin(), static_cast<int64_t>(rng() % mine.size()));
+          const storage::TupleSlot slot =
+              SlotOf(table, txn, victim->first, last_seen[victim->first]);
+          if (slot == storage::TupleSlot()) lost.fetch_add(1);
+          last_seen[victim->first] = slot;
+          bool written;
+          if (kind == 1) {
+            storage::ProjectedRow *delta = delta_init.InitializeRow(buffer.data());
+            workload::SetVarchar(delta, 0, row.name);
+            workload::Set<int32_t>(delta, 1, score);
+            written = slot != storage::TupleSlot() && table->Update(txn, slot, *delta);
+          } else {
+            written = slot != storage::TupleSlot() && table->Delete(txn, slot);
+          }
+          // A write fails where the compactor moved or is moving the row.
+          if (!written) {
+            engine.txn_manager.Abort(txn);
+            continue;
+          }
+          engine.txn_manager.Commit(txn);
+          if (kind == 1) {
+            victim->second = row;
+          } else {
+            last_seen.erase(victim->first);
+            mine.erase(victim);
+          }
+        }
+      });
+    }
+    for (std::thread &writer : writers) writer.join();
+    writers_done.store(true);
+    compactor.join();
+    live = VisibleRows(table, &engine.txn_manager);
+    engine.log_manager.Shutdown();
+    ASSERT_FALSE(engine.log_manager.Failed());
+  }
+  EXPECT_GE(moving_compactions.load(), kMovingCompactions);
+  EXPECT_EQ(lost.load(), 0) << "committed rows a writer could not find";
+  std::multimap<int64_t, Row> expected;
+  for (const auto &mine : committed) expected.insert(mine.begin(), mine.end());
+  EXPECT_TRUE(live == expected) << live.size() << " rows live, " << expected.size()
+                                << " committed";
+
+  const CommitOrder order = WalkCommitOrder(ReadFile(kLogPath));
+  EXPECT_GT(order.commits, 0u);
+  EXPECT_EQ(order.not_increasing, 0u) << "commit timestamps out of file order";
+  EXPECT_EQ(order.foreign_records, 0u) << "records before another's commit";
+  const Recovered recovered = RecoverFresh(kLogPath);
+  EXPECT_EQ(recovered.replayed, order.commits);
+  EXPECT_TRUE(recovered.rows == live) << recovered.rows.size() << " rows recovered of "
+                                      << live.size();
   std::remove(kLogPath);
 }
 

@@ -30,7 +30,7 @@ class MVCCTest : public ::testing::Test {
       : block_store_(1000, 100),
         buffer_pool_(100000, 1000),
         layout_({{8, false}, {8, false}}),
-        table_(&block_store_, layout_, storage::layout_version_t(0)),
+        table_(&block_store_, layout_, catalog::table_oid_t(1)),
         txn_manager_(&buffer_pool_, true, nullptr),
         gc_(&txn_manager_),
         initializer_(ProjectedRowInitializer::CreateFull(layout_)),

@@ -20,7 +20,7 @@ TEST(StorageBasicTest, InsertAndSelect) {
   transaction::TransactionManager txn_manager(&buffer_pool, false, nullptr);
 
   storage::BlockLayout layout({{8, false}});
-  storage::DataTable table(&block_store, layout, storage::layout_version_t(0));
+  storage::DataTable table(&block_store, layout, catalog::table_oid_t(1));
 
   auto initializer = storage::ProjectedRowInitializer::CreateFull(layout);
   std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);

@@ -213,7 +213,7 @@ TEST(TupleAccessStrategyTest, AllocatePublishAndNulls) {
   const BlockLayout layout({{8, false}, {4, false}});
   const TupleAccessStrategy accessor(layout);
   RawBlock *block = store.Get();
-  accessor.InitializeRawBlock(nullptr, block, layout_version_t(0));
+  accessor.InitializeRawBlock(nullptr, block);
 
   TupleSlot slot;
   ASSERT_TRUE(accessor.Allocate(block, &slot));

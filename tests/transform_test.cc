@@ -236,7 +236,7 @@ TEST(CompactionPlannerTest, ApproximateAndOptimalAccounting) {
   transaction::TransactionManager txn_manager(&pool, true, nullptr);
   gc::GarbageCollector gc(&txn_manager);
   storage::BlockLayout layout({{8, false}});
-  storage::DataTable table(&block_store, layout, storage::layout_version_t(0));
+  storage::DataTable table(&block_store, layout, catalog::table_oid_t(1));
   auto initializer = storage::ProjectedRowInitializer::CreateFull(layout);
   std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
 
